@@ -61,9 +61,11 @@ def hausdorff95(a, b, empty_sentinel: float | None = None) -> float:
             raise ValueError("hausdorff95 undefined: exactly one mask is empty")
         return float(empty_sentinel)
 
-    surf_a = surface(a.data)
-    surf_b = surface(b.data)
-    # Distance from every voxel to the nearest surface voxel of each mask.
+    # Outside the bounding box of a | b both masks are background and no surface voxel
+    # lies, so the erosion (border_value=0) and both distance transforms are exact on it.
+    box = ndimage.find_objects((a.data | b.data).view(np.uint8))[0]
+    surf_a = surface(a.data[box])
+    surf_b = surface(b.data[box])
     dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=a.spacing)
     dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=a.spacing)
     p_ab = np.percentile(dist_to_b[surf_a], 95)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +49,10 @@ class NiftiHeaderView:
 def _read_bytes(path: Path) -> bytes:
     blob = path.read_bytes()
     if blob[:2] == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
+        try:
+            blob = gzip.decompress(blob)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{path}: corrupt gzip stream: {exc}") from exc
     return blob
 
 

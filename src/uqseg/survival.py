@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .refine import SegmentationSet
 from .volumes import Connectivity, connected_components
@@ -365,6 +364,12 @@ def fit_fusion(
     return FusionModel(ols=ols, forest=forest, override_prob=override_prob, bins=bins, **kwargs)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def evaluate_survival(pairs, bins: ClassBins | None = None) -> dict[str, float]:
     """Challenge-style summary over (predicted_days, true_days) pairs.
 
@@ -380,7 +385,10 @@ def evaluate_survival(pairs, bins: ClassBins | None = None) -> dict[str, float]:
     true = np.asarray([t for _, t in pairs], dtype=np.float64)
     hits = [bins.classify(p) is bins.classify(t) for p, t in pairs]
     se = (pred - true) ** 2
-    spearman = stats.spearmanr(pred, true).statistic if len(pairs) > 1 else np.nan
+    spearman = np.nan  # undefined for a single pair or a constant side
+    if np.ptp(pred) > 0 and np.ptp(true) > 0:
+        ranks = np.column_stack((_average_ranks(pred), _average_ranks(true)))
+        spearman = np.corrcoef(ranks, rowvar=False)[1, 0]  # the scipy.stats.spearmanr order
     return {
         "accuracy": float(np.mean(hits)),
         "mse": float(se.mean()),

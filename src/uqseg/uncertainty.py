@@ -100,20 +100,20 @@ def evaluate_uncertainty(
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("thresholds must be ascending")
 
-    s, g, c = seg.data, gt.data, cert.data
-    tp = s & g
-    tn = ~s & ~g
-    tp_total = int(tp.sum())
-    tn_total = int(tn.sum())
-
+    s, g = seg.data, gt.data
+    # "certainty < tau" counts per voxel category at every threshold: one sort per
+    # category and one search over all thresholds, all in exact integers.
+    (tp_n, tp_out), (seg_n, seg_out), (gt_n, gt_out), (union_n, union_out), (all_n, all_out) = (
+        (values.size, np.searchsorted(np.sort(values, axis=None), taus).tolist())
+        for values in (cert.data[s & g], cert.data[s], cert.data[g], cert.data[s | g], cert.data)
+    )
     dice_at, ftp_at, ftn_at = [], [], []
-    for tau in taus:
-        kept = c >= tau
-        inter = int((tp & kept).sum())
-        denom = int((s & kept).sum()) + int((g & kept).sum())
-        dice_at.append(1.0 if denom == 0 else 2.0 * inter / denom)
-        ftp_at.append(0.0 if tp_total == 0 else int((tp & ~kept).sum()) / tp_total)
-        ftn_at.append(0.0 if tn_total == 0 else int((tn & ~kept).sum()) / tn_total)
+    for tp_k, seg_k, gt_k, union_k, all_k in zip(tp_out, seg_out, gt_out, union_out, all_out):
+        denom = seg_n - seg_k + gt_n - gt_k
+        dice_at.append(1.0 if denom == 0 else 2.0 * (tp_n - tp_k) / denom)
+        ftp_at.append(0.0 if tp_n == 0 else tp_k / tp_n)
+        # true negatives are the voxels outside seg | gt
+        ftn_at.append(0.0 if all_n == union_n else (all_k - union_k) / (all_n - union_n))
 
     grid = np.asarray(taus) / 100.0
     return UncertaintyEvalCurve(

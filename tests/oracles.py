@@ -2,11 +2,13 @@
 
 Nothing here may import from the library's computational paths: components
 are labeled by explicit flood fill, surface distances by all-pairs search,
-and losses by scalar math-module arithmetic.
+and losses by scalar math-module arithmetic. The superseded full-volume
+kernels kept below are the references their faster rewrites must equal.
 """
 import math
 
 import numpy as np
+from scipy import ndimage
 
 FACE6 = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 EDGE18 = [
@@ -76,6 +78,49 @@ def brute_hd95(a, b, spacing=(1.0, 1.0, 1.0)):
     p_ab = np.percentile(dists.min(axis=1), 95)
     p_ba = np.percentile(dists.min(axis=0), 95)
     return max(p_ab, p_ba)
+
+
+def full_volume_hd95(a, b, spacing=(1.0, 1.0, 1.0)):
+    """HD95 with surfaces and distance transforms over the whole array.
+
+    Both masks must be non-empty.
+    """
+    face = ndimage.generate_binary_structure(3, 1)
+    surf_a = a & ~ndimage.binary_erosion(a, structure=face, border_value=0)
+    surf_b = b & ~ndimage.binary_erosion(b, structure=face, border_value=0)
+    dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=spacing)
+    dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=spacing)
+    p_ab = np.percentile(dist_to_b[surf_a], 95)
+    p_ba = np.percentile(dist_to_a[surf_b], 95)
+    return float(max(p_ab, p_ba))
+
+
+def loop_uncertainty_curve(s, g, c, taus):
+    """Filtered-Dice curve by full-volume masking at every threshold.
+
+    Returns (dice_at, ftp_at, ftn_at, dice_auc, ftp_auc, ftn_auc).
+    """
+    tp = s & g
+    tn = ~s & ~g
+    tp_total = int(tp.sum())
+    tn_total = int(tn.sum())
+    dice_at, ftp_at, ftn_at = [], [], []
+    for tau in taus:
+        kept = c >= tau
+        inter = int((tp & kept).sum())
+        denom = int((s & kept).sum()) + int((g & kept).sum())
+        dice_at.append(1.0 if denom == 0 else 2.0 * inter / denom)
+        ftp_at.append(0.0 if tp_total == 0 else int((tp & ~kept).sum()) / tp_total)
+        ftn_at.append(0.0 if tn_total == 0 else int((tn & ~kept).sum()) / tn_total)
+    grid = np.asarray(taus, dtype=float) / 100.0
+    return (
+        tuple(dice_at),
+        tuple(ftp_at),
+        tuple(ftn_at),
+        float(np.trapezoid(dice_at, grid)),
+        float(np.trapezoid(ftp_at, grid)),
+        float(np.trapezoid(ftn_at, grid)),
+    )
 
 
 def brute_dice(a, b):

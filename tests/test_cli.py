@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -209,6 +213,27 @@ class TestPipeline:
         assert float(row["dice_tc"]) == 1.0
         assert float(row["dice_et"]) == 1.0  # both empty counts as agreement
 
+    def test_corrupt_certainty_fails_only_its_case(self, runner, tmp_path):
+        pred_dir, cert_dir = tmp_path / "pred", tmp_path / "cert"
+        pred_dir.mkdir()
+        cert_dir.mkdir()
+        labels = np.zeros((6, 6, 6))
+        labels[1:4, 1:4, 1:4] = 2.0
+        for case in ("good", "bad"):
+            write_nifti(Volume3D(labels), pred_dir / f"{case}.nii.gz", dtype="uint8")
+            for challenge in ("whole", "core", "enhance"):
+                write_nifti(Volume3D(np.full((6, 6, 6), 80.0)),
+                            cert_dir / f"{case}_unc_{challenge}.nii.gz")
+        broken = cert_dir / "bad_unc_core.nii.gz"
+        broken.write_bytes(broken.read_bytes()[:-20])
+        out = tmp_path / "results.csv"
+        result = invoke(runner, ["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(pred_dir),
+                                 "--cert-dir", str(cert_dir), "--out-csv", str(out)], expect=1)
+        assert str(broken) in result.stderr
+        rows = read_case_table(out)
+        assert [r["case_id"] for r in rows] == ["good", "mean", "std"]
+        assert float(rows[0]["dice_auc_wt"]) == 1.0
+
     def test_missing_gt_named(self, runner, tmp_path):
         pred = tmp_path / "pred"
         pred.mkdir()
@@ -311,6 +336,14 @@ class TestFeaturesCommand:
         assert records[0].n_tumors == 2
         assert records[0].n_cores == 1
         assert records[0].survival_days == 400.0
+
+
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, uqseg.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestInitConfig:

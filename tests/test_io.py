@@ -1,5 +1,6 @@
 import gzip
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -146,6 +147,24 @@ class TestNifti:
         clipped.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ValueError, match="truncated"):
             read_nifti(clipped)
+
+    @pytest.mark.parametrize(
+        "corrupt, cause",
+        [
+            (lambda b: b[: len(b) // 2], EOFError),  # truncated stream
+            (lambda b: b[:10] + b"\xff" + b[11:], zlib.error),  # reserved deflate block type
+            (lambda b: b[:-8] + bytes([b[-8] ^ 1]) + b[-7:], gzip.BadGzipFile),  # CRC mismatch
+        ],
+        ids=["truncated", "bad-block", "bad-crc"],
+    )
+    def test_corrupt_gzip_names_path(self, tmp_path, corrupt, cause):
+        good = tmp_path / "good.nii.gz"
+        write_nifti(Volume3D(np.arange(64.0).reshape(4, 4, 4)), good)
+        bad = tmp_path / "bad.nii.gz"
+        bad.write_bytes(corrupt(good.read_bytes()))
+        with pytest.raises(ValueError, match="bad.nii.gz: corrupt gzip stream") as info:
+            read_nifti(bad)
+        assert isinstance(info.value.__cause__, cause)
 
     def test_not_a_nifti(self, tmp_path):
         path = tmp_path / "junk.nii"

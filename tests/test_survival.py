@@ -252,6 +252,22 @@ class TestEvaluateSurvival:
         with pytest.raises(ValueError, match="empty"):
             evaluate_survival([])
 
+    def test_spearman_matches_scipy_with_ties(self):
+        from scipy import stats
+
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 40))
+            pred = rng.integers(0, 6, n) * 100.0 if seed % 2 else rng.random(n) * 1000.0
+            true = rng.integers(0, 4, n) * 250.0
+            got = evaluate_survival(list(zip(pred, true)))["spearman_r"]
+            assert got == stats.spearmanr(pred, true).statistic, f"seed {seed}"
+
+    def test_spearman_undefined_is_nan(self):
+        assert np.isnan(evaluate_survival([(100.0, 200.0)])["spearman_r"])
+        assert np.isnan(evaluate_survival([(100.0, 200.0), (100.0, 300.0)])["spearman_r"])
+        assert np.isnan(evaluate_survival([(100.0, 200.0), (400.0, 200.0)])["spearman_r"])
+
 
 class TestCrossValidation:
     def test_fold_assignment_deterministic(self):
