@@ -29,7 +29,7 @@ from .losses import (
     kl,
     label_flip_loss_2019,
 )
-from .ensemble import PredictionPair, ensemble_mean, ensemble_with_flips, fuse_single
+from .ensemble import PredictionPair, ensemble_with_flips, fuse_single
 from .refine import (
     RefinementConfig,
     RefinementReport,
@@ -44,7 +44,6 @@ from .refine import (
     threshold_mask,
 )
 from .uncertainty import (
-    CertaintyMap,
     UncertaintyEvalCurve,
     certainty_from_q,
     certainty_negative_only,

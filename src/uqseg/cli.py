@@ -24,7 +24,6 @@ from .nifti import read_label_volume, read_nifti, write_nifti
 from .phantom import PRESETS, generate_phantom
 from .refine import (
     REGION_ORDER,
-    RegionLabel,
     brats_labels_to_masks,
     masks_to_brats_labels,
     refine_segmentation,
@@ -63,10 +62,9 @@ _NIFTI_SUFFIXES = (".nii.gz", ".nii")
 
 @dataclass
 class RunManifest:
-    """Resolved parameters plus every input file, checked before processing."""
+    """Every input file of a subcommand, checked before processing."""
 
     subcommand: str
-    parameters: dict[str, object] = field(default_factory=dict)
     inputs: list[Path] = field(default_factory=list)
 
     def require(self, *paths: Path) -> None:
@@ -106,6 +104,33 @@ def _find_nifti(directory: Path, stem: str) -> Path:
     return directory / f"{stem}.nii.gz"  # manifest validation will name it
 
 
+def _run_cases(fn, plan: list[tuple], jobs: int = 1) -> tuple[list, int]:
+    """Call ``fn(*item)`` for each item of ``plan`` on up to ``jobs`` threads.
+
+    Each item starts with the case name. A case that raises ``ValueError`` or
+    ``OSError`` is reported as ``error: <name>: <exc>`` on stderr and left out,
+    so one bad input never aborts the batch. Returns the results of the cases
+    that succeeded, in plan order, and the number that failed.
+    """
+
+    def attempt(item):
+        try:
+            return fn(*item)
+        except (ValueError, OSError) as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        outcomes = list(pool.map(attempt, plan))
+    results, failures = [], 0
+    for (name, *_), outcome in zip(plan, outcomes):
+        if isinstance(outcome, Exception):
+            click.echo(f"error: {name}: {outcome}", err=True)
+            failures += 1
+        else:
+            results.append(outcome)
+    return results, failures
+
+
 def _parse_axes(spec: str) -> list[Axis]:
     if not spec:
         return []
@@ -130,18 +155,16 @@ def standardize(in_path: Path, out_path: Path):
         if not files:
             raise click.UsageError(f"no NIfTI files in {in_path}")
         out_path.mkdir(parents=True, exist_ok=True)
-        targets = [(f, out_path / f.name) for f in files]
+        targets = [(f.name, f, out_path / f.name) for f in files]
     else:
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        targets = [(in_path, out_path)]
-    failures = 0
-    for src, dst in targets:
-        try:
-            vol, header = read_nifti(src)
-            write_nifti(standardize_nonzero(vol), dst, header_template=header)
-        except (ValueError, OSError) as exc:
-            click.echo(f"error: {src.name}: {exc}", err=True)
-            failures += 1
+        targets = [(in_path.name, in_path, out_path)]
+
+    def one_file(_, src, dst):
+        vol, header = read_nifti(src)
+        write_nifti(standardize_nonzero(vol), dst, header_template=header)
+
+    _, failures = _run_cases(one_file, targets)
     if failures:
         raise SystemExit(1)
 
@@ -155,7 +178,7 @@ def standardize(in_path: Path, out_path: Path):
 def ensemble(pred_dirs, flips, out_dir: Path):
     """Fuse (p, q) prediction pairs into one probability volume per region."""
     axes = _parse_axes(flips)
-    manifest = RunManifest("ensemble", {"flips": flips})
+    manifest = RunManifest("ensemble")
     wanted = {}
     for region in REGION_KEYS:
         wanted[region] = [
@@ -268,7 +291,7 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
     if not pred_files:
         raise click.UsageError(f"no NIfTI files in {pred_dir}")
     cases = [_case_name(f) for f in pred_files]
-    manifest = RunManifest("evaluate", {"jobs": jobs})
+    manifest = RunManifest("evaluate")
     plan = []
     for case, pred_file in zip(cases, pred_files):
         gt_file = _find_nifti(gt_dir, case)
@@ -286,8 +309,7 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
     sentinel = cfg.hd95_empty_sentinel
     thresholds = cfg.uncertainty_thresholds
 
-    def one_case(item):
-        case, pred_file, gt_file, cert_files = item
+    def one_case(case, pred_file, gt_file, cert_files):
         pred_labels, _ = read_label_volume(pred_file)
         gt_labels, _ = read_label_volume(gt_file, expect_dims=pred_labels.dims)
         pred_seg = brats_labels_to_masks(pred_labels)
@@ -307,28 +329,10 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
                 row[f"ftn_auc_{region_key}"] = curve.ftn_auc
         return row
 
-    rows, failures = [], 0
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda item: _attempt(one_case, item), plan))
-    else:
-        outcomes = [_attempt(one_case, item) for item in plan]
-    for (case, *_), outcome in zip(plan, outcomes):
-        if isinstance(outcome, Exception):
-            click.echo(f"error: {case}: {outcome}", err=True)
-            failures += 1
-        else:
-            rows.append(outcome)
+    rows, failures = _run_cases(one_case, plan, jobs)
     write_results_table(out_csv, rows)
     if failures:
         raise SystemExit(1)
-
-
-def _attempt(fn, item):
-    try:
-        return fn(item)
-    except (ValueError, OSError) as exc:
-        return exc
 
 
 @main.command()
@@ -352,26 +356,21 @@ def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
     for row in meta:
         label_file = _find_nifti(labels_dir, row["case_id"])
         manifest.require(label_file)
-        plan.append((row, label_file))
+        plan.append((row["case_id"], row, label_file))
     manifest.validate()
-    records, failures = [], 0
-    for row, label_file in plan:
-        try:
-            labels, _ = read_label_volume(label_file)
-            survival = row.get("survival_days") or None
-            records.append(
-                extract_features(
-                    brats_labels_to_masks(labels),
-                    age=float(row["age"]),
-                    connectivity=cfg.refine.connectivity,
-                    case_id=row["case_id"],
-                    survival_days=float(survival) if survival else None,
-                    resection_status=row.get("resection_status") or None,
-                )
-            )
-        except (ValueError, OSError) as exc:
-            click.echo(f"error: {row['case_id']}: {exc}", err=True)
-            failures += 1
+
+    def one_case(case, row, label_file):
+        labels, _ = read_label_volume(label_file)
+        survival = row.get("survival_days") or None
+        return extract_features(
+            brats_labels_to_masks(labels),
+            age=float(row["age"]),
+            connectivity=cfg.refine.connectivity,
+            case_id=case,
+            survival_days=float(survival) if survival else None,
+        )
+
+    records, failures = _run_cases(one_case, plan)
     write_survival_table(out_csv, records)
     if failures:
         raise SystemExit(1)

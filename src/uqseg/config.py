@@ -1,10 +1,14 @@
-"""Declarative YAML configuration covering every pipeline constant.
+"""Declarative YAML configuration of the pipeline's commands.
 
 The default configuration reproduces the reference thresholds: detection at
 0.5 with 0.05 fallback, confidence gates WT 0.90 / TC 0.75 / ET 0.80, 10-voxel
-component filter, 1000-voxel failsafe, loss gamma 2 with mixing weight 0.1,
-survival caps and class bins. The CLI resolves the config from --config, then
-the UQSEG_CONFIG environment variable, then these defaults.
+component filter, 1000-voxel failsafe, survival caps and class bins. The
+dataclasses own every default and :func:`_to_doc` owns every key: a document
+is parsed by laying it over the defaults' document, so a key the defaults do
+not have is rejected. The loss constants are not configured here; they are
+the :class:`~uqseg.losses.LossConfig` library defaults. The CLI resolves the
+config from --config, then the UQSEG_CONFIG environment variable, then these
+defaults.
 """
 from __future__ import annotations
 
@@ -14,19 +18,13 @@ from pathlib import Path
 
 import yaml
 
-from .losses import KlVariant, LossConfig
+from .phantom import DEFAULT_DIMS
 from .refine import RefinementConfig, RegionLabel
-from .survival import FEATURE_NAMES, ClassBins, SurvivalClass
+from .survival import DEFAULT_OVERRIDE_DAYS, FEATURE_NAMES, ClassBins, SurvivalClass
+from .uncertainty import DEFAULT_THRESHOLDS
 from .volumes import Connectivity
 
 ENV_CONFIG_PATH = "UQSEG_CONFIG"
-
-_CONNECTIVITY_NAMES = {
-    "face6": Connectivity.FACE6,
-    "edge18": Connectivity.EDGE18,
-    "corner26": Connectivity.CORNER26,
-}
-_KL_NAMES = {"literal": KlVariant.LITERAL_POSITIVE_TERM, "full": KlVariant.FULL_BINARY}
 
 
 @dataclass
@@ -38,11 +36,7 @@ class SurvivalConfig:
     cap_days: float = 1000.0
     override_prob: float = 0.5
     override_days: dict[SurvivalClass, float] = field(
-        default_factory=lambda: {
-            SurvivalClass.SHORT: 299.0,
-            SurvivalClass.MID: 375.0,
-            SurvivalClass.LONG: 451.0,
-        }
+        default_factory=lambda: dict(DEFAULT_OVERRIDE_DAYS)
     )
     bins: ClassBins = field(default_factory=ClassBins)
 
@@ -50,14 +44,13 @@ class SurvivalConfig:
 @dataclass
 class PhantomConfig:
     preset: str = "hgg-like"
-    dims: tuple[int, int, int] = (48, 48, 48)
+    dims: tuple[int, int, int] = DEFAULT_DIMS
 
 
 @dataclass
 class PipelineConfig:
     refine: RefinementConfig = field(default_factory=RefinementConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
-    uncertainty_thresholds: tuple[float, ...] = (0.0, 25.0, 50.0, 75.0, 100.0)
+    uncertainty_thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     hd95_empty_sentinel: float | None = None
     survival: SurvivalConfig = field(default_factory=SurvivalConfig)
     phantom: PhantomConfig = field(default_factory=PhantomConfig)
@@ -65,10 +58,6 @@ class PipelineConfig:
 
 def default_config_yaml() -> str:
     return yaml.safe_dump(_to_doc(PipelineConfig()), sort_keys=False)
-
-
-def config_to_yaml(cfg: PipelineConfig) -> str:
-    return yaml.safe_dump(_to_doc(cfg), sort_keys=False)
 
 
 def _to_doc(cfg: PipelineConfig) -> dict:
@@ -83,11 +72,6 @@ def _to_doc(cfg: PipelineConfig) -> dict:
             "failsafe_min_voxels": cfg.refine.failsafe_min_voxels,
             "connectivity": cfg.refine.connectivity.name.lower(),
             "enforce_nesting": cfg.refine.enforce_nesting,
-        },
-        "loss": {
-            "gamma": cfg.loss.gamma,
-            "lam": cfg.loss.lam,
-            "kl_variant": cfg.loss.kl_variant.value,
         },
         "uncertainty": {"thresholds": list(cfg.uncertainty_thresholds)},
         "metrics": {"hd95_empty_sentinel": cfg.hd95_empty_sentinel},
@@ -108,126 +92,71 @@ def _to_doc(cfg: PipelineConfig) -> dict:
     }
 
 
-def _expect_keys(section: str, doc: dict, allowed: set[str]) -> None:
-    unknown = set(doc) - allowed
+def _overlay(defaults: dict, doc, section: str) -> dict:
+    """``doc`` laid over ``defaults``; a key that ``defaults`` lacks is an error."""
+    doc = doc or {}
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section} config must be a mapping")
+    unknown = set(doc) - set(defaults)
     if unknown:
         raise ValueError(f"unknown {section} config key(s): {', '.join(sorted(unknown))}")
+    return {**defaults, **doc}
 
 
-def _parse_refine(doc: dict) -> RefinementConfig:
-    base = RefinementConfig()
-    _expect_keys(
-        "refine",
-        doc,
-        {
-            "base_threshold",
-            "fallback_threshold",
-            "confidence_gate",
-            "min_component_size",
-            "failsafe_min_voxels",
-            "connectivity",
-            "enforce_nesting",
-        },
-    )
-    gates = dict(base.confidence_gate)
-    for key, value in (doc.get("confidence_gate") or {}).items():
+def _enum_keyed(kind, what: str, section: str, defaults: dict, doc) -> dict:
+    """The number map ``doc`` laid over ``defaults``, keyed by members of ``kind``."""
+    out = {}
+    for key, value in {**defaults, **(doc or {})}.items():
         try:
-            gates[RegionLabel(key)] = float(value)
+            member = kind(key)
         except ValueError:
-            raise ValueError(f"unknown region {key!r} in confidence_gate") from None
-    conn_name = str(doc.get("connectivity", "corner26")).lower()
-    if conn_name not in _CONNECTIVITY_NAMES:
-        raise ValueError(
-            f"unknown connectivity {conn_name!r}; choose from {sorted(_CONNECTIVITY_NAMES)}"
-        )
-    return RefinementConfig(
-        base_threshold=float(doc.get("base_threshold", base.base_threshold)),
-        fallback_threshold=float(doc.get("fallback_threshold", base.fallback_threshold)),
-        confidence_gate=gates,
-        min_component_size=int(doc.get("min_component_size", base.min_component_size)),
-        failsafe_min_voxels=int(doc.get("failsafe_min_voxels", base.failsafe_min_voxels)),
-        connectivity=_CONNECTIVITY_NAMES[conn_name],
-        enforce_nesting=bool(doc.get("enforce_nesting", base.enforce_nesting)),
-    )
-
-
-def _parse_loss(doc: dict) -> LossConfig:
-    _expect_keys("loss", doc, {"gamma", "lam", "kl_variant"})
-    variant_name = str(doc.get("kl_variant", "literal")).lower()
-    if variant_name not in _KL_NAMES:
-        raise ValueError(f"unknown kl_variant {variant_name!r}; choose from {sorted(_KL_NAMES)}")
-    return LossConfig(
-        gamma=float(doc.get("gamma", 2.0)),
-        lam=float(doc.get("lam", 0.1)),
-        kl_variant=_KL_NAMES[variant_name],
-    )
-
-
-def _parse_survival(doc: dict) -> SurvivalConfig:
-    base = SurvivalConfig()
-    _expect_keys(
-        "survival",
-        doc,
-        {
-            "ols_features",
-            "forest_features",
-            "n_trees",
-            "max_depth",
-            "cap_days",
-            "override_prob",
-            "override_days",
-            "short_max_days",
-            "long_min_days",
-        },
-    )
-    for key in ("ols_features", "forest_features"):
-        for name in doc.get(key, ()):
-            if name not in FEATURE_NAMES:
-                raise ValueError(f"unknown survival feature {name!r} in {key}")
-    override = dict(base.override_days)
-    for key, value in (doc.get("override_days") or {}).items():
-        try:
-            override[SurvivalClass(key)] = float(value)
-        except ValueError:
-            raise ValueError(f"unknown survival class {key!r} in override_days") from None
-    bins = ClassBins(
-        short_max=float(doc.get("short_max_days", base.bins.short_max)),
-        long_min=float(doc.get("long_min_days", base.bins.long_min)),
-    )
-    return SurvivalConfig(
-        ols_features=tuple(doc.get("ols_features", base.ols_features)),
-        forest_features=tuple(doc.get("forest_features", base.forest_features)),
-        n_trees=int(doc.get("n_trees", base.n_trees)),
-        max_depth=int(doc.get("max_depth", base.max_depth)),
-        cap_days=float(doc.get("cap_days", base.cap_days)),
-        override_prob=float(doc.get("override_prob", base.override_prob)),
-        override_days=override,
-        bins=bins,
-    )
+            raise ValueError(f"unknown {what} {key!r} in {section}") from None
+        out[member] = float(value)
+    return out
 
 
 def parse_config(doc: dict | None) -> PipelineConfig:
-    doc = doc or {}
-    _expect_keys("top-level", doc, {"refine", "loss", "uncertainty", "metrics", "survival", "phantom"})
-    unc = doc.get("uncertainty") or {}
-    _expect_keys("uncertainty", unc, {"thresholds"})
-    met = doc.get("metrics") or {}
-    _expect_keys("metrics", met, {"hd95_empty_sentinel"})
-    pha = doc.get("phantom") or {}
-    _expect_keys("phantom", pha, {"preset", "dims"})
-    sentinel = met.get("hd95_empty_sentinel")
+    defaults = _to_doc(PipelineConfig())
+    doc = _overlay(defaults, doc, "top-level")
+    sections = {name: _overlay(defaults[name], doc[name], name) for name in defaults}
+    ref, surv, pha = sections["refine"], sections["survival"], sections["phantom"]
+    conn = str(ref["connectivity"]).upper()
+    if conn not in Connectivity.__members__:
+        names = sorted(c.name.lower() for c in Connectivity)
+        raise ValueError(f"unknown connectivity {conn.lower()!r}; choose from {names}")
+    for key in ("ols_features", "forest_features"):
+        for name in surv[key]:
+            if name not in FEATURE_NAMES:
+                raise ValueError(f"unknown survival feature {name!r} in {key}")
+    sentinel = sections["metrics"]["hd95_empty_sentinel"]
     return PipelineConfig(
-        refine=_parse_refine(doc.get("refine") or {}),
-        loss=_parse_loss(doc.get("loss") or {}),
-        uncertainty_thresholds=tuple(
-            float(t) for t in unc.get("thresholds", (0.0, 25.0, 50.0, 75.0, 100.0))
+        refine=RefinementConfig(
+            base_threshold=float(ref["base_threshold"]),
+            fallback_threshold=float(ref["fallback_threshold"]),
+            confidence_gate=_enum_keyed(RegionLabel, "region", "confidence_gate",
+                                        defaults["refine"]["confidence_gate"],
+                                        ref["confidence_gate"]),
+            min_component_size=int(ref["min_component_size"]),
+            failsafe_min_voxels=int(ref["failsafe_min_voxels"]),
+            connectivity=Connectivity[conn],
+            enforce_nesting=bool(ref["enforce_nesting"]),
         ),
+        uncertainty_thresholds=tuple(float(t) for t in sections["uncertainty"]["thresholds"]),
         hd95_empty_sentinel=None if sentinel is None else float(sentinel),
-        survival=_parse_survival(doc.get("survival") or {}),
-        phantom=PhantomConfig(
-            preset=str(pha.get("preset", "hgg-like")),
-            dims=tuple(int(d) for d in pha.get("dims", (48, 48, 48))),
+        survival=SurvivalConfig(
+            ols_features=tuple(surv["ols_features"]),
+            forest_features=tuple(surv["forest_features"]),
+            n_trees=int(surv["n_trees"]),
+            max_depth=int(surv["max_depth"]),
+            cap_days=float(surv["cap_days"]),
+            override_prob=float(surv["override_prob"]),
+            override_days=_enum_keyed(SurvivalClass, "survival class", "override_days",
+                                      defaults["survival"]["override_days"],
+                                      surv["override_days"]),
+            bins=ClassBins(short_max=float(surv["short_max_days"]),
+                           long_min=float(surv["long_min_days"])),
         ),
+        phantom=PhantomConfig(preset=str(pha["preset"]), dims=tuple(int(d) for d in pha["dims"])),
     )
 
 

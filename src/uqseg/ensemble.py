@@ -41,24 +41,13 @@ def fuse_single(p, q):
     return np.where(np.asarray(p) > 0.5, 1.0 - np.asarray(q), np.asarray(q))
 
 
-def ensemble_mean(preds: Sequence[PredictionPair]) -> Volume3D:
-    """Voxelwise mean of the fused predictions."""
-    if not preds:
-        raise ValueError("cannot ensemble an empty prediction list")
-    require_same_dims(*[pair.p for pair in preds])
-    acc = np.zeros_like(preds[0].p.data)
-    for pair in preds:
-        acc += fuse_single(pair.p.data, pair.q.data)
-    return Volume3D(acc / len(preds), preds[0].p.spacing)
-
-
 def ensemble_with_flips(preds: Sequence[PredictionPair], flip_axes: Iterable[Axis] = ()) -> Volume3D:
-    """Ensemble mean that also folds in axis-flipped test-time views.
+    """Voxelwise mean of the fused predictions, axis-flipped test-time views included.
 
     For every pair and every requested axis, the pair is taken to be the
     model's output on the axis-flipped input; mirroring the fused volume back
     aligns it with the original frame before it joins the mean. With no flip
-    axes this is exactly :func:`ensemble_mean`.
+    axes this is the plain mean of the fused pairs.
     """
     if not preds:
         raise ValueError("cannot ensemble an empty prediction list")

@@ -85,6 +85,8 @@ def _parse_header(blob: bytes, path) -> NiftiHeaderView:
     pixdim = struct.unpack_from("<8f", raw, 76)
     spacing = tuple(float(p) if p > 0 else 1.0 for p in pixdim[1:4])
     (vox_offset,) = struct.unpack_from("<f", raw, 108)
+    if not np.isfinite(vox_offset):
+        raise ValueError(f"{path}: non-finite vox_offset {vox_offset}")
     slope, inter = struct.unpack_from("<2f", raw, 112)
     return NiftiHeaderView(
         dims=dims,

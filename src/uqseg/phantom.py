@@ -10,13 +10,15 @@ level near the true boundary, so diffuse regions are under-segmented at the
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .refine import REGION_ORDER, RegionLabel, SegmentationSet
 from .volumes import Mask3D, Volume3D
+
+DEFAULT_DIMS = (48, 48, 48)
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def _centered(dims, rng, jitter: float) -> tuple[float, float, float]:
     return tuple(d / 2.0 + rng.uniform(-jitter, jitter) for d in dims)
 
 
-def hgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = (48, 48, 48)) -> PhantomSpec:
+def hgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = DEFAULT_DIMS) -> PhantomSpec:
     """Confidently segmented phantom: all regions high-level, sharp falloff."""
     rng = np.random.default_rng([abs(int(seed)), 11])
     center = _centered(dims, rng, 1.5)
@@ -146,7 +148,7 @@ def hgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = (48, 48, 48)) -> P
     )
 
 
-def diffuse_lgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = (48, 48, 48)) -> PhantomSpec:
+def diffuse_lgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = DEFAULT_DIMS) -> PhantomSpec:
     """Vaguely delineated core: wide falloff, interior level well below the gate."""
     rng = np.random.default_rng([abs(int(seed)), 13])
     center = _centered(dims, rng, 1.5)

@@ -94,10 +94,14 @@ class RefinementConfig:
 
 @dataclass
 class RegionReport:
-    """Audit record of the decisions taken for a single region."""
+    """Audit record of the decisions taken for a single region.
+
+    ``fallback_used`` is the confidence gate's decision: the filtered mask was
+    empty or its mean confidence fell below the region's gate, so the channel
+    was re-thresholded at the fallback threshold.
+    """
 
     mean_core_confidence: float | None = None
-    gate_triggered: bool = False
     fallback_used: bool = False
     core_substituted: bool = False
     failsafe_triggered: bool = False
@@ -132,7 +136,6 @@ class RefinementReport:
             r = self.regions[region]
             prefix = region.value
             rec[f"{prefix}_mean_confidence"] = r.mean_core_confidence
-            rec[f"{prefix}_gate_triggered"] = r.gate_triggered
             rec[f"{prefix}_fallback_used"] = r.fallback_used
             rec[f"{prefix}_core_substituted"] = r.core_substituted
             rec[f"{prefix}_failsafe_triggered"] = r.failsafe_triggered
@@ -162,15 +165,8 @@ def refine_region(
         threshold_mask(p, cfg.base_threshold), cfg.min_component_size, cfg.connectivity
     )
     confidence = mean_region_confidence(p, mask)
-    gate = cfg.confidence_gate[region]
-    triggered = confidence is None or confidence < gate
-    report = RegionReport(
-        mean_core_confidence=confidence,
-        gate_triggered=triggered,
-        fallback_used=False,
-        final_threshold=cfg.base_threshold,
-    )
-    if triggered:
+    report = RegionReport(mean_core_confidence=confidence, final_threshold=cfg.base_threshold)
+    if confidence is None or confidence < cfg.confidence_gate[region]:
         mask = remove_small_components(
             threshold_mask(p, cfg.fallback_threshold), cfg.min_component_size, cfg.connectivity
         )

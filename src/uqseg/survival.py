@@ -29,6 +29,13 @@ CLASS_ORDER = (SurvivalClass.SHORT, SurvivalClass.MID, SurvivalClass.LONG)
 
 FEATURE_NAMES = ("age", "n_tumors", "n_cores")
 
+# Day value the fused model predicts when the forest overrides into a class.
+DEFAULT_OVERRIDE_DAYS = {
+    SurvivalClass.SHORT: 299.0,
+    SurvivalClass.MID: 375.0,
+    SurvivalClass.LONG: 451.0,
+}
+
 
 @dataclass(frozen=True)
 class ClassBins:
@@ -56,7 +63,6 @@ class SurvivalRecord:
     n_tumors: int
     n_cores: int
     survival_days: float | None = None
-    resection_status: str | None = None
 
     def __post_init__(self):
         if self.age <= 0:
@@ -76,7 +82,6 @@ def extract_features(
     connectivity: Connectivity = Connectivity.CORNER26,
     case_id: str = "",
     survival_days: float | None = None,
-    resection_status: str | None = None,
 ) -> SurvivalRecord:
     """Count disconnected WT and TC components of a refined segmentation."""
     n_tumors = connected_components(seg.wt, connectivity).component_count
@@ -87,7 +92,6 @@ def extract_features(
         n_tumors=n_tumors,
         n_cores=n_cores,
         survival_days=survival_days,
-        resection_status=resection_status,
     )
 
 
@@ -311,11 +315,7 @@ class FusionModel:
     forest: ForestModel
     override_prob: float = 0.5
     override_days: dict[SurvivalClass, float] = field(
-        default_factory=lambda: {
-            SurvivalClass.SHORT: 299.0,
-            SurvivalClass.MID: 375.0,
-            SurvivalClass.LONG: 451.0,
-        }
+        default_factory=lambda: dict(DEFAULT_OVERRIDE_DAYS)
     )
     bins: ClassBins = field(default_factory=ClassBins)
 

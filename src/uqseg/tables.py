@@ -24,7 +24,6 @@ _REFINE_COLUMNS = tuple(
     for region in REGION_ORDER
     for suffix in (
         "mean_confidence",
-        "gate_triggered",
         "fallback_used",
         "core_substituted",
         "failsafe_triggered",
@@ -91,7 +90,6 @@ def read_survival_table(path) -> list[SurvivalRecord]:
                 n_tumors=int(row["n_tumors"]),
                 n_cores=int(row["n_cores"]),
                 survival_days=float(survival) if survival not in ("", None) else None,
-                resection_status=row.get("resection_status") or None,
             )
         )
     return records
@@ -109,7 +107,7 @@ def read_predictions_table(path) -> list[tuple[str, float]]:
 def write_results_table(path, records: list[dict], summary: bool = True) -> None:
     """Per-case result rows in fixed column order, plus mean/std summary rows."""
     records = sorted(records, key=lambda r: str(r.get("case_id", "")))
-    rows = [[_pick(rec, col) for col in CASE_RESULT_COLUMNS] for rec in records]
+    rows = [[rec.get(col) for col in CASE_RESULT_COLUMNS] for rec in records]
     if summary and records:
         for stat, fn in (("mean", _mean), ("std", _std)):
             row = [stat]
@@ -126,10 +124,6 @@ def write_results_table(path, records: list[dict], summary: bool = True) -> None
 def read_case_table(path, required: tuple[str, ...] = ("case_id",)) -> list[dict[str, str]]:
     _, rows = _read_rows(path, required)
     return rows
-
-
-def _pick(rec: dict, col: str):
-    return rec.get(col)
 
 
 def _is_number(v) -> bool:

@@ -8,26 +8,13 @@ ratios evolve as the threshold rises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .refine import RegionLabel
 from .volumes import Mask3D, Volume3D, require_same_dims
 
 DEFAULT_THRESHOLDS = (0.0, 25.0, 50.0, 75.0, 100.0)
-
-
-@dataclass
-class CertaintyMap:
-    """Per-region certainty channels on the 0..100 scale."""
-
-    channels: dict[RegionLabel, Volume3D]
-
-    def __post_init__(self):
-        for region, vol in self.channels.items():
-            if vol.data.min() < 0.0 or vol.data.max() > 100.0:
-                raise ValueError(f"certainty for {region.value} outside [0, 100]")
 
 
 def certainty_from_q(q: Volume3D) -> Volume3D:

@@ -60,10 +60,6 @@ class Volume3D:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def linear_values(self) -> np.ndarray:
-        """Values in canonical x-fastest order."""
-        return self.data.ravel(order="F")
-
 
 @dataclass(eq=False)
 class Mask3D:
@@ -84,9 +80,6 @@ class Mask3D:
 
     def voxel_count(self) -> int:
         return int(self.data.sum())
-
-    def linear_values(self) -> np.ndarray:
-        return self.data.ravel(order="F")
 
 
 @dataclass(eq=False)

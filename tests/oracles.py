@@ -123,6 +123,14 @@ def loop_uncertainty_curve(s, g, c, taus):
     )
 
 
+def loop_fused_mean(pairs):
+    """No-flip fusion: the voxelwise mean of P(label = 1) over (p, q) array pairs."""
+    acc = np.zeros_like(pairs[0][0], dtype=np.float64)
+    for p, q in pairs:
+        acc += np.where(p > 0.5, 1.0 - q, q)
+    return acc / len(pairs)
+
+
 def brute_dice(a, b):
     na, nb = int(a.sum()), int(b.sum())
     if na + nb == 0:

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 
@@ -233,6 +234,25 @@ class TestPipeline:
         rows = read_case_table(out)
         assert [r["case_id"] for r in rows] == ["good", "mean", "std"]
         assert float(rows[0]["dice_auc_wt"]) == 1.0
+
+    def test_non_finite_vox_offset_fails_only_its_case(self, runner, tmp_path):
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        labels = np.zeros((3, 3, 3))
+        labels[1, 1, 1] = 2.0
+        for case in ("good", "bad"):
+            write_nifti(Volume3D(labels), pred_dir / f"{case}.nii", dtype="uint8")
+        broken = pred_dir / "bad.nii"
+        blob = bytearray(broken.read_bytes())
+        struct.pack_into("<f", blob, 108, float("inf"))
+        broken.write_bytes(bytes(blob))
+        out = tmp_path / "results.csv"
+        result = invoke(runner, ["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(pred_dir),
+                                 "--out-csv", str(out)], expect=1)
+        assert str(broken) in result.stderr
+        rows = read_case_table(out)
+        assert [r["case_id"] for r in rows] == ["good", "mean", "std"]
+        assert float(rows[0]["dice_wt"]) == 1.0
 
     def test_missing_gt_named(self, runner, tmp_path):
         pred = tmp_path / "pred"

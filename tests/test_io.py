@@ -8,12 +8,11 @@ import pytest
 from uqseg.config import (
     ENV_CONFIG_PATH,
     PipelineConfig,
-    config_to_yaml,
     default_config_yaml,
     load_config,
     parse_config,
 )
-from uqseg.losses import KlVariant
+from uqseg.losses import LossConfig
 from uqseg.nifti import read_label_volume, read_mask, read_nifti, write_nifti
 from uqseg.refine import RegionLabel
 from uqseg.survival import SurvivalRecord
@@ -166,6 +165,15 @@ class TestNifti:
             read_nifti(bad)
         assert isinstance(info.value.__cause__, cause)
 
+    def test_non_finite_vox_offset_names_path(self, tmp_path):
+        path = tmp_path / "bad.nii"
+        for value in (float("inf"), float("-inf"), float("nan")):
+            blob = bytearray(craft_nifti_bytes(np.zeros((3, 3, 3), dtype="<f4"), 16, 32))
+            struct.pack_into("<f", blob, 108, value)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ValueError, match="bad.nii: non-finite vox_offset"):
+                read_nifti(path)
+
     def test_not_a_nifti(self, tmp_path):
         path = tmp_path / "junk.nii"
         path.write_bytes(b"x" * 400)
@@ -265,14 +273,9 @@ class TestResultsTable:
 
 class TestConfig:
     def test_defaults_roundtrip(self):
-        cfg = parse_config(yaml.safe_load(default_config_yaml()))
-        default = PipelineConfig()
-        assert cfg.refine.base_threshold == default.refine.base_threshold
-        assert cfg.refine.confidence_gate == default.refine.confidence_gate
-        assert cfg.loss.lam == default.loss.lam
-        assert cfg.survival.n_trees == default.survival.n_trees
-        assert cfg.uncertainty_thresholds == default.uncertainty_thresholds
-        assert config_to_yaml(cfg) == default_config_yaml()
+        assert parse_config(yaml.safe_load(default_config_yaml())) == PipelineConfig()
+        assert parse_config({}) == PipelineConfig()
+        assert parse_config(None) == PipelineConfig()
 
     def test_paper_defaults(self):
         cfg = PipelineConfig()
@@ -283,20 +286,20 @@ class TestConfig:
         assert cfg.refine.confidence_gate[RegionLabel.ENHANCING_TUMOR] == 0.80
         assert cfg.refine.min_component_size == 10
         assert cfg.refine.failsafe_min_voxels == 1000
-        assert cfg.loss.gamma == 2.0
-        assert cfg.loss.lam == 0.1
+        assert LossConfig().gamma == 2.0
+        assert LossConfig().lam == 0.1
         assert cfg.survival.n_trees == 1000
         assert cfg.survival.max_depth == 3
         assert cfg.survival.cap_days == 1000.0
 
     def test_file_and_env_resolution(self, tmp_path, monkeypatch):
         path = tmp_path / "conf.yaml"
-        path.write_text("loss:\n  gamma: 3.5\n")
-        assert load_config(path).loss.gamma == 3.5
+        path.write_text("refine:\n  base_threshold: 0.6\n")
+        assert load_config(path).refine.base_threshold == 0.6
         monkeypatch.setenv(ENV_CONFIG_PATH, str(path))
-        assert load_config().loss.gamma == 3.5
+        assert load_config().refine.base_threshold == 0.6
         monkeypatch.delenv(ENV_CONFIG_PATH)
-        assert load_config().loss.gamma == 2.0
+        assert load_config().refine.base_threshold == 0.5
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown top-level"):
@@ -304,12 +307,58 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown refine"):
             parse_config({"refine": {"bogus": 1}})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"uncertainty": {"bogus": 1}}, "unknown uncertainty config key\\(s\\): bogus"),
+            ({"metrics": {"bogus": 1}}, "unknown metrics config key\\(s\\): bogus"),
+            ({"survival": {"bogus": 1}}, "unknown survival config key\\(s\\): bogus"),
+            ({"phantom": {"bogus": 1}}, "unknown phantom config key\\(s\\): bogus"),
+            ({"survival": {"ols_features": ["age", "height"]}},
+             "unknown survival feature 'height' in ols_features"),
+            ({"survival": {"forest_features": ["weight"]}},
+             "unknown survival feature 'weight' in forest_features"),
+            ({"refine": {"confidence_gate": {"xx": 0.5}}},
+             "unknown region 'xx' in confidence_gate"),
+            ({"survival": {"override_days": {"forever": 9999}}},
+             "unknown survival class 'forever' in override_days"),
+        ],
+        ids=["uncertainty", "metrics", "survival", "phantom",
+             "ols-feature", "forest-feature", "gate-region", "override-class"],
+    )
+    def test_other_rejections(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(doc)
+
+    def test_non_mapping_file_rejected(self, tmp_path):
+        path = tmp_path / "conf.yaml"
+        path.write_text("- refine\n- survival\n")
+        with pytest.raises(ValueError, match="conf.yaml: config must be a mapping"):
+            load_config(path)
+
     def test_enums_parsed(self):
         cfg = parse_config(
-            {"refine": {"connectivity": "face6"}, "loss": {"kl_variant": "full"}}
+            {"refine": {"connectivity": "FACE6", "confidence_gate": {"tc": 0.5}}}
         )
         assert cfg.refine.connectivity is Connectivity.FACE6
-        assert cfg.loss.kl_variant is KlVariant.FULL_BINARY
+        assert cfg.refine.confidence_gate == {
+            RegionLabel.WHOLE_TUMOR: 0.90,
+            RegionLabel.TUMOR_CORE: 0.5,
+            RegionLabel.ENHANCING_TUMOR: 0.80,
+        }
+
+    def test_loss_section_rejected(self):
+        # The loss constants are LossConfig library defaults; no command reads them.
+        with pytest.raises(ValueError, match="unknown top-level config key\\(s\\): loss"):
+            parse_config({"loss": {"gamma": 3.5}})
+
+    def test_bad_gate_value_is_not_an_unknown_region(self):
+        with pytest.raises(ValueError, match="could not convert string to float: 'high'"):
+            parse_config({"refine": {"confidence_gate": {"wt": "high"}}})
+
+    def test_non_mapping_section_rejected(self):
+        with pytest.raises(ValueError, match="refine config must be a mapping"):
+            parse_config({"refine": 5})
 
     def test_bad_connectivity_named(self):
         with pytest.raises(ValueError, match="unknown connectivity"):

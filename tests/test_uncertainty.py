@@ -3,7 +3,6 @@ import pytest
 
 from uqseg.ensemble import fuse_single
 from uqseg.uncertainty import (
-    CertaintyMap,
     certainty_from_q,
     certainty_negative_only,
     certainty_symmetric,
@@ -11,7 +10,6 @@ from uqseg.uncertainty import (
     negative_only_uncertainty_raw,
     symmetric_uncertainty_raw,
 )
-from uqseg.refine import RegionLabel
 from uqseg.volumes import Mask3D, Volume3D
 
 
@@ -76,10 +74,6 @@ class TestFormulas:
         ):
             assert channel.data.min() >= 0.0
             assert channel.data.max() <= 100.0
-
-    def test_certainty_map_validation(self):
-        with pytest.raises(ValueError, match=r"\[0, 100\]"):
-            CertaintyMap(channels={RegionLabel.WHOLE_TUMOR: vol(150.0)})
 
 
 def three_voxel_case():
