@@ -376,24 +376,9 @@ def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
         raise SystemExit(1)
 
 
-def _fit_fusion_from_config(scfg: SurvivalConfig, seed: int, records):
-    return fit_fusion(
-        records,
-        seed=seed,
-        ols_features=scfg.ols_features,
-        forest_features=scfg.forest_features,
-        n_trees=scfg.n_trees,
-        max_depth=scfg.max_depth,
-        cap_days=scfg.cap_days,
-        override_prob=scfg.override_prob,
-        override_days=scfg.override_days,
-        bins=scfg.bins,
-    )
-
-
 def _fused_fitter(scfg: SurvivalConfig, seed: int):
     def fit(train):
-        model = _fit_fusion_from_config(scfg, seed, train)
+        model = fit_fusion(train, seed=seed, **vars(scfg))
         return lambda rec: predict_fused(model, rec)
 
     return fit
@@ -417,7 +402,7 @@ def survival_train(features_csv, seed, model_out: Path, config_path):
     cfg = _config(config_path)
     try:
         records = read_survival_table(features_csv)
-        model = _fit_fusion_from_config(cfg.survival, seed, records)
+        model = fit_fusion(records, seed=seed, **vars(cfg.survival))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     model_out.parent.mkdir(parents=True, exist_ok=True)

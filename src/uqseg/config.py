@@ -20,7 +20,9 @@ import yaml
 
 from .phantom import DEFAULT_DIMS
 from .refine import RefinementConfig, RegionLabel
-from .survival import DEFAULT_OVERRIDE_DAYS, FEATURE_NAMES, ClassBins, SurvivalClass
+from .survival import (DEFAULT_CAP_DAYS, DEFAULT_MAX_DEPTH, DEFAULT_N_TREES, DEFAULT_OLS_FEATURES,
+                       DEFAULT_OVERRIDE_DAYS, DEFAULT_OVERRIDE_PROB, FEATURE_NAMES, ClassBins,
+                       SurvivalClass)
 from .uncertainty import DEFAULT_THRESHOLDS
 from .volumes import Connectivity
 
@@ -29,12 +31,14 @@ ENV_CONFIG_PATH = "UQSEG_CONFIG"
 
 @dataclass
 class SurvivalConfig:
-    ols_features: tuple[str, ...] = ("age",)
+    """The keyword arguments of :func:`~uqseg.survival.fit_fusion` but the seed."""
+
+    ols_features: tuple[str, ...] = DEFAULT_OLS_FEATURES
     forest_features: tuple[str, ...] = FEATURE_NAMES
-    n_trees: int = 1000
-    max_depth: int = 3
-    cap_days: float = 1000.0
-    override_prob: float = 0.5
+    n_trees: int = DEFAULT_N_TREES
+    max_depth: int = DEFAULT_MAX_DEPTH
+    cap_days: float = DEFAULT_CAP_DAYS
+    override_prob: float = DEFAULT_OVERRIDE_PROB
     override_days: dict[SurvivalClass, float] = field(
         default_factory=lambda: dict(DEFAULT_OVERRIDE_DAYS)
     )

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .volumes import Axis, Volume3D, flip_axis, require_same_dims
+from .volumes import Axis, Volume3D, flip_axis, require_same_grid
 
 
 @dataclass
@@ -23,7 +23,7 @@ class PredictionPair:
     q: Volume3D
 
     def __post_init__(self):
-        require_same_dims(self.p, self.q)
+        require_same_grid(self.p, self.q)
         if self.p.data.min() < 0.0 or self.p.data.max() > 1.0:
             raise ValueError("p values must lie in [0, 1]")
         if self.q.data.min() < 0.0 or self.q.data.max() > 0.5:
@@ -51,7 +51,7 @@ def ensemble_with_flips(preds: Sequence[PredictionPair], flip_axes: Iterable[Axi
     """
     if not preds:
         raise ValueError("cannot ensemble an empty prediction list")
-    require_same_dims(*[pair.p for pair in preds])
+    require_same_grid(*[pair.p for pair in preds])
     axes = sorted(set(flip_axes), key=lambda a: a.value)
     acc = np.zeros_like(preds[0].p.data)
     for pair in preds:

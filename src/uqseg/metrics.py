@@ -6,6 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .volumes import require_same_dims, require_same_grid
+
 _FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 
@@ -19,8 +21,7 @@ class MetricResult:
 
 def dice(a, b) -> float:
     """2|A n B| / (|A| + |B|); two empty masks agree perfectly (1.0)."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
+    require_same_dims(a, b)
     na = int(a.data.sum())
     nb = int(b.data.sum())
     if na + nb == 0:
@@ -48,10 +49,7 @@ def hausdorff95(a, b, empty_sentinel: float | None = None) -> float:
     give 0. One empty mask raises unless ``empty_sentinel`` is set, in which
     case that sentinel is returned (challenge-compatibility mode).
     """
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    if a.spacing != b.spacing:
-        raise ValueError(f"spacing mismatch: {a.spacing} vs {b.spacing}")
+    require_same_grid(a, b)
     a_empty = not a.data.any()
     b_empty = not b.data.any()
     if a_empty and b_empty:

@@ -9,8 +9,10 @@ Orientation fields pass through untouched; the pipeline is voxel-space only.
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +34,11 @@ _DTYPES = {
 }
 _CODE_FOR = {"uint8": DT_UINT8, "int16": DT_INT16, "float32": DT_FLOAT32}
 
+# The header zlib writes for wbits=31 at level 9: no flags, mtime 0, XFL 2, OS 3.
+GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\x03"
+DEFLATE_CHUNK = 256 * 1024
+DEFLATE_WINDOW = 32 * 1024
+
 
 @dataclass
 class NiftiHeaderView:
@@ -47,13 +54,64 @@ class NiftiHeaderView:
 
 
 def _read_bytes(path: Path) -> bytes:
+    """The file's bytes, gunzipped when they start with the gzip magic.
+
+    A file that is exactly one complete gzip member is inflated in one zlib
+    pass, which also checks its CRC and length. Anything else (a truncated
+    or corrupt stream, several members, padding or trailing bytes) goes to
+    ``gzip.decompress``, which accepts and rejects exactly what it always did.
+    """
     blob = path.read_bytes()
-    if blob[:2] == b"\x1f\x8b":
-        try:
-            blob = gzip.decompress(blob)
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise ValueError(f"{path}: corrupt gzip stream: {exc}") from exc
-    return blob
+    if blob[:2] != b"\x1f\x8b":
+        return blob
+    inflater = zlib.decompressobj(wbits=31)
+    try:
+        data = inflater.decompress(blob)
+        if inflater.eof and not inflater.unused_data:
+            return data
+    except zlib.error:
+        pass
+    try:
+        return gzip.decompress(blob)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ValueError(f"{path}: corrupt gzip stream: {exc}") from exc
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def gzip_deflate(payload: bytes, strategy: int) -> bytes:
+    """One gzip member (level 9, zlib ``strategy``, mtime 0) holding ``payload``.
+
+    The payload is cut at fixed DEFLATE_CHUNK boundaries and the chunks are
+    deflated on a thread pool (zlib releases the GIL). Each chunk after the
+    first is primed with the DEFLATE_WINDOW bytes before it, and each but the
+    last ends on a byte boundary with a sync flush, so the raw deflate
+    streams join into one. The boundaries are fixed, so the bytes depend
+    neither on the CPU count nor on the machine.
+    """
+    view = memoryview(payload)
+    starts = range(0, max(len(view), 1), DEFLATE_CHUNK)
+
+    def deflate(start: int) -> bytes:
+        primer = {"zdict": view[start - DEFLATE_WINDOW : start]} if start else {}
+        deflater = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS, 8, strategy, **primer)
+        stop = start + DEFLATE_CHUNK
+        end = zlib.Z_FINISH if stop >= len(view) else zlib.Z_SYNC_FLUSH
+        return deflater.compress(view[start:stop]) + deflater.flush(end)
+
+    if len(starts) == 1:
+        parts = [deflate(0)]
+    else:
+        # a pool per call: a module-level executor would hang in a forked child
+        with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
+            parts = list(pool.map(deflate, starts))
+    trailer = struct.pack("<2I", zlib.crc32(view), len(view) & 0xFFFFFFFF)
+    return b"".join([GZIP_HEADER, *parts, trailer])
 
 
 def _parse_header(blob: bytes, path) -> NiftiHeaderView:
@@ -71,7 +129,7 @@ def _parse_header(blob: bytes, path) -> NiftiHeaderView:
     if magic != b"n+1\x00":
         raise ValueError(f"{path}: not a single-file NIfTI-1 (magic={magic!r})")
     dim = struct.unpack_from("<8h", raw, 40)
-    if dim[0] < 3 or any(d > 1 for d in dim[4 : dim[0] + 1]):
+    if not 3 <= dim[0] <= 7 or any(d > 1 for d in dim[4 : dim[0] + 1]):
         raise ValueError(f"{path}: only 3D single-frame volumes are supported (dim={dim})")
     dims = (int(dim[1]), int(dim[2]), int(dim[3]))
     if min(dims) < 1:
@@ -186,7 +244,10 @@ def write_nifti(
 
     float32 round-trips losslessly. Integer dtypes require integral values in
     range. A header template must match the volume's dims; its uninterpreted
-    fields are carried over verbatim.
+    fields are carried over verbatim. A ``.gz`` path gets gzip level 9: run-
+    length deflate for integer maps, the default strategy for float32. The
+    file appears whole or not at all: it is written beside the target and
+    renamed over it.
     """
     path = Path(path)
     if header_template is not None and header_template.dims != vol.dims:
@@ -215,6 +276,11 @@ def write_nifti(
     header = _build_header(vol.dims, vol.spacing, code, header_template)
     payload = header + b"\x00\x00\x00\x00" + data.tobytes(order="F")
     if path.suffix == ".gz":
-        # mtime pinned so identical volumes produce identical bytes
-        payload = gzip.compress(payload, mtime=0)
-    path.write_bytes(payload)
+        payload = gzip_deflate(payload, zlib.Z_DEFAULT_STRATEGY if code == DT_FLOAT32 else zlib.Z_RLE)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        partial.write_bytes(payload)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise

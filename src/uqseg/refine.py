@@ -20,6 +20,7 @@ from .volumes import (
     Volume3D,
     remove_small_components,
     require_same_dims,
+    require_same_grid,
 )
 
 
@@ -202,7 +203,7 @@ def refine_segmentation(
     regions are forced into the nested order ET within TC within WT.
     """
     cfg = cfg or RefinementConfig()
-    require_same_dims(p_wt, p_tc, p_et)
+    require_same_grid(p_wt, p_tc, p_et)
 
     wt, wt_rep = refine_region(p_wt, RegionLabel.WHOLE_TUMOR, cfg)
     tc, tc_rep = refine_region(p_tc, RegionLabel.TUMOR_CORE, cfg)

@@ -29,6 +29,12 @@ CLASS_ORDER = (SurvivalClass.SHORT, SurvivalClass.MID, SurvivalClass.LONG)
 
 FEATURE_NAMES = ("age", "n_tumors", "n_cores")
 
+# Defaults of the fitters, shared with config.SurvivalConfig.
+DEFAULT_OLS_FEATURES = ("age",)
+DEFAULT_CAP_DAYS = 1000.0
+DEFAULT_N_TREES = 1000
+DEFAULT_MAX_DEPTH = 3
+DEFAULT_OVERRIDE_PROB = 0.5
 # Day value the fused model predicts when the forest overrides into a class.
 DEFAULT_OVERRIDE_DAYS = {
     SurvivalClass.SHORT: 299.0,
@@ -110,7 +116,7 @@ def _require_labeled(records):
 class OlsModel:
     feature_set: tuple[str, ...]
     coefficients: np.ndarray  # intercept first, then one per feature
-    cap_days: float = 1000.0
+    cap_days: float = DEFAULT_CAP_DAYS
 
     def predict(self, rec: SurvivalRecord) -> float:
         x = np.concatenate(([1.0], [rec.feature(name) for name in self.feature_set]))
@@ -119,8 +125,8 @@ class OlsModel:
 
 def fit_ols(
     records,
-    feature_set: tuple[str, ...] = ("age",),
-    cap_days: float = 1000.0,
+    feature_set: tuple[str, ...] = DEFAULT_OLS_FEATURES,
+    cap_days: float = DEFAULT_CAP_DAYS,
 ) -> OlsModel:
     """Least squares on survival days, capping targets at ``cap_days`` first.
 
@@ -247,8 +253,8 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int) -> Tree
 @dataclass
 class ForestModel:
     feature_set: tuple[str, ...]
-    n_trees: int = 1000
-    max_depth: int = 3
+    n_trees: int
+    max_depth: int
     seed: int = 0
     bins: ClassBins = field(default_factory=ClassBins)
     trees: list[TreeNode] = field(default_factory=list)
@@ -257,8 +263,8 @@ class ForestModel:
 def fit_forest(
     records,
     feature_set: tuple[str, ...] = FEATURE_NAMES,
-    n_trees: int = 1000,
-    max_depth: int = 3,
+    n_trees: int = DEFAULT_N_TREES,
+    max_depth: int = DEFAULT_MAX_DEPTH,
     seed: int = 0,
     bins: ClassBins | None = None,
 ) -> ForestModel:
@@ -313,7 +319,7 @@ class FusionModel:
 
     ols: OlsModel
     forest: ForestModel
-    override_prob: float = 0.5
+    override_prob: float = DEFAULT_OVERRIDE_PROB
     override_days: dict[SurvivalClass, float] = field(
         default_factory=lambda: dict(DEFAULT_OVERRIDE_DAYS)
     )
@@ -341,12 +347,12 @@ def predict_fused(model: FusionModel, rec: SurvivalRecord) -> float:
 def fit_fusion(
     records,
     seed: int = 0,
-    ols_features: tuple[str, ...] = ("age",),
+    ols_features: tuple[str, ...] = DEFAULT_OLS_FEATURES,
     forest_features: tuple[str, ...] = FEATURE_NAMES,
-    n_trees: int = 1000,
-    max_depth: int = 3,
-    cap_days: float = 1000.0,
-    override_prob: float = 0.5,
+    n_trees: int = DEFAULT_N_TREES,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    cap_days: float = DEFAULT_CAP_DAYS,
+    override_prob: float = DEFAULT_OVERRIDE_PROB,
     override_days: dict[SurvivalClass, float] | None = None,
     bins: ClassBins | None = None,
 ) -> FusionModel:

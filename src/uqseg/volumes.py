@@ -106,6 +106,15 @@ def require_same_dims(*vols) -> tuple[int, int, int]:
     return dims
 
 
+def require_same_grid(*vols) -> tuple[int, int, int]:
+    """Dims as :func:`require_same_dims`; the spacings must be equal too."""
+    dims = require_same_dims(*vols)
+    for v in vols[1:]:
+        if v.spacing != vols[0].spacing:
+            raise ValueError(f"spacing mismatch: {vols[0].spacing} vs {v.spacing}")
+    return dims
+
+
 def standardize_nonzero(v: Volume3D) -> Volume3D:
     """Standardize the nonzero voxels to zero mean and unit variance.
 

@@ -3,9 +3,14 @@
 Nothing here may import from the library's computational paths: components
 are labeled by explicit flood fill, surface distances by all-pairs search,
 and losses by scalar math-module arithmetic. The superseded full-volume
-kernels kept below are the references their faster rewrites must equal.
+kernels and the one-call gzip codec kept below are the references their
+faster rewrites must equal.
 """
+import gzip
 import math
+import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -181,3 +186,44 @@ def oracle_combined(p, q, x, gamma, lam, full=False):
         + (1 - lam) * oracle_focal_kl(w, p, full)
         + (1 - lam) * oracle_bce(q, z)
     )
+
+
+# --- gzip codec -------------------------------------------------------------
+
+
+def gzip_encode(payload):
+    """The former .nii.gz writer: one ``gzip.compress`` at level 9, mtime 0."""
+    return gzip.compress(payload, mtime=0)
+
+
+def gzip_read_bytes(path):
+    """The former .nii.gz reader: ``gzip.decompress`` of the whole file."""
+    blob = Path(path).read_bytes()
+    if blob[:2] == b"\x1f\x8b":
+        try:
+            blob = gzip.decompress(blob)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ValueError(f"{path}: corrupt gzip stream: {exc}") from exc
+    return blob
+
+
+def serial_chunked_gzip(payload, strategy, chunk=256 * 1024, window=32 * 1024):
+    """One gzip member built from level-9 raw deflate chunks, one after another.
+
+    Chunk k covers bytes [k * chunk, (k + 1) * chunk), is primed with the
+    ``window`` bytes before it and ends with a sync flush, except the last,
+    which finishes the stream.
+    """
+    bounds = list(range(0, len(payload), chunk)) or [0]
+    out = [b"\x1f\x8b\x08\x00" + struct.pack("<I", 0) + b"\x02\x03"]
+    for start in bounds:
+        if start:
+            deflater = zlib.compressobj(9, zlib.DEFLATED, -15, 8, strategy,
+                                        zdict=payload[start - window:start])
+        else:
+            deflater = zlib.compressobj(9, zlib.DEFLATED, -15, 8, strategy)
+        out.append(deflater.compress(payload[start:start + chunk]))
+        last = start == bounds[-1]
+        out.append(deflater.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
+    out.append(struct.pack("<II", zlib.crc32(payload), len(payload) & 0xFFFFFFFF))
+    return b"".join(out)

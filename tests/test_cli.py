@@ -1,3 +1,4 @@
+import gzip
 import os
 import struct
 import subprocess
@@ -253,6 +254,25 @@ class TestPipeline:
         rows = read_case_table(out)
         assert [r["case_id"] for r in rows] == ["good", "mean", "std"]
         assert float(rows[0]["dice_wt"]) == 1.0
+
+    def test_dim0_above_seven_fails_only_its_case(self, runner, tmp_path):
+        pred_dir = tmp_path / "pred"
+        pred_dir.mkdir()
+        labels = np.zeros((5, 5, 5))
+        labels[2, 2, 2] = 4.0
+        for case in ("good", "bad"):
+            write_nifti(Volume3D(labels), pred_dir / f"{case}.nii.gz", dtype="uint8")
+        broken = pred_dir / "bad.nii.gz"
+        blob = bytearray(gzip.decompress(broken.read_bytes()))
+        struct.pack_into("<h", blob, 40, 9)
+        broken.write_bytes(gzip.compress(bytes(blob), mtime=0))
+        out = tmp_path / "results.csv"
+        result = invoke(runner, ["evaluate", "--pred-dir", str(pred_dir), "--gt-dir", str(pred_dir),
+                                 "--out-csv", str(out)], expect=1)
+        assert f"{broken}: only 3D single-frame" in result.stderr
+        rows = read_case_table(out)
+        assert [r["case_id"] for r in rows] == ["good", "mean", "std"]
+        assert float(rows[0]["dice_et"]) == 1.0
 
     def test_missing_gt_named(self, runner, tmp_path):
         pred = tmp_path / "pred"

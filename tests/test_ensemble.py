@@ -68,6 +68,12 @@ class TestEnsembleMean:
         with pytest.raises(ValueError, match="mismatch"):
             ensemble_with_flips([pair_of(0.5, 0.1), pair_of(0.5, 0.1, dims=(3, 2, 2))])
 
+    def test_spacing_mismatch_errors(self):
+        coarse = PredictionPair(p=Volume3D(np.full((2, 2, 2), 0.5), (1.0, 1.0, 2.0)),
+                                q=Volume3D(np.full((2, 2, 2), 0.1), (1.0, 1.0, 2.0)))
+        with pytest.raises(ValueError, match="spacing mismatch"):
+            ensemble_with_flips([pair_of(0.5, 0.1), coarse])
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         preds = [
@@ -141,3 +147,8 @@ class TestPredictionPairValidation:
     def test_q_range_enforced(self):
         with pytest.raises(ValueError, match=r"q values"):
             PredictionPair(p=Volume3D(np.zeros((2, 2, 2))), q=Volume3D(np.full((2, 2, 2), 0.6)))
+
+    def test_spacing_mismatch(self):
+        with pytest.raises(ValueError, match="spacing mismatch"):
+            PredictionPair(p=Volume3D(np.zeros((2, 2, 2))),
+                           q=Volume3D(np.zeros((2, 2, 2)), spacing=(1.0, 1.0, 2.0)))

@@ -1,6 +1,8 @@
 import gzip
+import os
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +175,41 @@ class TestNifti:
             path.write_bytes(bytes(blob))
             with pytest.raises(ValueError, match="bad.nii: non-finite vox_offset"):
                 read_nifti(path)
+
+    def test_dim0_above_seven_names_path(self, tmp_path):
+        path = tmp_path / "bad.nii"
+        for value in (8, 9, 32767):
+            write_nifti(Volume3D(np.zeros((5, 5, 5))), path, dtype="uint8")
+            blob = bytearray(path.read_bytes())
+            struct.pack_into("<h", blob, 40, value)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ValueError, match="bad.nii: only 3D single-frame"):
+                read_nifti(path)
+
+    @pytest.mark.parametrize("fail_at", ["write", "rename"])
+    @pytest.mark.parametrize("name", ["out.nii", "out.nii.gz"])
+    def test_failed_write_keeps_target(self, tmp_path, monkeypatch, fail_at, name):
+        target = tmp_path / name
+        write_nifti(Volume3D(np.zeros((4, 4, 4))), target)
+        before = target.read_bytes()
+
+        def write_half(self, data):
+            with open(self, "wb") as fh:
+                fh.write(bytes(data)[: len(data) // 2])
+            raise OSError("disk full")
+
+        def no_rename(src, dst):
+            raise OSError("rename refused")
+
+        if fail_at == "write":
+            monkeypatch.setattr(Path, "write_bytes", write_half)
+        else:
+            monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError):
+            write_nifti(Volume3D(np.ones((4, 4, 4))), target)
+        monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
     def test_not_a_nifti(self, tmp_path):
         path = tmp_path / "junk.nii"

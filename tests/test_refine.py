@@ -216,6 +216,11 @@ class TestRefineSegmentation:
                 uniform_volume(0.0), uniform_volume(0.0), uniform_volume(0.0, dims=(2, 2, 2))
             )
 
+    def test_spacing_mismatch(self):
+        p_tc = Volume3D(np.zeros((6, 6, 6)), spacing=(1.0, 1.0, 2.5))
+        with pytest.raises(ValueError, match="spacing mismatch"):
+            refine_segmentation(uniform_volume(0.0), p_tc, uniform_volume(0.0))
+
 
 class TestBratsLabels:
     def test_empty_masks_give_zero_labels(self):
