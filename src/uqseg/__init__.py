@@ -7,12 +7,11 @@ fused OLS/random-forest survival predictor.
 """
 from .volumes import (
     Axis,
-    ComponentLabeling,
     Connectivity,
     DegenerateVolumeWarning,
     Mask3D,
     Volume3D,
-    connected_components,
+    count_components,
     flip_axis,
     remove_small_components,
     standardize_nonzero,

@@ -17,6 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from .atomic import write_atomic
 from .config import PipelineConfig, SurvivalConfig, default_config_yaml, load_config
 from .ensemble import PredictionPair, ensemble_with_flips
 from .metrics import compare_masks
@@ -157,7 +158,6 @@ def standardize(in_path: Path, out_path: Path):
         out_path.mkdir(parents=True, exist_ok=True)
         targets = [(f.name, f, out_path / f.name) for f in files]
     else:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         targets = [(in_path.name, in_path, out_path)]
 
     def one_file(_, src, dst):
@@ -222,7 +222,6 @@ def refine(prob_wt, prob_tc, prob_et, config_path, out_labels: Path, out_report,
         seg, report = refine_segmentation(p_wt, p_tc, p_et, cfg.refine)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    out_labels.parent.mkdir(parents=True, exist_ok=True)
     write_nifti(masks_to_brats_labels(seg), out_labels, header_template=header, dtype="uint8")
     for line in report.summary_lines():
         click.echo(line, err=True)
@@ -273,7 +272,6 @@ def uncertainty(prob_path, q_path, formula, raw, dtype, out_path: Path):
         raise click.ClickException(str(exc)) from exc
     if dtype == "uint8":
         cert = Volume3D(np.rint(cert.data), cert.spacing)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_nifti(cert, out_path, header_template=header, dtype=dtype)
 
 
@@ -405,7 +403,6 @@ def survival_train(features_csv, seed, model_out: Path, config_path):
         model = fit_fusion(records, seed=seed, **vars(cfg.survival))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    model_out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, model_out)
 
 
@@ -446,8 +443,7 @@ def survival_cv(features_csv, folds, seed, out_csv, config_path):
         lines.append((str(i), repr(f_acc), repr(o_acc)))
     lines.append(("mean", repr(float(np.mean(fused))), repr(float(np.mean(baseline)))))
     if out_csv is not None:
-        Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
-        Path(out_csv).write_text("\r\n".join(",".join(row) for row in lines) + "\r\n")
+        write_atomic(out_csv, "".join(",".join(row) + "\r\n" for row in lines).encode())
     else:
         for row in lines:
             click.echo(",".join(row))
@@ -483,8 +479,7 @@ def phantom(preset, seed, count, out_dir: Path, config_path):
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def init_config(out_path: Path):
     """Write the default configuration file."""
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(default_config_yaml())
+    write_atomic(out_path, default_config_yaml().encode())
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .volumes import Mask3D, Volume3D
 
 HEADER_SIZE = 348
@@ -277,10 +278,4 @@ def write_nifti(
     payload = header + b"\x00\x00\x00\x00" + data.tobytes(order="F")
     if path.suffix == ".gz":
         payload = gzip_deflate(payload, zlib.Z_DEFAULT_STRATEGY if code == DT_FLOAT32 else zlib.Z_RLE)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.part")
-    try:
-        partial.write_bytes(payload)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    write_atomic(path, payload)

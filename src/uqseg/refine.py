@@ -10,12 +10,14 @@ the highest-probability voxels until a minimum tumor volume is reached.
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .volumes import (
     Connectivity,
+    DegenerateVolumeWarning,
     Mask3D,
     Volume3D,
     remove_small_components,
@@ -199,7 +201,9 @@ def refine_segmentation(
     After the per-region passes: an empty tumor core becomes the whole-tumor
     mask (every glioma has a core), and an empty whole tumor is replaced by
     the failsafe mask of at least ``failsafe_min_voxels`` top-probability
-    voxels, after which the core substitution is re-checked. Optionally the
+    voxels, after which the core substitution is re-checked. A failsafe cut
+    of 0, as on an all-zero map, emits :class:`DegenerateVolumeWarning`: the
+    mask then holds every voxel of non-negative probability. Optionally the
     regions are forced into the nested order ET within TC within WT.
     """
     cfg = cfg or RefinementConfig()
@@ -214,6 +218,9 @@ def refine_segmentation(
         tc_rep = replace(tc_rep, core_substituted=True)
     if not wt.data.any():
         wt, cut = failsafe_mask(p_wt, cfg.failsafe_min_voxels)
+        if cut == 0.0:
+            warnings.warn("failsafe cut is 0: the whole-tumor mask takes every voxel",
+                          DegenerateVolumeWarning, stacklevel=2)
         wt_rep = replace(wt_rep, failsafe_triggered=True, final_threshold=cut)
         if not tc.data.any():
             tc = Mask3D(wt.data.copy(), wt.spacing)

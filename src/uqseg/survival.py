@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .refine import SegmentationSet
-from .volumes import Connectivity, connected_components
+from .volumes import Connectivity, count_components
 
 
 class SurvivalClass(enum.Enum):
@@ -90,13 +91,11 @@ def extract_features(
     survival_days: float | None = None,
 ) -> SurvivalRecord:
     """Count disconnected WT and TC components of a refined segmentation."""
-    n_tumors = connected_components(seg.wt, connectivity).component_count
-    n_cores = connected_components(seg.tc, connectivity).component_count
     return SurvivalRecord(
         case_id=case_id,
         age=age,
-        n_tumors=n_tumors,
-        n_cores=n_cores,
+        n_tumors=count_components(seg.wt, connectivity),
+        n_cores=count_components(seg.tc, connectivity),
         survival_days=survival_days,
     )
 
@@ -184,10 +183,10 @@ class TreeNode:
     @staticmethod
     def from_dict(d: dict) -> "TreeNode":
         if "proba" in d:
-            return TreeNode(proba=tuple(d["proba"]))
+            return TreeNode(proba=tuple(_field(d, "proba", list)))
         return TreeNode(
-            feature=d["feature"],
-            threshold=d["threshold"],
+            feature=_field(d, "feature", int),
+            threshold=_field(d, "threshold", _NUMBER),
             left=TreeNode.from_dict(d["left"]),
             right=TreeNode.from_dict(d["right"]),
         )
@@ -253,10 +252,8 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int) -> Tree
 @dataclass
 class ForestModel:
     feature_set: tuple[str, ...]
-    n_trees: int
     max_depth: int
     seed: int = 0
-    bins: ClassBins = field(default_factory=ClassBins)
     trees: list[TreeNode] = field(default_factory=list)
 
 
@@ -290,12 +287,7 @@ def fit_forest(
         idx = rng.integers(0, n, size=n)
         trees.append(_grow_tree(x[idx], y[idx], 0, max_depth))
     return ForestModel(
-        feature_set=tuple(feature_set),
-        n_trees=n_trees,
-        max_depth=max_depth,
-        seed=seed,
-        bins=bins,
-        trees=trees,
+        feature_set=tuple(feature_set), max_depth=max_depth, seed=seed, trees=trees
     )
 
 
@@ -453,7 +445,7 @@ def model_to_json(model: FusionModel) -> str:
         },
         "forest": {
             "feature_set": list(model.forest.feature_set),
-            "n_trees": model.forest.n_trees,
+            "n_trees": len(model.forest.trees),
             "max_depth": model.forest.max_depth,
             "seed": model.forest.seed,
             "trees": [tree.to_dict() for tree in model.forest.trees],
@@ -463,31 +455,47 @@ def model_to_json(model: FusionModel) -> str:
 
 
 def save_model(model: FusionModel, path) -> None:
-    Path(path).write_text(model_to_json(model))
+    write_atomic(path, model_to_json(model).encode())
+
+
+_NUMBER = (int, float)
+
+
+def _field(doc: dict, key: str, kind):
+    """``doc[key]``, which must be a ``kind``; JSON booleans are not numbers."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{key!r} is a {type(value).__name__}")
+    return value
 
 
 def load_model(path) -> FusionModel:
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a survival fusion model file: {path}")
-    bins = ClassBins(short_max=doc["bins"]["short_max"], long_min=doc["bins"]["long_min"])
-    ols = OlsModel(
-        feature_set=tuple(doc["ols"]["feature_set"]),
-        coefficients=np.asarray(doc["ols"]["coefficients"]),
-        cap_days=doc["ols"]["cap_days"],
-    )
-    forest = ForestModel(
-        feature_set=tuple(doc["forest"]["feature_set"]),
-        n_trees=doc["forest"]["n_trees"],
-        max_depth=doc["forest"]["max_depth"],
-        seed=doc["forest"]["seed"],
-        bins=bins,
-        trees=[TreeNode.from_dict(d) for d in doc["forest"]["trees"]],
-    )
-    return FusionModel(
-        ols=ols,
-        forest=forest,
-        override_prob=doc["override_prob"],
-        override_days={cls: doc["override_days"][cls.value] for cls in CLASS_ORDER},
-        bins=bins,
-    )
+    try:
+        bins, ols, forest = (_field(doc, key, dict) for key in ("bins", "ols", "forest"))
+        trees = [TreeNode.from_dict(d) for d in _field(forest, "trees", list)]
+        if _field(forest, "n_trees", int) != len(trees):
+            raise ValueError(f"n_trees is {forest['n_trees']} but {len(trees)} trees are stored")
+        days = _field(doc, "override_days", dict)
+        return FusionModel(
+            ols=OlsModel(
+                feature_set=tuple(_field(ols, "feature_set", list)),
+                coefficients=np.asarray(_field(ols, "coefficients", list), dtype=np.float64),
+                cap_days=_field(ols, "cap_days", _NUMBER),
+            ),
+            forest=ForestModel(
+                feature_set=tuple(_field(forest, "feature_set", list)),
+                max_depth=_field(forest, "max_depth", int),
+                seed=_field(forest, "seed", int),
+                trees=trees,
+            ),
+            override_prob=_field(doc, "override_prob", _NUMBER),
+            override_days={cls: _field(days, cls.value, _NUMBER) for cls in CLASS_ORDER},
+            bins=ClassBins(_field(bins, "short_max", _NUMBER), _field(bins, "long_min", _NUMBER)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: survival model lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad survival model: {exc}") from exc

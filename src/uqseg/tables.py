@@ -6,9 +6,11 @@ quoting, floats via repr.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Iterable
 
+from .atomic import write_atomic
 from .refine import REGION_ORDER
 from .survival import SurvivalRecord
 
@@ -50,13 +52,12 @@ def _format_cell(value) -> str:
 
 
 def _write_rows(path, header: tuple[str, ...], rows: Iterable[Iterable]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_format_cell(v) for v in row])
+    write_atomic(path, buf.getvalue().encode())
 
 
 def _read_rows(path, required: tuple[str, ...]) -> tuple[list[str], list[dict[str, str]]]:

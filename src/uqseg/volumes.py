@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -82,22 +82,6 @@ class Mask3D:
         return int(self.data.sum())
 
 
-@dataclass(eq=False)
-class ComponentLabeling:
-    """Dense labeling of mask components: 0 = background, labels 1..component_count.
-
-    Labels are ordered by first appearance in the x-fastest linear scan, so the
-    labeling is deterministic for a given mask and connectivity.
-    """
-
-    labels: np.ndarray
-    component_sizes: np.ndarray = field(repr=False)
-    component_count: int = 0
-
-    def size_of(self, label: int) -> int:
-        return int(self.component_sizes[label - 1])
-
-
 def require_same_dims(*vols) -> tuple[int, int, int]:
     dims = vols[0].dims
     for v in vols[1:]:
@@ -140,24 +124,9 @@ def standardize_nonzero(v: Volume3D) -> Volume3D:
     return Volume3D(out, v.spacing)
 
 
-def connected_components(m: Mask3D, connectivity: Connectivity = Connectivity.CORNER26) -> ComponentLabeling:
-    """Label maximal connected foreground components.
-
-    The component whose first voxel appears earliest in x-fastest scan order
-    gets label 1, the next label 2, and so on.
-    """
-    raw, n = ndimage.label(m.data, structure=connectivity.structure())
-    if n == 0:
-        return ComponentLabeling(raw.astype(np.int64), np.zeros(0, dtype=np.int64), 0)
-    flat = raw.ravel(order="F")
-    first_seen = np.full(n + 1, flat.size, dtype=np.int64)
-    np.minimum.at(first_seen, flat, np.arange(flat.size, dtype=np.int64))
-    by_first = np.argsort(first_seen[1:], kind="stable") + 1
-    remap = np.zeros(n + 1, dtype=np.int64)
-    remap[by_first] = np.arange(1, n + 1)
-    labels = remap[raw]
-    sizes = np.bincount(labels.ravel(), minlength=n + 1)[1:].astype(np.int64)
-    return ComponentLabeling(labels, sizes, n)
+def count_components(m: Mask3D, connectivity: Connectivity = Connectivity.CORNER26) -> int:
+    """Number of maximal connected foreground components."""
+    return ndimage.label(m.data, structure=connectivity.structure())[1]
 
 
 def remove_small_components(
@@ -168,11 +137,12 @@ def remove_small_components(
         raise ValueError(f"min_size must be >= 0, got {min_size}")
     if min_size <= 1:
         return Mask3D(m.data.copy(), m.spacing)
-    labeling = connected_components(m, connectivity)
-    if labeling.component_count == 0:
+    labels, n = ndimage.label(m.data, structure=connectivity.structure())
+    if n == 0:
         return Mask3D(m.data.copy(), m.spacing)
-    keep = np.concatenate(([False], labeling.component_sizes >= min_size))
-    return Mask3D(keep[labeling.labels], m.spacing)
+    keep = np.bincount(labels.ravel(), minlength=n + 1) >= min_size
+    keep[0] = False
+    return Mask3D(keep[labels], m.spacing)
 
 
 def flip_axis(v, axis: Axis):

@@ -3,8 +3,8 @@
 Nothing here may import from the library's computational paths: components
 are labeled by explicit flood fill, surface distances by all-pairs search,
 and losses by scalar math-module arithmetic. The superseded full-volume
-kernels and the one-call gzip codec kept below are the references their
-faster rewrites must equal.
+kernels, the first-appearance component relabel and the one-call gzip codec
+kept below are the references their rewrites must equal.
 """
 import gzip
 import math
@@ -60,6 +60,37 @@ def flood_fill_labels(mask, offsets):
                             stack.append((px, py, pz))
     sizes = np.bincount(labels.ravel(), minlength=next_label + 1)[1:]
     return labels, sizes
+
+
+def first_appearance_components(mask, structure):
+    """The former ``volumes.connected_components``: scipy's labelling renumbered
+    so that label 1 is the component seen first in the x-fastest scan.
+
+    Returns (labels, sizes, count).
+    """
+    raw, n = ndimage.label(mask, structure=structure)
+    if n == 0:
+        return raw.astype(np.int64), np.zeros(0, dtype=np.int64), 0
+    flat = raw.ravel(order="F")
+    first_seen = np.full(n + 1, flat.size, dtype=np.int64)
+    np.minimum.at(first_seen, flat, np.arange(flat.size, dtype=np.int64))
+    by_first = np.argsort(first_seen[1:], kind="stable") + 1
+    remap = np.zeros(n + 1, dtype=np.int64)
+    remap[by_first] = np.arange(1, n + 1)
+    labels = remap[raw]
+    sizes = np.bincount(labels.ravel(), minlength=n + 1)[1:].astype(np.int64)
+    return labels, sizes, n
+
+
+def first_appearance_remove_small(mask, min_size, structure):
+    """The former ``volumes.remove_small_components``, built on the relabel above."""
+    if min_size <= 1:
+        return mask.copy()
+    labels, sizes, n = first_appearance_components(mask, structure)
+    if n == 0:
+        return mask.copy()
+    keep = np.concatenate(([False], sizes >= min_size))
+    return keep[labels]
 
 
 def brute_surface(mask):

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy import ndimage
 
 import oracles
 from uqseg.cli import main as cli_main
@@ -57,7 +58,13 @@ from uqseg.uncertainty import (
     negative_only_uncertainty_raw,
     symmetric_uncertainty_raw,
 )
-from uqseg.volumes import Connectivity, Mask3D, Volume3D, connected_components
+from uqseg.volumes import (
+    Connectivity,
+    Mask3D,
+    Volume3D,
+    count_components,
+    remove_small_components,
+)
 
 FD_STEP = 1e-5
 GRAD_REL_TOL = 1e-4
@@ -155,8 +162,6 @@ def test_refinement_behavior_split():
             case.p[RegionLabel.ENHANCING_TUMOR],
             cfg,
         )
-        from uqseg.volumes import remove_small_components
-
         base = remove_small_components(
             threshold_mask(case.p[RegionLabel.TUMOR_CORE], cfg.base_threshold),
             cfg.min_component_size,
@@ -256,9 +261,9 @@ def test_pipeline_guarantees_fuzz():
             failsafes += 1
             assert seg.wt.voxel_count() >= min(cfg.failsafe_min_voxels, total), f"case {i}"
         for mask in (seg.wt, seg.tc, seg.et):
-            labeling = connected_components(mask, cfg.connectivity)
-            if labeling.component_count:
-                smallest = int(labeling.component_sizes.min())
+            labels, n = ndimage.label(mask.data, structure=cfg.connectivity.structure())
+            if n:
+                smallest = int(np.bincount(labels.ravel())[1:].min())
                 assert smallest >= cfg.min_component_size, (
                     f"case {i}: component of {smallest} voxels in output"
                 )
@@ -293,15 +298,17 @@ def test_metric_oracles():
         Connectivity.CORNER26: oracles.CORNER26,
     }
     for connectivity, offs in offsets.items():
-        rng = np.random.default_rng(hash(connectivity.name) % 2**32)
+        rng = np.random.default_rng(connectivity.value)
         for _ in range(200):
             mask = rng.random((8, 8, 8)) < 0.4
-            got = connected_components(Mask3D(mask), connectivity)
             want_labels, want_sizes = oracles.flood_fill_labels(mask, offs)
-            np.testing.assert_array_equal(got.labels, want_labels)
-            np.testing.assert_array_equal(got.component_sizes, want_sizes)
+            assert count_components(Mask3D(mask), connectivity) == len(want_sizes)
+            keep = np.concatenate(([False], want_sizes >= 10))
+            got = remove_small_components(Mask3D(mask), 10, connectivity)
+            np.testing.assert_array_equal(got.data, keep[want_labels])
     report("Dice exact and HD95 within 1e-9 of brute force on 100 pairs; "
-           "components match flood fill on 200 masks per connectivity")
+           "component counts and the 10-voxel filter match flood fill "
+           "on 200 masks per connectivity")
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +396,7 @@ def test_survival_suite():
 
     # the three worked fusion examples
     def leaf_forest(proba):
-        return ForestModel(feature_set=("age",), n_trees=1, max_depth=3, seed=0,
+        return ForestModel(feature_set=("age",), max_depth=3, seed=0,
                            trees=[TreeNode(proba=proba)])
 
     def ols_const(v):

@@ -12,6 +12,7 @@ from uqseg.cli import main
 from uqseg.ensemble import PredictionPair, ensemble_with_flips
 from uqseg.nifti import read_nifti, write_nifti
 from uqseg.tables import read_case_table, read_predictions_table, read_survival_table
+from uqseg.uncertainty import certainty_from_q
 from uqseg.volumes import Axis, Volume3D
 
 
@@ -147,6 +148,18 @@ class TestUncertaintyCommand:
         cert, _ = read_nifti(out)
         assert np.all(cert.data == 60.0)
 
+    def test_float32_is_not_rounded(self, runner, tmp_path):
+        q = tmp_path / "q.nii"
+        write_nifti(Volume3D(np.random.default_rng(3).random((4, 4, 4)) * 0.5), q)
+        out = tmp_path / "cert.nii.gz"
+        invoke(runner, ["uncertainty", "--formula", "flip", "--q", str(q),
+                        "--dtype", "float32", "--out", str(out)])
+        cert, view = read_nifti(out)
+        assert view.datatype == 16
+        want = certainty_from_q(read_nifti(q)[0]).data.astype(np.float32)
+        np.testing.assert_array_equal(cert.data, want)
+        assert np.any(cert.data != np.rint(cert.data))
+
     def test_wrong_input_kind(self, runner, tmp_path):
         result = runner.invoke(
             main, ["uncertainty", "--formula", "flip", "--prob", "x.nii", "--out", "y.nii"],
@@ -168,6 +181,18 @@ class TestPipeline:
             assert float(row["dice_auc_wt"]) > 0.5
         report = read_case_table(tmp_path / "phantom-0003_report.csv")
         assert report[0]["tc_fallback_used"] == "false"
+
+    def test_refine_case_id_names_report_row(self, runner, tmp_path):
+        p = np.zeros((8, 8, 8))
+        p[2:6, 2:6, 2:6] = 0.95
+        args = ["refine"]
+        for region in ("wt", "tc", "et"):
+            write_nifti(Volume3D(p), tmp_path / f"{region}.nii")
+            args += [f"--prob-{region}", str(tmp_path / f"{region}.nii")]
+        report = tmp_path / "report.csv"
+        invoke(runner, args + ["--out-labels", str(tmp_path / "labels.nii.gz"),
+                               "--case-id", "X", "--out-report", str(report)])
+        assert [row["case_id"] for row in read_case_table(report)] == ["X"]
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         a = tmp_path / "a"
@@ -346,6 +371,16 @@ class TestSurvivalCommands:
         result = invoke(runner, ["survival-cv", "--features-csv", str(features),
                                  "--folds", "3", "--seed", "1", "--config", str(config)])
         assert result.output.splitlines()[0] == "fold,fused_accuracy,ols_accuracy"
+
+    def test_malformed_model_is_usage_error(self, runner, tmp_path):
+        features = tmp_path / "features.csv"
+        write_cohort_csv(features, n=5)
+        model = tmp_path / "model.json"
+        model.write_text('{"format": "uqseg-survival-fusion"}')
+        result = invoke(runner, ["survival-predict", "--model", str(model), "--features-csv",
+                                 str(features), "--out-csv", str(tmp_path / "p.csv")], expect=2)
+        assert f"{model}: survival model lacks key 'bins'" in result.stderr
+        assert not (tmp_path / "p.csv").exists()
 
     def test_unlabeled_rows_is_usage_error(self, runner, tmp_path):
         features = tmp_path / "features.csv"

@@ -17,7 +17,14 @@ from uqseg.config import (
 from uqseg.losses import LossConfig
 from uqseg.nifti import read_label_volume, read_mask, read_nifti, write_nifti
 from uqseg.refine import RegionLabel
-from uqseg.survival import SurvivalRecord
+from uqseg.survival import (
+    ForestModel,
+    FusionModel,
+    OlsModel,
+    SurvivalRecord,
+    TreeNode,
+    save_model,
+)
 from uqseg.tables import (
     CASE_RESULT_COLUMNS,
     read_case_table,
@@ -186,11 +193,24 @@ class TestNifti:
             with pytest.raises(ValueError, match="bad.nii: only 3D single-frame"):
                 read_nifti(path)
 
+    @staticmethod
+    def write_version(path, v):
+        """Version ``v`` of a NIfTI volume, a CSV table or a survival model at ``path``."""
+        if path.name.startswith("out.nii"):
+            write_nifti(Volume3D(np.full((4, 4, 4), float(v))), path)
+        elif path.suffix == ".csv":
+            write_predictions_table(path, [("case", float(v))])
+        else:
+            ols = OlsModel(feature_set=(), coefficients=np.array([float(v)]))
+            leaf = TreeNode(proba=(1.0, 0.0, 0.0))
+            forest = ForestModel(feature_set=("age",), max_depth=3, trees=[leaf])
+            save_model(FusionModel(ols=ols, forest=forest), path)
+
     @pytest.mark.parametrize("fail_at", ["write", "rename"])
-    @pytest.mark.parametrize("name", ["out.nii", "out.nii.gz"])
+    @pytest.mark.parametrize("name", ["out.nii", "out.nii.gz", "out.csv", "model.json"])
     def test_failed_write_keeps_target(self, tmp_path, monkeypatch, fail_at, name):
         target = tmp_path / name
-        write_nifti(Volume3D(np.zeros((4, 4, 4))), target)
+        self.write_version(target, 0)
         before = target.read_bytes()
 
         def write_half(self, data):
@@ -206,7 +226,7 @@ class TestNifti:
         else:
             monkeypatch.setattr(os, "replace", no_rename)
         with pytest.raises(OSError):
-            write_nifti(Volume3D(np.ones((4, 4, 4))), target)
+            self.write_version(target, 1)
         monkeypatch.undo()
         assert target.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]

@@ -1,7 +1,9 @@
 """Seeded fuzz: the sort-based uncertainty curve and the bounding-box HD95
-must equal their full-volume predecessors in tests/oracles.py exactly (==);
-the pooled gzip writer must equal its serial oracle byte for byte, and the
-one-pass reader must return or reject what the former reader did."""
+must equal their full-volume predecessors in tests/oracles.py exactly (==),
+and component counting and small-component removal on scipy's own labels
+must equal the former first-appearance relabel; the pooled gzip writer must
+equal its serial oracle byte for byte, and the one-pass reader must return
+or reject what the former reader did."""
 import gzip
 import os
 import struct
@@ -13,6 +15,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    first_appearance_components,
+    first_appearance_remove_small,
     full_volume_hd95,
     gzip_encode,
     gzip_read_bytes,
@@ -22,7 +26,13 @@ from oracles import (
 from uqseg.metrics import hausdorff95
 from uqseg.nifti import DEFLATE_CHUNK, _read_bytes, gzip_deflate, write_nifti
 from uqseg.uncertainty import evaluate_uncertainty
-from uqseg.volumes import Mask3D, Volume3D
+from uqseg.volumes import (
+    Connectivity,
+    Mask3D,
+    Volume3D,
+    count_components,
+    remove_small_components,
+)
 
 CASES = 400
 
@@ -118,6 +128,71 @@ def test_hd95_equals_full_volume_oracle():
                 hausdorff95(a, b)
         else:
             assert hausdorff95(a, b) == full_volume_hd95(seg, gt, spacing), f"case {i}"
+
+
+# --- connected components ---------------------------------------------------
+
+COMPONENT_CASES = 600
+COMPONENT_KINDS = ("empty", "full", "single", "thin", "faces", "noise", "blob")
+MIN_SIZES = (0, 1, 2, 5, 10)
+
+
+def component_case(i):
+    """Case ``i``: the index cycles mask kinds, then connectivities, then ``min_size``."""
+    rng = np.random.default_rng([13, i])
+    dims = tuple(int(d) for d in rng.integers(1, 12, size=3))
+    kind = COMPONENT_KINDS[i % len(COMPONENT_KINDS)]
+    if kind == "full":
+        mask = np.ones(dims, dtype=bool)
+    elif kind == "single":
+        mask = np.zeros(dims, dtype=bool)
+        mask[tuple(rng.integers(dims))] = True
+    elif kind == "thin":
+        mask = np.zeros(dims, dtype=bool)
+        axis = int(rng.integers(3))
+        plane = [slice(None)] * 3
+        plane[axis] = int(rng.integers(dims[axis]))
+        mask[tuple(plane)] = rng.random(mask[tuple(plane)].shape) < 0.6
+    else:
+        mask = random_mask(rng, dims, kind)
+    connectivity = list(Connectivity)[(i // len(COMPONENT_KINDS)) % 3]
+    min_size = MIN_SIZES[(i // (3 * len(COMPONENT_KINDS))) % len(MIN_SIZES)]
+    return mask, connectivity, min_size
+
+
+def test_component_set_covers_the_edge_cases():
+    seen = set()
+    for i in range(COMPONENT_CASES):
+        mask, connectivity, min_size = component_case(i)
+        filtered = first_appearance_remove_small(mask, min_size, connectivity.structure())
+        extents = [np.flatnonzero(np.any(mask, axis=tuple({0, 1, 2} - {a}))) for a in range(3)]
+        flags = {
+            "empty": not mask.any(),
+            "full": mask.size > 1 and mask.all(),
+            "single voxel": mask.sum() == 1,
+            "one voxel thick": mask.sum() > 1 and any(
+                mask.shape[a] > 1 and e.size and e[0] == e[-1] for a, e in enumerate(extents)
+            ),
+            "touches every face": min(mask.shape) > 2 and not mask.all() and all(
+                np.take(mask, end, axis=axis).any() for axis in range(3) for end in (0, -1)
+            ),
+            "several components": first_appearance_components(mask, connectivity.structure())[2] > 1,
+            "filter drops some but not all": 0 < filtered.sum() < mask.sum(),
+        }
+        seen.update(name for name, hit in flags.items() if hit)
+        seen.update((connectivity, min_size))
+    assert seen == set(flags) | set(Connectivity) | set(MIN_SIZES)
+
+
+def test_components_equal_first_appearance_oracle():
+    for i in range(COMPONENT_CASES):
+        mask, connectivity, min_size = component_case(i)
+        structure = connectivity.structure()
+        _, _, count = first_appearance_components(mask, structure)
+        assert count_components(Mask3D(mask), connectivity) == count, f"case {i}"
+        got = remove_small_components(Mask3D(mask), min_size, connectivity).data
+        want = first_appearance_remove_small(mask, min_size, structure)
+        assert got.dtype == want.dtype and np.array_equal(got, want), f"case {i}"
 
 
 # --- gzip codec -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from uqseg.refine import (
     refine_segmentation,
     threshold_mask,
 )
-from uqseg.volumes import Mask3D, Volume3D, remove_small_components
+from uqseg.volumes import DegenerateVolumeWarning, Mask3D, Volume3D, remove_small_components
 
 def uniform_volume(value, dims=(6, 6, 6)):
     return Volume3D(np.full(dims, float(value)))
@@ -186,7 +188,9 @@ class TestRefineSegmentation:
         p_wt = Volume3D(background)
         zero = Volume3D(np.zeros(dims))
         assert (p_wt.data > 0.05).sum() < 10  # fallback region too small to survive
-        seg, report = refine_segmentation(p_wt, zero, zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateVolumeWarning)  # the cut is above 0
+            seg, report = refine_segmentation(p_wt, zero, zero)
         assert report.regions[RegionLabel.WHOLE_TUMOR].failsafe_triggered
         assert seg.wt.voxel_count() >= 1000
         assert report.regions[RegionLabel.TUMOR_CORE].core_substituted
@@ -198,6 +202,13 @@ class TestRefineSegmentation:
         assert seg.wt.voxel_count() >= 1000
         assert seg.tc.voxel_count() >= 1000
         assert report.regions[RegionLabel.WHOLE_TUMOR].failsafe_triggered
+
+    def test_zero_failsafe_cut_warns(self):
+        zero = uniform_volume(0.0, dims=(60, 60, 40))
+        with pytest.warns(DegenerateVolumeWarning, match="failsafe cut is 0"):
+            seg, report = refine_segmentation(zero, zero, zero)
+        assert report.regions[RegionLabel.WHOLE_TUMOR].final_threshold == 0.0
+        assert seg.wt.voxel_count() == seg.tc.voxel_count() == 60 * 60 * 40
 
     def test_enforce_nesting_exact(self):
         rng = np.random.default_rng(6)

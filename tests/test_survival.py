@@ -183,7 +183,6 @@ class TestForest:
 def leaf_forest(proba):
     return ForestModel(
         feature_set=("age",),
-        n_trees=3,
         max_depth=3,
         seed=0,
         trees=[TreeNode(proba=proba) for _ in range(3)],
@@ -328,4 +327,41 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text("{}")
         with pytest.raises(ValueError, match="not a survival fusion model"):
+            load_model(path)
+
+    def test_tree_count_is_the_stored_trees(self, tmp_path):
+        model = self.fit_small_fusion()
+        doc = json.loads(model_to_json(model))
+        assert doc["forest"]["n_trees"] == len(model.forest.trees) == 21
+        path = tmp_path / "model.json"
+        doc["forest"]["n_trees"] = 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"model\.json: .*n_trees is 3 but 21 trees"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("bins"), "lacks key 'bins'"),
+            (lambda d: d["forest"].pop("seed"), "lacks key 'seed'"),
+            (lambda d: d["forest"]["trees"][0].clear(), "lacks key 'feature'"),
+            (lambda d: d["ols"].update(feature_set="age"), "'feature_set' is a str"),
+            (lambda d: d.update(override_prob=True), "'override_prob' is a bool"),
+            (lambda d: d["forest"].update(n_trees=21.0), "'n_trees' is a float"),
+            (lambda d: d["ols"].update(coefficients=["x", "y"]), "bad survival model"),
+            (lambda d: d.update(forest=[]), "'forest' is a list"),
+        ],
+    )
+    def test_malformed_model_names_path(self, tmp_path, edit, message):
+        doc = json.loads(model_to_json(self.fit_small_fusion()))
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"model.json: .*{message}"):
+            load_model(path)
+
+    def test_format_only_file_names_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format": "uqseg-survival-fusion"}')
+        with pytest.raises(ValueError, match="model.json: survival model lacks key 'bins'"):
             load_model(path)

@@ -8,7 +8,7 @@ from uqseg.volumes import (
     DegenerateVolumeWarning,
     Mask3D,
     Volume3D,
-    connected_components,
+    count_components,
     flip_axis,
     remove_small_components,
     standardize_nonzero,
@@ -69,34 +69,36 @@ class TestStandardize:
 
 class TestConnectedComponents:
     def test_empty(self):
-        lab = connected_components(Mask3D(np.zeros((3, 3, 3), dtype=bool)))
-        assert lab.component_count == 0
+        m = Mask3D(np.zeros((3, 3, 3), dtype=bool))
+        assert count_components(m) == 0
+        assert not remove_small_components(m, 5).data.any()
 
     def test_single_voxel(self):
         m = np.zeros((3, 3, 3), dtype=bool)
         m[1, 1, 1] = True
-        lab = connected_components(Mask3D(m))
-        assert lab.component_count == 1
-        assert lab.size_of(1) == 1
+        assert count_components(Mask3D(m)) == 1
+        np.testing.assert_array_equal(remove_small_components(Mask3D(m), 1).data, m)
+        assert not remove_small_components(Mask3D(m), 2).data.any()
 
     def test_diagonal_pair_connectivity(self):
         m = np.zeros((2, 2, 2), dtype=bool)
         m[0, 0, 0] = True
         m[1, 1, 1] = True
-        assert connected_components(Mask3D(m), Connectivity.CORNER26).component_count == 1
-        assert connected_components(Mask3D(m), Connectivity.EDGE18).component_count == 2
-        assert connected_components(Mask3D(m), Connectivity.FACE6).component_count == 2
+        assert count_components(Mask3D(m), Connectivity.CORNER26) == 1
+        assert count_components(Mask3D(m), Connectivity.EDGE18) == 2
+        assert count_components(Mask3D(m), Connectivity.FACE6) == 2
 
     @pytest.mark.parametrize("connectivity", list(Connectivity))
     def test_against_flood_fill(self, connectivity):
-        rng = np.random.default_rng(hash(connectivity.name) % 2**32)
+        rng = np.random.default_rng(connectivity.value)
         for _ in range(200):
             mask = rng.random((8, 8, 8)) < 0.4
-            got = connected_components(Mask3D(mask), connectivity)
+            min_size = int(rng.integers(0, 12))
             want_labels, want_sizes = flood_fill_labels(mask, ORACLE_OFFSETS[connectivity])
-            np.testing.assert_array_equal(got.labels, want_labels)
-            np.testing.assert_array_equal(got.component_sizes, want_sizes)
-            assert got.component_sizes.sum() == mask.sum()
+            assert count_components(Mask3D(mask), connectivity) == len(want_sizes)
+            keep = np.concatenate(([False], want_sizes >= min_size))
+            got = remove_small_components(Mask3D(mask), min_size, connectivity)
+            np.testing.assert_array_equal(got.data, keep[want_labels])
 
 
 class TestRemoveSmallComponents:
