@@ -70,7 +70,7 @@ from .survival import (
     predict_fused,
     save_model,
 )
-from .nifti import NiftiHeaderView, read_label_volume, read_mask, read_nifti, write_nifti
+from .nifti import NiftiHeaderView, read_label_volume, read_nifti, write_nifti
 from .phantom import PhantomCase, PhantomSpec, SphereSpec, generate_phantom
 from .config import PipelineConfig, SurvivalConfig, load_config
 

@@ -415,9 +415,9 @@ def survival_predict(model_path, features_csv, out_csv: Path):
     try:
         model = load_model(model_path)
         records = read_survival_table(features_csv)
+        rows = [(rec.case_id, predict_fused(model, rec)) for rec in records]
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    rows = [(rec.case_id, predict_fused(model, rec)) for rec in records]
     write_predictions_table(out_csv, rows)
 
 

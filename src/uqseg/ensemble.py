@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .volumes import Axis, Volume3D, flip_axis, require_same_grid
+from .volumes import Axis, Volume3D, require_same_grid
 
 
 @dataclass
@@ -37,8 +37,11 @@ def fuse_single(p, q):
     flip-probability q believes the label is 1 with probability q, and a
     prediction of 1 believes it with probability 1 - q. The tie p = 0.5
     resolves to the negative branch (elsewhere "positive" means p > 0.5).
+    The result is float64 whatever the input dtypes.
     """
-    return np.where(np.asarray(p) > 0.5, 1.0 - np.asarray(q), np.asarray(q))
+    fused = np.array(q, dtype=np.float64)  # a fresh copy, flipped in place
+    np.subtract(1.0, fused, out=fused, where=np.asarray(p) > np.float64(0.5))
+    return fused
 
 
 def ensemble_with_flips(preds: Sequence[PredictionPair], flip_axes: Iterable[Axis] = ()) -> Volume3D:
@@ -53,11 +56,11 @@ def ensemble_with_flips(preds: Sequence[PredictionPair], flip_axes: Iterable[Axi
         raise ValueError("cannot ensemble an empty prediction list")
     require_same_grid(*[pair.p for pair in preds])
     axes = sorted(set(flip_axes), key=lambda a: a.value)
-    acc = np.zeros_like(preds[0].p.data)
+    acc = np.zeros_like(preds[0].p.data, dtype=np.float64)
     for pair in preds:
-        fused = Volume3D(fuse_single(pair.p.data, pair.q.data), pair.p.spacing)
-        acc += fused.data
+        fused = fuse_single(pair.p.data, pair.q.data)
+        acc += fused
         for axis in axes:
-            acc += flip_axis(fused, axis).data
+            acc += np.flip(fused, axis=axis.value)
     n_views = len(preds) * (1 + len(axes))
     return Volume3D(acc / n_views, preds[0].p.spacing)

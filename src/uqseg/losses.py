@@ -180,8 +180,8 @@ def combined_loss_2020(inputs: LossInputs, cfg: LossConfig | None = None):
 
 
 def batch_loss(p: Volume3D, q: Volume3D, gt: Mask3D, cfg: LossConfig | None = None) -> float:
-    """Mean combined loss over all voxels of a volume."""
+    """Mean combined loss over all voxels of a volume, computed in float64."""
     require_same_dims(p, q, gt)
-    inputs = LossInputs(p=p.data, q=q.data, x=gt.data.astype(float))
+    inputs = LossInputs(p=p.float64(), q=q.float64(), x=gt.float64())
     value, _, _ = combined_loss_2020(inputs, cfg)
     return float(np.mean(value))

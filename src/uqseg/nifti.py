@@ -1,9 +1,9 @@
 """Minimal NIfTI-1 reader/writer for the pipeline's needs.
 
 Supports single-file little-endian NIfTI-1 (.nii, .nii.gz) with uint8, int16
-or float32 data. The 348-byte header is kept as an opaque blob; only dims,
-datatype, pixdim, vox_offset and the scaling pair are interpreted. Header
-extensions are skipped on read (vox_offset is honored) and never written.
+or float32 data, read in that dtype. The 348-byte header is kept as an opaque
+blob; only dims, datatype, pixdim, vox_offset and the scaling pair are read.
+Header extensions are skipped on read (vox_offset is honored), never written.
 Orientation fields pass through untouched; the pipeline is voxel-space only.
 """
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .volumes import Mask3D, Volume3D
+from .volumes import Mask3D, Volume3D, labels_outside
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352  # header + 4-byte empty extension flag
@@ -158,30 +158,29 @@ def _parse_header(blob: bytes, path) -> NiftiHeaderView:
     )
 
 
-def _read_array(path) -> tuple[np.ndarray, NiftiHeaderView]:
-    path = Path(path)
-    blob = _read_bytes(path)
-    view = _parse_header(blob, path)
+def read_nifti(path, expect_dims: tuple[int, int, int] | None = None) -> tuple[Volume3D, NiftiHeaderView]:
+    """Read a volume in the file's dtype (maybe a read-only view of its bytes).
+
+    A scaling pair other than (1, 0) gives float64; slope 0 or NaN means none.
+    """
+    file = Path(path)
+    blob = _read_bytes(file)
+    view = _parse_header(blob, file)
     dtype, _ = _DTYPES[view.datatype]
     count = view.dims[0] * view.dims[1] * view.dims[2]
     end = view.vox_offset + count * dtype.itemsize
     if len(blob) < end:
-        raise ValueError(f"{path}: truncated file, expected {end} bytes, got {len(blob)}")
-    flat = np.frombuffer(blob, dtype=dtype, count=count, offset=view.vox_offset)
-    data = flat.reshape(view.dims, order="F")
-    return data, view
-
-
-def read_nifti(path, expect_dims: tuple[int, int, int] | None = None) -> tuple[Volume3D, NiftiHeaderView]:
-    """Read a scalar volume, applying scl_slope/scl_inter when slope is usable."""
-    data, view = _read_array(path)
+        raise ValueError(f"{file}: truncated file, expected {end} bytes, got {len(blob)}")
     if expect_dims is not None and view.dims != tuple(expect_dims):
         raise ValueError(f"{path}: dims {view.dims} do not match expected {tuple(expect_dims)}")
-    values = data.astype(np.float64)
-    # slope 0 and NaN both mean "no scaling stored"
-    if view.scl_slope != 0.0 and not np.isnan(view.scl_slope):
-        values = values * view.scl_slope + view.scl_inter
-    return Volume3D(values, view.spacing), view
+    data = np.frombuffer(blob, dtype, count, view.vox_offset).reshape(view.dims, order="F")
+    slope, inter = view.scl_slope, view.scl_inter
+    if slope != 0.0 and not np.isnan(slope) and (slope, inter) != (1.0, 0.0):
+        data = data.astype(np.float64) * slope + inter
+    try:
+        return Volume3D(data, view.spacing), view
+    except ValueError as exc:  # non-finite values
+        raise ValueError(f"{file}: {exc}") from exc
 
 
 def read_label_volume(
@@ -189,27 +188,16 @@ def read_label_volume(
     allowed_labels=(0, 1, 2, 4),
     expect_dims: tuple[int, int, int] | None = None,
 ) -> tuple[Volume3D, NiftiHeaderView]:
-    """Read an integer label map, verifying the declared label set."""
+    """Read a label map in its file's dtype, verifying the declared label set."""
     vol, view = read_nifti(path, expect_dims)
     if view.datatype == DT_FLOAT32 and not np.all(vol.data == np.round(vol.data)):
         raise ValueError(f"{path}: label map contains non-integer values")
-    present = set(np.unique(vol.data).astype(int))
-    extra = present - set(int(v) for v in allowed_labels)
+    extra = labels_outside(vol.data, [int(v) for v in allowed_labels])
     if extra:
         raise ValueError(
-            f"{path}: label values {sorted(extra)} outside declared set {sorted(allowed_labels)}"
+            f"{path}: label values {extra} outside declared set {sorted(allowed_labels)}"
         )
     return vol, view
-
-
-def read_mask(
-    path,
-    expect_dims: tuple[int, int, int] | None = None,
-    allowed_labels=(0, 1),
-) -> tuple[Mask3D, NiftiHeaderView]:
-    """Read a binary mask (foreground = nonzero label)."""
-    vol, view = read_label_volume(path, allowed_labels, expect_dims)
-    return Mask3D(vol.data != 0, vol.spacing), view
 
 
 def _build_header(
@@ -262,17 +250,14 @@ def write_nifti(
     code = _CODE_FOR[dtype]
     np_dtype = _DTYPES[code][0]
 
-    if isinstance(vol, Mask3D):
-        data = vol.data.astype(np_dtype)
-    else:
-        values = vol.data
-        if code != DT_FLOAT32:
-            info = np.iinfo(np_dtype)
-            if not np.all(values == np.round(values)):
-                raise ValueError(f"cannot write non-integer values as {dtype}")
-            if values.min() < info.min or values.max() > info.max:
-                raise ValueError(f"values out of range for {dtype}")
-        data = values.astype(np_dtype)
+    values = vol.data
+    if code != DT_FLOAT32 and not np.can_cast(values.dtype, np_dtype):
+        info = np.iinfo(np_dtype)
+        if values.dtype.kind == "f" and not np.all(values == np.round(values)):
+            raise ValueError(f"cannot write non-integer values as {dtype}")
+        if values.min() < info.min or values.max() > info.max:
+            raise ValueError(f"values out of range for {dtype}")
+    data = values.astype(np_dtype, copy=False)
 
     header = _build_header(vol.dims, vol.spacing, code, header_template)
     payload = header + b"\x00\x00\x00\x00" + data.tobytes(order="F")

@@ -20,6 +20,7 @@ from .volumes import (
     DegenerateVolumeWarning,
     Mask3D,
     Volume3D,
+    labels_outside,
     remove_small_components,
     require_same_dims,
     require_same_grid,
@@ -147,8 +148,8 @@ class RefinementReport:
 
 
 def threshold_mask(p: Volume3D, t: float) -> Mask3D:
-    """Foreground where the probability strictly exceeds t."""
-    return Mask3D(p.data > t, p.spacing)
+    """Foreground where the probability strictly exceeds t, compared in float64."""
+    return Mask3D(p.data > np.float64(t), p.spacing)
 
 
 def mean_region_confidence(p: Volume3D, m: Mask3D) -> float | None:
@@ -156,7 +157,7 @@ def mean_region_confidence(p: Volume3D, m: Mask3D) -> float | None:
     require_same_dims(p, m)
     if not m.data.any():
         return None
-    return float(p.data[m.data].mean())
+    return float(p.float64(m.data).mean())
 
 
 def refine_region(
@@ -182,11 +183,11 @@ def failsafe_mask(p: Volume3D, min_voxels: int) -> tuple[Mask3D, float]:
 
     Implemented as an order-statistic cut: every voxel whose probability ties
     the cut value is included, so the mask can exceed ``min_voxels``. Returns
-    the mask and the cut value.
+    the mask and the cut value; a cut of -0.0 is reported as 0.0.
     """
     flat = p.data.ravel()
     k = min(max(min_voxels, 1), flat.size)
-    cut = float(np.partition(flat, flat.size - k)[flat.size - k])
+    cut = float(np.partition(flat, flat.size - k)[flat.size - k]) + 0.0
     return Mask3D(p.data >= cut, p.spacing), cut
 
 
@@ -245,7 +246,7 @@ def masks_to_brats_labels(s: SegmentationSet) -> Volume3D:
 
     Priority: enhancing tumor (4) over core (1) over edema (2).
     """
-    labels = np.zeros(s.wt.dims, dtype=np.float64)
+    labels = np.zeros(s.wt.dims, dtype=np.uint8)
     labels[s.wt.data] = BRATS_EDEMA
     labels[s.tc.data] = BRATS_CORE
     labels[s.et.data] = BRATS_ET
@@ -255,11 +256,11 @@ def masks_to_brats_labels(s: SegmentationSet) -> Volume3D:
 def brats_labels_to_masks(labels: Volume3D) -> SegmentationSet:
     """Reconstruct the nested masks: WT = {1,2,4}, TC = {1,4}, ET = {4}."""
     data = labels.data
-    values = set(np.unique(data).astype(int)) - {0, BRATS_CORE, BRATS_EDEMA, BRATS_ET}
+    values = labels_outside(data, (0, BRATS_CORE, BRATS_EDEMA, BRATS_ET))
     if values:
-        raise ValueError(f"unexpected label values {sorted(values)}; expected subset of {{0,1,2,4}}")
-    wt = np.isin(data, (BRATS_CORE, BRATS_EDEMA, BRATS_ET))
-    tc = np.isin(data, (BRATS_CORE, BRATS_ET))
+        raise ValueError(f"unexpected label values {values}; expected subset of {{0,1,2,4}}")
     et = data == BRATS_ET
+    tc = et | (data == BRATS_CORE)
+    wt = tc | (data == BRATS_EDEMA)
     sp = labels.spacing
     return SegmentationSet(wt=Mask3D(wt, sp), tc=Mask3D(tc, sp), et=Mask3D(et, sp))

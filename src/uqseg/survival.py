@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,6 +73,9 @@ class SurvivalRecord:
     survival_days: float | None = None
 
     def __post_init__(self):
+        days = () if self.survival_days is None else (self.survival_days,)
+        if not all(math.isfinite(v) for v in (self.age, self.n_tumors, self.n_cores, *days)):
+            raise ValueError(f"age, component counts and survival_days must be finite ({self.case_id})")
         if self.age <= 0:
             raise ValueError(f"age must be positive, got {self.age} ({self.case_id})")
         if self.n_tumors < 0 or self.n_cores < 0:
@@ -181,14 +185,21 @@ class TreeNode:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "TreeNode":
+    def from_dict(d: dict, n_features: int) -> "TreeNode":
+        """The subtree stored in ``d``; each split must index a set of ``n_features``."""
         if "proba" in d:
-            return TreeNode(proba=tuple(_field(d, "proba", list)))
+            proba = _field(d, "proba", list)
+            if len(proba) != 3 or not all(_is_number(v) for v in proba):
+                raise ValueError(f"leaf proba {proba} is not three numbers")
+            return TreeNode(proba=tuple(proba))
+        feature = _field(d, "feature", int)
+        if not 0 <= feature < n_features:
+            raise ValueError(f"split feature {feature} is outside a set of {n_features}")
         return TreeNode(
-            feature=_field(d, "feature", int),
+            feature=feature,
             threshold=_field(d, "threshold", _NUMBER),
-            left=TreeNode.from_dict(d["left"]),
-            right=TreeNode.from_dict(d["right"]),
+            left=TreeNode.from_dict(d["left"], n_features),
+            right=TreeNode.from_dict(d["right"], n_features),
         )
 
 
@@ -461,6 +472,10 @@ def save_model(model: FusionModel, path) -> None:
 _NUMBER = (int, float)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+
+
 def _field(doc: dict, key: str, kind):
     """``doc[key]``, which must be a ``kind``; JSON booleans are not numbers."""
     value = doc[key]
@@ -469,24 +484,37 @@ def _field(doc: dict, key: str, kind):
     return value
 
 
+def _feature_set(doc: dict) -> tuple[str, ...]:
+    names = tuple(_field(doc, "feature_set", list))
+    unknown = [name for name in names if name not in FEATURE_NAMES]
+    if unknown:
+        raise ValueError(f"unknown feature(s) {unknown}; expected names from {FEATURE_NAMES}")
+    return names
+
+
 def load_model(path) -> FusionModel:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a survival fusion model file: {path}")
     try:
         bins, ols, forest = (_field(doc, key, dict) for key in ("bins", "ols", "forest"))
-        trees = [TreeNode.from_dict(d) for d in _field(forest, "trees", list)]
+        ols_features, forest_features = _feature_set(ols), _feature_set(forest)
+        trees = [TreeNode.from_dict(d, len(forest_features)) for d in _field(forest, "trees", list)]
         if _field(forest, "n_trees", int) != len(trees):
             raise ValueError(f"n_trees is {forest['n_trees']} but {len(trees)} trees are stored")
+        coefficients = _field(ols, "coefficients", list)
+        if len(coefficients) != len(ols_features) + 1:
+            raise ValueError(f"{len(coefficients)} OLS coefficients for {len(ols_features)} "
+                             "features; expected an intercept plus one per feature")
         days = _field(doc, "override_days", dict)
         return FusionModel(
             ols=OlsModel(
-                feature_set=tuple(_field(ols, "feature_set", list)),
-                coefficients=np.asarray(_field(ols, "coefficients", list), dtype=np.float64),
+                feature_set=ols_features,
+                coefficients=np.asarray(coefficients, dtype=np.float64),
                 cap_days=_field(ols, "cap_days", _NUMBER),
             ),
             forest=ForestModel(
-                feature_set=tuple(_field(forest, "feature_set", list)),
+                feature_set=forest_features,
                 max_depth=_field(forest, "max_depth", int),
                 seed=_field(forest, "seed", int),
                 trees=trees,

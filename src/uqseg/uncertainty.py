@@ -19,7 +19,7 @@ DEFAULT_THRESHOLDS = (0.0, 25.0, 50.0, 75.0, 100.0)
 
 def certainty_from_q(q: Volume3D) -> Volume3D:
     """100 * (1 - 2q): flip-probability 0 is fully certain, 0.5 fully uncertain."""
-    return Volume3D(100.0 * (1.0 - 2.0 * q.data), q.spacing)
+    return Volume3D(100.0 * (1.0 - 2.0 * q.float64()), q.spacing)
 
 
 def symmetric_uncertainty_raw(x: Volume3D) -> Volume3D:
@@ -28,7 +28,7 @@ def symmetric_uncertainty_raw(x: Volume3D) -> Volume3D:
     Peaks at 100 on the decision boundary (x = 0.5) and falls to 0 at the
     extremes; it scores *uncertainty*, not challenge-scale certainty.
     """
-    return Volume3D(100.0 * (1.0 - 2.0 * np.abs(0.5 - x.data)), x.spacing)
+    return Volume3D(100.0 * (1.0 - 2.0 * np.abs(0.5 - x.float64())), x.spacing)
 
 
 def certainty_symmetric(x: Volume3D) -> Volume3D:
@@ -37,7 +37,7 @@ def certainty_symmetric(x: Volume3D) -> Volume3D:
     The complement of :func:`symmetric_uncertainty_raw`. For a fused single
     prediction this reduces to the flip-probability score 100 * (1 - 2q).
     """
-    return Volume3D(200.0 * np.abs(0.5 - x.data), x.spacing)
+    return Volume3D(200.0 * np.abs(0.5 - x.float64()), x.spacing)
 
 
 def negative_only_uncertainty_raw(x: Volume3D) -> Volume3D:
@@ -47,7 +47,7 @@ def negative_only_uncertainty_raw(x: Volume3D) -> Volume3D:
     predictions get 0. See :func:`certainty_negative_only` for the same
     quantity on the 100-is-certain challenge scale.
     """
-    return Volume3D(200.0 * np.maximum(0.5 - x.data, 0.0), x.spacing)
+    return Volume3D(200.0 * np.maximum(0.5 - x.float64(), 0.0), x.spacing)
 
 
 def certainty_negative_only(x: Volume3D) -> Volume3D:
@@ -87,13 +87,16 @@ def evaluate_uncertainty(
     if any(b < a for a, b in zip(taus, taus[1:])):
         raise ValueError("thresholds must be ascending")
 
-    s, g = seg.data, gt.data
     # "certainty < tau" counts per voxel category at every threshold: one sort per
-    # category and one search over all thresholds, all in exact integers.
-    (tp_n, tp_out), (seg_n, seg_out), (gt_n, gt_out), (union_n, union_out), (all_n, all_out) = (
-        (values.size, np.searchsorted(np.sort(values, axis=None), taus).tolist())
-        for values in (cert.data[s & g], cert.data[s], cert.data[g], cert.data[s | g], cert.data)
-    )
+    # category and one search over all thresholds, all in exact integers. The counts
+    # ignore voxel order; flat x-fastest views gather ten times faster than 3D arrays.
+    s, g, c = (v.data.ravel(order="F") for v in (seg, gt, cert))
+    counts = []
+    for values in (c[s & g], c[s], c[g], c[s | g], c):
+        values = np.array(values, dtype=np.float64)  # a fresh copy, sorted in place
+        values.sort()
+        counts.append((values.size, np.searchsorted(values, taus).tolist()))
+    (tp_n, tp_out), (seg_n, seg_out), (gt_n, gt_out), (union_n, union_out), (all_n, all_out) = counts
     dice_at, ftp_at, ftn_at = [], [], []
     for tp_k, seg_k, gt_k, union_k, all_k in zip(tp_out, seg_out, gt_out, union_out, all_out):
         denom = seg_n - seg_k + gt_n - gt_k

@@ -2,6 +2,8 @@
 
 Arrays are indexed ``[x, y, z]``; the canonical linear voxel order is
 x-fastest (Fortran ravel), which also matches the on-disk NIfTI layout.
+Arithmetic on a volume starts from :meth:`_Grid.float64` (under NEP 50 a
+float32 array would compute in float32), so results equal a float64 copy's.
 """
 from __future__ import annotations
 
@@ -34,49 +36,47 @@ class Connectivity(enum.Enum):
         return ndimage.generate_binary_structure(3, self.value)
 
 
-def _check_spacing(spacing) -> tuple[float, float, float]:
-    spacing = tuple(float(s) for s in spacing)
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be three positive values, got {spacing}")
-    return spacing
-
-
 @dataclass(eq=False)
-class Volume3D:
-    """Scalar volume. ``data`` has shape (nx, ny, nz); spacing is mm per voxel."""
+class _Grid:
+    """``data`` has shape (nx, ny, nz); spacing is mm per voxel."""
 
     data: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 3 or min(self.data.shape) < 1:
             raise ValueError(f"expected a non-empty 3D array, got shape {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise ValueError("volume contains non-finite values")
-        self.spacing = _check_spacing(self.spacing)
+        self.spacing = tuple(float(s) for s in self.spacing)
+        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
+            raise ValueError(f"spacing must be three positive values, got {self.spacing}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
+    def float64(self, where: np.ndarray | None = None) -> np.ndarray:
+        """The data, or its voxels where ``where`` is True, as float64 for arithmetic."""
+        return (self.data if where is None else self.data[where]).astype(np.float64, copy=False)
 
-@dataclass(eq=False)
-class Mask3D:
+
+class Volume3D(_Grid):
+    """Scalar volume: uint8, int16, float32 or float64 data as given, else float64."""
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data)
+        if self.data.dtype not in (np.uint8, np.int16, np.float32, np.float64):
+            self.data = self.data.astype(np.float64)
+        super().__post_init__()
+        if self.data.dtype.kind == "f" and not np.isfinite(self.data).all():
+            raise ValueError("volume contains non-finite values")
+
+
+class Mask3D(_Grid):
     """Binary volume with the same layout conventions as :class:`Volume3D`."""
 
-    data: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
     def __post_init__(self):
-        self.data = np.asarray(self.data).astype(bool)
-        if self.data.ndim != 3 or min(self.data.shape) < 1:
-            raise ValueError(f"expected a non-empty 3D array, got shape {self.data.shape}")
-        self.spacing = _check_spacing(self.spacing)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+        self.data = np.asarray(self.data).astype(bool, copy=False)
+        super().__post_init__()
 
     def voxel_count(self) -> int:
         return int(self.data.sum())
@@ -109,10 +109,10 @@ def standardize_nonzero(v: Volume3D) -> Volume3D:
     nz = v.data != 0
     if not nz.any():
         raise ValueError("no foreground intensities: volume is identically zero")
-    values = v.data[nz]
+    values = v.float64(nz)
     mu = values.mean()
     sigma = values.std()  # population (divide-by-N)
-    out = np.zeros_like(v.data)
+    out = np.zeros_like(v.data, dtype=np.float64)
     if sigma == 0.0:
         warnings.warn(
             "constant nonzero intensities: standardized volume is identically zero",
@@ -122,6 +122,17 @@ def standardize_nonzero(v: Volume3D) -> Volume3D:
     else:
         out[nz] = (values - mu) / sigma
     return Volume3D(out, v.spacing)
+
+
+def labels_outside(data: np.ndarray, allowed) -> list:
+    """Sorted values of a label map outside ``allowed``, each truncated to an int.
+
+    One count per allowed value settles a valid map; only an invalid one is sorted.
+    """
+    allowed = set(allowed)
+    if sum(np.count_nonzero(data == v) for v in allowed) == data.size:
+        return []
+    return sorted(set(np.unique(data).astype(int)) - allowed)
 
 
 def count_components(m: Mask3D, connectivity: Connectivity = Connectivity.CORNER26) -> int:

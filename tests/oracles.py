@@ -3,8 +3,9 @@
 Nothing here may import from the library's computational paths: components
 are labeled by explicit flood fill, surface distances by all-pairs search,
 and losses by scalar math-module arithmetic. The superseded full-volume
-kernels, the first-appearance component relabel and the one-call gzip codec
-kept below are the references their rewrites must equal.
+kernels, the first-appearance component relabel, the one-call gzip codec and
+the float64 read, label and fusion paths kept below are the references their
+rewrites must equal.
 """
 import gzip
 import math
@@ -159,12 +160,16 @@ def loop_uncertainty_curve(s, g, c, taus):
     )
 
 
-def loop_fused_mean(pairs):
-    """No-flip fusion: the voxelwise mean of P(label = 1) over (p, q) array pairs."""
+def loop_fused_mean(pairs, axes=()):
+    """The former fusion: the voxelwise mean of P(label = 1) over float64 (p, q)
+    array pairs, each fused pair also added as a flipped copy per axis index."""
     acc = np.zeros_like(pairs[0][0], dtype=np.float64)
     for p, q in pairs:
-        acc += np.where(p > 0.5, 1.0 - q, q)
-    return acc / len(pairs)
+        fused = np.where(p > 0.5, 1.0 - q, q)
+        acc += fused
+        for axis in axes:
+            acc += np.flip(fused, axis=axis).copy()
+    return acc / (len(pairs) * (1 + len(axes)))
 
 
 def brute_dice(a, b):
@@ -258,3 +263,46 @@ def serial_chunked_gzip(payload, strategy, chunk=256 * 1024, window=32 * 1024):
         out.append(deflater.flush(zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH))
     out.append(struct.pack("<II", zlib.crc32(payload), len(payload) & 0xFFFFFFFF))
     return b"".join(out)
+
+
+# --- float64 volume paths ---------------------------------------------------
+
+NIFTI_DTYPES = {2: "<u1", 4: "<i2", 16: "<f4"}
+
+
+def float64_read(path):
+    """The former ``read_nifti`` values of a valid file: the payload widened to
+    float64, then ``* scl_slope + scl_inter`` unless the slope is 0 or NaN.
+
+    Returns (values, datatype code).
+    """
+    blob = gzip_read_bytes(path)
+    dims = struct.unpack_from("<3h", blob, 42)
+    (datatype,) = struct.unpack_from("<h", blob, 70)
+    (offset,) = struct.unpack_from("<f", blob, 108)
+    slope, inter = struct.unpack_from("<2f", blob, 112)
+    count = dims[0] * dims[1] * dims[2]
+    flat = np.frombuffer(blob, NIFTI_DTYPES[datatype], count, int(offset) if offset >= 348 else 352)
+    values = flat.reshape(dims, order="F").astype(np.float64)
+    if slope != 0.0 and not math.isnan(slope):
+        values = values * slope + inter
+    return values, datatype
+
+
+def float64_label_read(path, allowed=(0, 1, 2, 4)):
+    """The former ``read_label_volume`` checks on float64 values; returns the values."""
+    values, datatype = float64_read(path)
+    if datatype == 16 and not np.all(values == np.round(values)):
+        raise ValueError(f"{path}: label map contains non-integer values")
+    extra = set(np.unique(values).astype(int)) - set(int(v) for v in allowed)
+    if extra:
+        raise ValueError(f"{path}: label values {sorted(extra)} outside declared set {sorted(allowed)}")
+    return values
+
+
+def isin_masks(values):
+    """The former ``brats_labels_to_masks``: (wt, tc, et) by ``np.isin`` on the values."""
+    extra = set(np.unique(values).astype(int)) - {0, 1, 2, 4}
+    if extra:
+        raise ValueError(f"unexpected label values {sorted(extra)}; expected subset of {{0,1,2,4}}")
+    return np.isin(values, (1, 2, 4)), np.isin(values, (1, 4)), values == 4

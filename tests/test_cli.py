@@ -382,6 +382,29 @@ class TestSurvivalCommands:
         assert f"{model}: survival model lacks key 'bins'" in result.stderr
         assert not (tmp_path / "p.csv").exists()
 
+    def test_bad_model_value_is_usage_error(self, runner, tmp_path):
+        features = tmp_path / "features.csv"
+        write_cohort_csv(features, n=5)
+        model = tmp_path / "model.json"
+        invoke(runner, ["survival-train", "--features-csv", str(features), "--model-out", str(model)])
+        model.write_text(model.read_text().replace('"n_cores"', '"n_cores_x"'))
+        result = invoke(runner, ["survival-predict", "--model", str(model), "--features-csv",
+                                 str(features), "--out-csv", str(tmp_path / "p.csv")], expect=2)
+        assert f"{model}: bad survival model: unknown feature(s) ['n_cores_x']" in result.stderr
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_nan_age_names_case(self, runner, tmp_path):
+        features = tmp_path / "features.csv"
+        write_cohort_csv(features, n=12)
+        lines = features.read_text().splitlines()
+        lines[4] = "case-bad,nan,1,1,300.0"
+        features.write_text("\n".join(lines) + "\n")
+        result = invoke(runner, ["survival-train", "--features-csv", str(features),
+                                 "--model-out", str(tmp_path / "m.json")], expect=2)
+        assert "(case-bad)" in result.stderr and "must be finite" in result.stderr
+        assert "SVD" not in result.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_unlabeled_rows_is_usage_error(self, runner, tmp_path):
         features = tmp_path / "features.csv"
         features.write_text("case_id,age,n_tumors,n_cores,survival_days\nx,60,1,1,\n")

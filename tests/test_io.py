@@ -15,7 +15,7 @@ from uqseg.config import (
     parse_config,
 )
 from uqseg.losses import LossConfig
-from uqseg.nifti import read_label_volume, read_mask, read_nifti, write_nifti
+from uqseg.nifti import read_label_volume, read_nifti, write_nifti
 from uqseg.refine import RegionLabel
 from uqseg.survival import (
     ForestModel,
@@ -114,7 +114,8 @@ class TestNifti:
         mask = Mask3D(rng.random((4, 5, 6)) < 0.5)
         path = tmp_path / "mask.nii"
         write_nifti(mask, path)
-        back, _ = read_mask(path)
+        back, _ = read_label_volume(path, allowed_labels=(0, 1))
+        assert back.data.dtype == np.uint8
         np.testing.assert_array_equal(back.data, mask.data)
 
     def test_header_template_passthrough(self, tmp_path):

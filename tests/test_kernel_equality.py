@@ -3,12 +3,14 @@ must equal their full-volume predecessors in tests/oracles.py exactly (==),
 and component counting and small-component removal on scipy's own labels
 must equal the former first-appearance relabel; the pooled gzip writer must
 equal its serial oracle byte for byte, and the one-pass reader must return
-or reject what the former reader did."""
+or reject what the former reader did. Volumes read in their file dtype must
+give what the former float64 read, label and fusion paths gave."""
 import gzip
 import os
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 
 import numpy as np
@@ -17,21 +19,45 @@ import pytest
 from oracles import (
     first_appearance_components,
     first_appearance_remove_small,
+    float64_label_read,
+    float64_read,
     full_volume_hd95,
     gzip_encode,
     gzip_read_bytes,
+    isin_masks,
+    loop_fused_mean,
     loop_uncertainty_curve,
     serial_chunked_gzip,
 )
+from uqseg.ensemble import PredictionPair, ensemble_with_flips, fuse_single
+from uqseg.losses import batch_loss
 from uqseg.metrics import hausdorff95
-from uqseg.nifti import DEFLATE_CHUNK, _read_bytes, gzip_deflate, write_nifti
-from uqseg.uncertainty import evaluate_uncertainty
+from uqseg.nifti import DEFLATE_CHUNK, _read_bytes, gzip_deflate, read_label_volume, read_nifti, write_nifti
+from uqseg.refine import (
+    RefinementConfig,
+    brats_labels_to_masks,
+    masks_to_brats_labels,
+    mean_region_confidence,
+    refine_segmentation,
+    threshold_mask,
+)
+from uqseg.uncertainty import (
+    certainty_from_q,
+    certainty_negative_only,
+    certainty_symmetric,
+    evaluate_uncertainty,
+    negative_only_uncertainty_raw,
+    symmetric_uncertainty_raw,
+)
 from uqseg.volumes import (
+    Axis,
     Connectivity,
+    DegenerateVolumeWarning,
     Mask3D,
     Volume3D,
     count_components,
     remove_small_components,
+    standardize_nonzero,
 )
 
 CASES = 400
@@ -337,3 +363,263 @@ def test_gzip_bytes_without_affinity_call(tmp_path, monkeypatch, cpus):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     write_nifti(multi_chunk_volume(), tmp_path / "count.nii.gz")
     assert (tmp_path / "count.nii.gz").read_bytes() == (tmp_path / "affinity.nii.gz").read_bytes()
+
+
+# --- volumes in their file dtype ------------------------------------------------
+
+CFG = RefinementConfig()
+# The fallback and base thresholds, then the WT, TC and ET confidence gates.
+CUTS = (CFG.fallback_threshold, CFG.base_threshold, *CFG.confidence_gate.values())
+# Each cut as float32 and the float32 values one ulp either side of it.
+AT_CUTS = [np.nextafter(np.float32(t), np.float32(d)) for t in CUTS for d in (-1, 1)]
+AT_CUTS += [np.float32(t) for t in CUTS]
+SPECIALS = np.array([-0.0, 0.0, 1.0, *AT_CUTS], dtype=np.float32)
+SCALINGS = ((0.0, 0.0), (float("nan"), 3.0), (1.0, 0.0), (2.0, 0.5))
+DTYPE_KINDS = ("prob", "pair", "zero", "uint8 labels", "int16 labels", "float32 labels", "intensity")
+DTYPE_CASES = 224  # every kind under every scaling, as .nii and .nii.gz, four times
+NIFTI_CODES = {np.dtype("<u1"): 2, np.dtype("<i2"): 4, np.dtype("<f4"): 16}
+
+
+def with_specials(rng, values, top=1.0):
+    """``values`` with about a fifth of the voxels set to SPECIALS no larger than ``top``."""
+    values = values.astype(np.float32)
+    pick = rng.random(values.shape) < 0.2
+    choices = SPECIALS[SPECIALS <= top]
+    values[pick] = choices[rng.integers(0, choices.size, int(pick.sum()))]
+    return values
+
+
+def blob_probability(rng, dims):
+    """A sphere of high probability in low noise, so thresholds leave components."""
+    grid = np.indices(dims).transpose(1, 2, 3, 0)
+    r = np.sqrt(((grid - rng.random(3) * np.asarray(dims)) ** 2).sum(axis=-1))
+    level = rng.choice([0.6, 0.8, 0.95])
+    return np.clip(level / (1.0 + np.exp(2.0 * (r - 1.0 - rng.random() * 4.0))) + rng.random(dims) * 0.1, 0, 1)
+
+
+def dtype_case(i):
+    """Case ``i``: (kind, arrays in their file dtype, (slope, inter), file suffix).
+
+    The index cycles kinds, then scalings, then the suffix.
+    """
+    rng = np.random.default_rng([17, i])
+    kind = DTYPE_KINDS[i % len(DTYPE_KINDS)]
+    scaling = SCALINGS[(i // len(DTYPE_KINDS)) % len(SCALINGS)]
+    suffix = (".nii", ".nii.gz")[(i // (len(DTYPE_KINDS) * len(SCALINGS))) % 2]
+    dims = tuple(int(d) for d in rng.integers(3, 12, size=3))
+    if kind == "prob" and i % 4 == 0:  # wide tumours: means over more than 8192 voxels
+        dims = (40, 32, 24)
+        arrays = [with_specials(rng, np.where(rng.random(dims) < 0.6, 0.55 + 0.45 * rng.random(dims),
+                                              1e-3 * rng.random(dims))) for _ in range(3)]
+    elif kind == "prob":  # wt, tc, et channels
+        arrays = [with_specials(rng, blob_probability(rng, dims)) for _ in range(3)]
+    elif kind == "pair":  # p and q of two models
+        arrays = [with_specials(rng, blob_probability(rng, dims) * top, top)
+                  for _ in range(2) for top in (1.0, 0.5)]
+    elif kind == "zero":  # an all-zero map for each channel, signed zeros mixed in
+        arrays = [np.where(rng.random(dims) < 0.5, -0.0, 0.0).astype(np.float32) for _ in range(3)]
+    elif kind == "intensity":
+        arrays = [(rng.normal(0, 300, dims) * (rng.random(dims) < 0.7)).astype(np.int16),
+                  with_specials(rng, rng.normal(0.5, 0.3, dims) * (rng.random(dims) < 0.7), 1.0)]
+    else:
+        dtype = {"uint8 labels": np.uint8, "int16 labels": np.int16, "float32 labels": np.float32}[kind]
+        labels = np.asarray([0, 1, 2, 4])[rng.integers(0, 4, dims)]
+        if i % 3 == 0:  # a value outside the label set
+            labels.flat[rng.integers(labels.size)] = {np.uint8: 3, np.int16: -1}.get(dtype, 7)
+        arrays = [labels.astype(dtype)]
+        if dtype is np.float32 and i % 4 == 1:
+            arrays[0].flat[rng.integers(labels.size)] = 1.5
+        if dtype is np.float32:
+            arrays[0][arrays[0] == 0] = -0.0
+    if i % len(DTYPE_KINDS) == 0 and i // len(DTYPE_KINDS) % 8 == 3:
+        arrays[0][...] = 0  # an all-zero map besides the "zero" kind
+    return kind, arrays, scaling, suffix
+
+
+def write_case(tmp_path, i):
+    """The arrays of case ``i`` written as NIfTI files with the case's scaling."""
+    kind, arrays, (slope, inter), suffix = dtype_case(i)
+    paths = []
+    for k, values in enumerate(arrays):
+        header = bytearray(348)
+        struct.pack_into("<i", header, 0, 348)
+        struct.pack_into("<8h", header, 40, 3, *values.shape, 1, 1, 1, 1)
+        code = NIFTI_CODES[values.dtype]
+        struct.pack_into("<2h", header, 70, code, values.dtype.itemsize * 8)
+        struct.pack_into("<4f", header, 76, 1.0, 1.0, 1.0, 2.0)
+        struct.pack_into("<3f", header, 108, 352.0, slope, inter)
+        header[344:348] = b"n+1\x00"
+        blob = bytes(header) + bytes(4) + values.tobytes(order="F")
+        path = tmp_path / f"case{i}-{k}{suffix}"
+        path.write_bytes(gzip_encode(blob) if suffix.endswith(".gz") else blob)
+        paths.append(path)
+    return kind, paths, (slope, inter)
+
+
+def unscaled(scaling):
+    slope, inter = scaling
+    return slope == 0.0 or np.isnan(slope) or (slope, inter) == (1.0, 0.0)
+
+
+def isin_invalid(labels):
+    return not np.all(np.isin(labels, (0, 1, 2, 4)))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_dtype_set_covers_the_edge_cases():
+    seen = set()
+    for i in range(DTYPE_CASES):
+        kind, arrays, scaling, suffix = dtype_case(i)
+        seen.update((kind, suffix, repr(scaling)))
+        for values in arrays:
+            raw = values.astype(np.float64)
+            if values.dtype == np.float32:
+                for v in SPECIALS:
+                    if np.any((values == v) & (np.signbit(values) == np.signbit(v))):
+                        seen.add(("special", float(v), bool(np.signbit(v))))
+                # a voxel that a float32 comparison puts on the other side of a cut
+                if any(np.any((values > np.float32(t)) != (raw > t)) for t in CUTS):
+                    seen.add("float32 compare differs")
+            if not values.any():
+                seen.add(("all-zero", kind))
+            if kind == "prob" and np.count_nonzero(raw > 0.5) > 8192:
+                seen.add("wide mean")
+        if kind.endswith("labels"):
+            seen.add((kind, "invalid" if isin_invalid(arrays[0]) else "valid"))
+    specials = {("special", float(v), bool(np.signbit(v))) for v in SPECIALS}
+    assert specials <= seen
+    assert "float32 compare differs" in seen and "wide mean" in seen
+    assert {("all-zero", "zero"), ("all-zero", "prob")} <= seen
+    assert set(DTYPE_KINDS) | {".nii", ".nii.gz"} | {repr(s) for s in SCALINGS} <= seen
+    assert {(k, v) for k in DTYPE_KINDS if k.endswith("labels") for v in ("valid", "invalid")} <= seen
+
+
+def test_reader_dtype_contract(tmp_path):
+    """A file reads in its own dtype unless a scaling pair other than (1, 0) applies."""
+    for i in range(0, DTYPE_CASES, 3):
+        _, paths, scaling = write_case(tmp_path, i)
+        for path in paths:
+            vol, view = read_nifti(path)
+            stored = {2: np.uint8, 4: np.int16, 16: np.float32}[view.datatype]
+            assert vol.data.dtype == (stored if unscaled(scaling) else np.float64), f"case {i}"
+    labels = np.zeros((3, 4, 5), dtype=np.uint8)
+    labels[1, 1, 1], labels[2, 2, 2] = 4, 2
+    write_nifti(Volume3D(labels), tmp_path / "labels.nii.gz", dtype="uint8")
+    vol, _ = read_label_volume(tmp_path / "labels.nii.gz")
+    assert vol.data.dtype == np.uint8
+    assert masks_to_brats_labels(brats_labels_to_masks(vol)).data.dtype == np.uint8
+    write_nifti(Volume3D(np.full((3, 3, 3), 0.25)), tmp_path / "p.nii")
+    assert read_nifti(tmp_path / "p.nii")[0].data.dtype == np.float32
+
+
+def test_read_equals_float64_oracle(tmp_path):
+    for i in range(DTYPE_CASES):
+        _, paths, _ = write_case(tmp_path, i)
+        for path in paths:
+            want, _ = float64_read(path)
+            got = read_nifti(path)[0].data
+            assert got.shape == want.shape and np.all(got == want), f"case {i}: {path.name}"
+
+
+def float64_volumes(paths):
+    return [Volume3D(float64_read(path)[0], (1.0, 1.0, 2.0)) for path in paths]
+
+
+def test_probability_kernels_equal_float64_oracle(tmp_path):
+    for i in range(DTYPE_CASES):
+        kind, paths, _ = write_case(tmp_path, i)
+        if kind not in ("prob", "zero"):
+            continue
+        vols = [read_nifti(path)[0] for path in paths]
+        wide = float64_volumes(paths)
+        for vol, ref in zip(vols, wide):
+            for t in CUTS:
+                mask = threshold_mask(vol, t)
+                assert np.array_equal(mask.data, ref.data > t), f"case {i}, cut {t}"
+                assert mean_region_confidence(vol, mask) == mean_region_confidence(ref, mask)
+            everywhere = Mask3D(np.ones(vol.dims, dtype=bool))  # values of every magnitude
+            assert mean_region_confidence(vol, everywhere) == mean_region_confidence(ref, everywhere)
+            for formula in (certainty_symmetric, certainty_negative_only,
+                            symmetric_uncertainty_raw, negative_only_uncertainty_raw):
+                assert same_bits(formula(vol).data, formula(ref).data), f"case {i}: {formula}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateVolumeWarning)
+            seg, report = refine_segmentation(*vols)
+            ref_seg, ref_report = refine_segmentation(*wide)
+        for name in ("wt", "tc", "et"):
+            assert np.array_equal(getattr(seg, name).data, getattr(ref_seg, name).data), f"case {i}"
+        assert repr(report.flat_record()) == repr(ref_report.flat_record()), f"case {i}"
+        assert report.summary_lines() == ref_report.summary_lines()
+
+
+def test_fusion_equals_float64_oracle(tmp_path):
+    axes_cycle = ((), (Axis.X,), (Axis.X, Axis.Y, Axis.Z))
+    for n, i in enumerate(i for i in range(DTYPE_CASES) if dtype_case(i)[0] == "pair"):
+        _, paths, _ = write_case(tmp_path, i)
+        vols = [read_nifti(path)[0] for path in paths]
+        wide = float64_volumes(paths)
+        if any(v.data.min() < 0 or v.data.max() > (0.5 if k % 2 else 1.0) for k, v in enumerate(wide)):
+            continue  # a scaling that takes p or q out of range
+        axes = axes_cycle[n % 3]
+        pairs = [PredictionPair(p=vols[k], q=vols[k + 1]) for k in (0, 2)]
+        got = ensemble_with_flips(pairs, axes).data
+        want = loop_fused_mean([(wide[k].data, wide[k + 1].data) for k in (0, 2)],
+                               [a.value for a in axes])
+        assert same_bits(got, want), f"case {i}"
+        p, q = vols[0], vols[1]
+        assert np.all(fuse_single(p.data, q.data) == np.where(wide[0].data > 0.5, 1.0 - wide[1].data, wide[1].data))
+        assert same_bits(certainty_from_q(q).data, certainty_from_q(wide[1]).data), f"case {i}"
+        gt = Mask3D(wide[2].data > 0.5, p.spacing)
+        assert batch_loss(p, q, gt) == batch_loss(wide[0], wide[1], gt), f"case {i}"
+        # the curve on a uint8 and a float32 certainty map, against float64
+        seg = threshold_mask(p, 0.5)
+        for cert in (Volume3D(np.rint(certainty_from_q(q).data).astype(np.uint8)),
+                     Volume3D((100.0 * vols[2].data).astype(np.float32))):
+            values = np.unique(cert.data.astype(np.float64))
+            taus = tuple(sorted({0.0, 100.0, *values[:3].tolist(), *(values[:3] + 1e-9).tolist()}))
+            curve = evaluate_uncertainty(seg, gt, cert, taus)
+            got = (curve.dice_at, curve.ftp_at, curve.ftn_at,
+                   curve.dice_auc, curve.ftp_auc, curve.ftn_auc)
+            assert got == loop_uncertainty_curve(seg.data, gt.data, cert.data.astype(np.float64), taus)
+
+
+def test_intensity_kernels_equal_float64_oracle(tmp_path):
+    for i in range(DTYPE_CASES):
+        kind, paths, _ = write_case(tmp_path, i)
+        if kind != "intensity":
+            continue
+        for vol, ref in zip((read_nifti(path)[0] for path in paths), float64_volumes(paths)):
+            if not ref.data.any():
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateVolumeWarning)
+                got, want = standardize_nonzero(vol).data, standardize_nonzero(ref).data
+            assert same_bits(got, want), f"case {i}"
+
+
+def test_labels_equal_float64_oracle(tmp_path):
+    for i in range(DTYPE_CASES):
+        kind, paths, _ = write_case(tmp_path, i)
+        if not kind.endswith("labels"):
+            continue
+        try:
+            want = isin_masks(float64_label_read(paths[0]))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                brats_labels_to_masks(read_label_volume(paths[0])[0])
+            assert str(info.value) == str(exc), f"case {i}"
+            continue
+        vol, _ = read_label_volume(paths[0])
+        seg = brats_labels_to_masks(vol)
+        for got, expected in zip((seg.wt, seg.tc, seg.et), want):
+            assert np.array_equal(got.data, expected), f"case {i}"
+        # the label map the refined masks encode to, and back
+        assert np.array_equal(brats_labels_to_masks(masks_to_brats_labels(seg)).wt.data, want[0])
+        # fractions pass the truncating label check but belong to no region
+        fractional = vol.data + np.where(np.arange(vol.data.size).reshape(vol.dims) % 5 == 0, 0.25, 0.0)
+        seg = brats_labels_to_masks(Volume3D(fractional))
+        for got, expected in zip((seg.wt, seg.tc, seg.et), isin_masks(fractional)):
+            assert np.array_equal(got.data, expected), f"case {i}"

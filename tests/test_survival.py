@@ -35,6 +35,34 @@ def rec(case_id, age, n_tumors=1, n_cores=1, survival=None):
     )
 
 
+def first_split(doc):
+    """The first split node of the first tree that has one, in a model JSON document."""
+    return next(t for t in doc["forest"]["trees"] if "feature" in t)
+
+
+def first_leaf(doc):
+    node = doc["forest"]["trees"][0]
+    while "proba" not in node:
+        node = node["left"]
+    return node
+
+
+class TestSurvivalRecord:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("age", float("nan")), ("age", float("inf")), ("n_tumors", float("nan")),
+         ("n_cores", float("inf")), ("survival_days", float("nan")), ("survival_days", -float("inf"))],
+    )
+    def test_non_finite_values_name_case(self, field, value):
+        values = {"case_id": "case-7", "age": 60.0, "n_tumors": 1, "n_cores": 1, "survival_days": 300.0}
+        values[field] = value
+        with pytest.raises(ValueError, match=r"must be finite \(case-7\)"):
+            SurvivalRecord(**values)
+
+    def test_unknown_survival_is_allowed(self):
+        assert rec("case-8", 60.0).survival_days is None
+
+
 class TestClassBins:
     def test_boundaries(self):
         bins = ClassBins()
@@ -350,6 +378,15 @@ class TestPersistence:
             (lambda d: d["forest"].update(n_trees=21.0), "'n_trees' is a float"),
             (lambda d: d["ols"].update(coefficients=["x", "y"]), "bad survival model"),
             (lambda d: d.update(forest=[]), "'forest' is a list"),
+            (lambda d: d["forest"].update(feature_set=["agee", "n_tumors", "n_cores"]),
+             r"unknown feature\(s\) \['agee'\]"),
+            (lambda d: d["ols"].update(feature_set=["agee"]), r"unknown feature\(s\) \['agee'\]"),
+            (lambda d: first_split(d).update(feature=3), "split feature 3 is outside a set of 3"),
+            (lambda d: first_split(d).update(feature=-1), "split feature -1 is outside a set of 3"),
+            (lambda d: first_leaf(d).update(proba=[0.5, 0.5]), r"leaf proba \[0.5, 0.5\] is not three"),
+            (lambda d: first_leaf(d).update(proba=[0.5, "x", 0.5]), "is not three numbers"),
+            (lambda d: d["ols"]["coefficients"].append(1.0), "3 OLS coefficients for 1 features"),
+            (lambda d: d["ols"]["coefficients"].pop(), "1 OLS coefficients for 1 features"),
         ],
     )
     def test_malformed_model_names_path(self, tmp_path, edit, message):
