@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volumes import require_same_dims, require_same_grid
+from .volumes import foreground_box, require_same_dims, require_same_grid
 
 _FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
@@ -61,7 +61,7 @@ def hausdorff95(a, b, empty_sentinel: float | None = None) -> float:
 
     # Outside the bounding box of a | b both masks are background and no surface voxel
     # lies, so the erosion (border_value=0) and both distance transforms are exact on it.
-    box = ndimage.find_objects((a.data | b.data).view(np.uint8))[0]
+    box = foreground_box(a.data | b.data)
     surf_a = surface(a.data[box])
     surf_b = surface(b.data[box])
     dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=a.spacing)

@@ -155,9 +155,8 @@ def threshold_mask(p: Volume3D, t: float) -> Mask3D:
 def mean_region_confidence(p: Volume3D, m: Mask3D) -> float | None:
     """Mean probability inside the mask; None when the mask is empty."""
     require_same_dims(p, m)
-    if not m.data.any():
-        return None
-    return float(p.float64(m.data).mean())
+    values = p.float64(m.data)
+    return float(values.mean()) if values.size else None
 
 
 def refine_region(

@@ -493,7 +493,10 @@ def _feature_set(doc: dict) -> tuple[str, ...]:
 
 
 def load_model(path) -> FusionModel:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not a JSON survival model: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a survival fusion model file: {path}")
     try:

@@ -71,6 +71,14 @@ def _read_rows(path, required: tuple[str, ...]) -> tuple[list[str], list[dict[st
         return list(header), list(reader)
 
 
+def _cell(path, row: dict[str, str], column: str, convert):
+    """``convert`` applied to one cell; a bad cell raises naming the file, case and column."""
+    try:
+        return convert(row[column])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: case {row['case_id']!r}: bad {column} {row[column]!r}") from exc
+
+
 def write_survival_table(path, records: Iterable[SurvivalRecord]) -> None:
     rows = [
         (r.case_id, r.age, r.n_tumors, r.n_cores, r.survival_days)
@@ -81,19 +89,17 @@ def write_survival_table(path, records: Iterable[SurvivalRecord]) -> None:
 
 def read_survival_table(path) -> list[SurvivalRecord]:
     _, rows = _read_rows(path, SURVIVAL_COLUMNS)
-    records = []
-    for row in rows:
-        survival = row.get("survival_days", "")
-        records.append(
-            SurvivalRecord(
-                case_id=row["case_id"],
-                age=float(row["age"]),
-                n_tumors=int(row["n_tumors"]),
-                n_cores=int(row["n_cores"]),
-                survival_days=float(survival) if survival not in ("", None) else None,
-            )
+    return [
+        SurvivalRecord(
+            case_id=row["case_id"],
+            age=_cell(path, row, "age", float),
+            n_tumors=_cell(path, row, "n_tumors", int),
+            n_cores=_cell(path, row, "n_cores", int),
+            survival_days=None if row["survival_days"] in ("", None)
+            else _cell(path, row, "survival_days", float),
         )
-    return records
+        for row in rows
+    ]
 
 
 def write_predictions_table(path, rows: Iterable[tuple[str, float]]) -> None:
@@ -102,7 +108,7 @@ def write_predictions_table(path, rows: Iterable[tuple[str, float]]) -> None:
 
 def read_predictions_table(path) -> list[tuple[str, float]]:
     _, rows = _read_rows(path, PREDICTION_COLUMNS)
-    return [(row["case_id"], float(row["predicted_days"])) for row in rows]
+    return [(row["case_id"], _cell(path, row, "predicted_days", float)) for row in rows]
 
 
 def write_results_table(path, records: list[dict], summary: bool = True) -> None:

@@ -55,8 +55,11 @@ class _Grid:
         return self.data.shape
 
     def float64(self, where: np.ndarray | None = None) -> np.ndarray:
-        """The data, or its voxels where ``where`` is True, as float64 for arithmetic."""
-        return (self.data if where is None else self.data[where]).astype(np.float64, copy=False)
+        """The data, or its ``where`` voxels (gathered inside their box, in grid order), as float64."""
+        if where is None:
+            return self.data.astype(np.float64, copy=False)
+        box = foreground_box(where) or (slice(0, 0),) * 3
+        return self.data[box][where[box]].astype(np.float64, copy=False)
 
 
 class Volume3D(_Grid):
@@ -135,25 +138,38 @@ def labels_outside(data: np.ndarray, allowed) -> list:
     return sorted(set(np.unique(data).astype(int)) - allowed)
 
 
+def foreground_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
+    """Smallest box holding every True voxel (x, y from ``any`` along z, then z); None if none."""
+    xy = data.any(axis=2)
+    xs, ys = np.flatnonzero(xy.any(axis=1)), np.flatnonzero(xy.any(axis=0))
+    if xs.size == 0:
+        return None
+    x, y = slice(int(xs[0]), int(xs[-1]) + 1), slice(int(ys[0]), int(ys[-1]) + 1)
+    zs = np.flatnonzero(data[x, y].any(axis=(0, 1)))
+    return x, y, slice(int(zs[0]), int(zs[-1]) + 1)
+
+
 def count_components(m: Mask3D, connectivity: Connectivity = Connectivity.CORNER26) -> int:
-    """Number of maximal connected foreground components."""
-    return ndimage.label(m.data, structure=connectivity.structure())[1]
+    """Number of maximal connected foreground components, labelled inside their box."""
+    box = foreground_box(m.data)
+    return 0 if box is None else ndimage.label(m.data[box], structure=connectivity.structure())[1]
 
 
 def remove_small_components(
     m: Mask3D, min_size: int, connectivity: Connectivity = Connectivity.CORNER26
 ) -> Mask3D:
-    """Delete connected components with fewer than ``min_size`` voxels."""
+    """Delete connected components with fewer than ``min_size`` voxels, labelling their box only."""
     if min_size < 0:
         raise ValueError(f"min_size must be >= 0, got {min_size}")
-    if min_size <= 1:
+    box = None if min_size <= 1 else foreground_box(m.data)
+    if box is None:
         return Mask3D(m.data.copy(), m.spacing)
-    labels, n = ndimage.label(m.data, structure=connectivity.structure())
-    if n == 0:
-        return Mask3D(m.data.copy(), m.spacing)
+    labels, n = ndimage.label(m.data[box], structure=connectivity.structure())
     keep = np.bincount(labels.ravel(), minlength=n + 1) >= min_size
     keep[0] = False
-    return Mask3D(keep[labels], m.spacing)
+    out = np.zeros(m.dims, dtype=bool)  # C order: label maps fill fastest from C-ordered masks
+    out[box] = keep[labels]
+    return Mask3D(out, m.spacing)
 
 
 def flip_axis(v, axis: Axis):

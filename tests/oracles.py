@@ -3,9 +3,9 @@
 Nothing here may import from the library's computational paths: components
 are labeled by explicit flood fill, surface distances by all-pairs search,
 and losses by scalar math-module arithmetic. The superseded full-volume
-kernels, the first-appearance component relabel, the one-call gzip codec and
-the float64 read, label and fusion paths kept below are the references their
-rewrites must equal.
+kernels, the first-appearance component relabel, the ``find_objects`` box and
+full-grid gather, the one-call gzip codec and the float64 read, label and
+fusion paths kept below are the references their rewrites must equal.
 """
 import gzip
 import math
@@ -92,6 +92,17 @@ def first_appearance_remove_small(mask, min_size, structure):
         return mask.copy()
     keep = np.concatenate(([False], sizes >= min_size))
     return keep[labels]
+
+
+def find_objects_box(mask):
+    """The former HD95 box: scipy's bounding slices of the foreground, or None."""
+    boxes = ndimage.find_objects(mask.view(np.uint8))
+    return boxes[0] if boxes else None
+
+
+def full_grid_float64(data, where):
+    """The former ``Volume3D.float64(where)``: a boolean gather over the whole grid."""
+    return data[where].astype(np.float64)
 
 
 def brute_surface(mask):

@@ -405,6 +405,25 @@ class TestSurvivalCommands:
         assert "SVD" not in result.stderr
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("content", [b"not a model\n", b"\xff\xfe"], ids=["text", "not-utf8"])
+    def test_non_json_model_names_path(self, runner, tmp_path, content):
+        features = tmp_path / "features.csv"
+        write_cohort_csv(features, n=5)
+        model = tmp_path / "model.json"
+        model.write_bytes(content)
+        result = invoke(runner, ["survival-predict", "--model", str(model), "--features-csv",
+                                 str(features), "--out-csv", str(tmp_path / "p.csv")], expect=2)
+        assert f"{model}: not a JSON survival model" in result.stderr
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_bad_cell_names_file_case_and_column(self, runner, tmp_path):
+        features = tmp_path / "features.csv"
+        features.write_text("case_id,age,n_tumors,n_cores,survival_days\ncase-7,abc,1,1,300\n")
+        result = invoke(runner, ["survival-train", "--features-csv", str(features),
+                                 "--model-out", str(tmp_path / "m.json")], expect=2)
+        assert f"{features}: case 'case-7': bad age 'abc'" in result.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_unlabeled_rows_is_usage_error(self, runner, tmp_path):
         features = tmp_path / "features.csv"
         features.write_text("case_id,age,n_tumors,n_cores,survival_days\nx,60,1,1,\n")

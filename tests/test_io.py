@@ -1,5 +1,6 @@
 import gzip
 import os
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -278,6 +279,30 @@ class TestSurvivalTables:
         path.write_text("case_id,age\nx,60\n")
         with pytest.raises(ValueError, match="n_tumors"):
             read_survival_table(path)
+
+    @pytest.mark.parametrize("column, row", [
+        ("age", "x,60.5.1,1,1,300"),
+        ("n_tumors", "x,60,1.5,1,300"),
+        ("n_cores", "x,60,1,,300"),
+        ("survival_days", "x,60,1,1,soon"),
+    ])
+    def test_bad_cell_named(self, tmp_path, column, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("case_id,age,n_tumors,n_cores,survival_days\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: case 'x': bad {column} "):
+            read_survival_table(path)
+
+    def test_short_row_named(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("case_id,age,n_tumors,n_cores,survival_days\nx,60\n")
+        with pytest.raises(ValueError, match="case 'x': bad n_tumors None"):
+            read_survival_table(path)
+
+    def test_bad_prediction_named(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("case_id,predicted_days\na,299.0\nb,n/a\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: case 'b': bad predicted_days 'n/a'"):
+            read_predictions_table(path)
 
     def test_predictions_roundtrip(self, tmp_path):
         path = tmp_path / "preds.csv"

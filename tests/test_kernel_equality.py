@@ -1,7 +1,9 @@
 """Seeded fuzz: the sort-based uncertainty curve and the bounding-box HD95
 must equal their full-volume predecessors in tests/oracles.py exactly (==),
 and component counting and small-component removal on scipy's own labels
-must equal the former first-appearance relabel; the pooled gzip writer must
+inside the foreground's box must equal the former first-appearance relabel
+over the whole grid, the box ``find_objects``' box and the boxed gather the
+whole-grid gather; the pooled gzip writer must
 equal its serial oracle byte for byte, and the one-pass reader must return
 or reject what the former reader did. Volumes read in their file dtype must
 give what the former float64 read, label and fusion paths gave."""
@@ -17,10 +19,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    find_objects_box,
     first_appearance_components,
     first_appearance_remove_small,
     float64_label_read,
     float64_read,
+    full_grid_float64,
     full_volume_hd95,
     gzip_encode,
     gzip_read_bytes,
@@ -56,6 +60,7 @@ from uqseg.volumes import (
     Mask3D,
     Volume3D,
     count_components,
+    foreground_box,
     remove_small_components,
     standardize_nonzero,
 )
@@ -159,12 +164,33 @@ def test_hd95_equals_full_volume_oracle():
 # --- connected components ---------------------------------------------------
 
 COMPONENT_CASES = 600
-COMPONENT_KINDS = ("empty", "full", "single", "thin", "faces", "noise", "blob")
+COMPONENT_KINDS = ("empty", "full", "single", "thin", "faces", "noise", "blob", "inset")
 MIN_SIZES = (0, 1, 2, 5, 10)
+COMPONENT_CYCLE = len(COMPONENT_KINDS) * 3 * len(MIN_SIZES)
+
+
+def inset_mask(rng):
+    """Noise whose bounding box lies strictly inside a larger grid, or touches one face."""
+    dims = tuple(int(d) for d in rng.integers(3, 14, size=3))
+    lo = [int(rng.integers(1, d - 1)) for d in dims]
+    hi = [int(rng.integers(start + 1, d)) for start, d in zip(lo, dims)]
+    face = int(rng.integers(-1, 6))  # -1: no face; else axis face // 2, low or high end
+    if face >= 0:
+        axis, high = divmod(face, 2)
+        if high:
+            hi[axis] = dims[axis]
+        else:
+            lo[axis] = 0
+    mask = np.zeros(dims, dtype=bool)
+    box = tuple(slice(start, stop) for start, stop in zip(lo, hi))
+    mask[box] = rng.random(mask[box].shape) < 0.4
+    mask[tuple(lo)] = mask[tuple(stop - 1 for stop in hi)] = True
+    return mask
 
 
 def component_case(i):
-    """Case ``i``: the index cycles mask kinds, then connectivities, then ``min_size``."""
+    """Case ``i``: the index cycles mask kinds, then connectivities, then ``min_size``;
+    every other full cycle is Fortran-ordered, the layout of every volume read from a file."""
     rng = np.random.default_rng([13, i])
     dims = tuple(int(d) for d in rng.integers(1, 12, size=3))
     kind = COMPONENT_KINDS[i % len(COMPONENT_KINDS)]
@@ -179,11 +205,20 @@ def component_case(i):
         plane = [slice(None)] * 3
         plane[axis] = int(rng.integers(dims[axis]))
         mask[tuple(plane)] = rng.random(mask[tuple(plane)].shape) < 0.6
+    elif kind == "inset":
+        mask = inset_mask(rng)
     else:
         mask = random_mask(rng, dims, kind)
+    if (i // COMPONENT_CYCLE) % 2:
+        mask = np.asfortranarray(mask)
     connectivity = list(Connectivity)[(i // len(COMPONENT_KINDS)) % 3]
     min_size = MIN_SIZES[(i // (3 * len(COMPONENT_KINDS))) % len(MIN_SIZES)]
     return mask, connectivity, min_size
+
+
+def faces_touched(mask):
+    """How many of the grid's six faces the foreground touches."""
+    return sum(np.take(mask, end, axis=axis).any() for axis in range(3) for end in (0, -1))
 
 
 def test_component_set_covers_the_edge_cases():
@@ -192,6 +227,7 @@ def test_component_set_covers_the_edge_cases():
         mask, connectivity, min_size = component_case(i)
         filtered = first_appearance_remove_small(mask, min_size, connectivity.structure())
         extents = [np.flatnonzero(np.any(mask, axis=tuple({0, 1, 2} - {a}))) for a in range(3)]
+        box = find_objects_box(mask)
         flags = {
             "empty": not mask.any(),
             "full": mask.size > 1 and mask.all(),
@@ -199,11 +235,14 @@ def test_component_set_covers_the_edge_cases():
             "one voxel thick": mask.sum() > 1 and any(
                 mask.shape[a] > 1 and e.size and e[0] == e[-1] for a, e in enumerate(extents)
             ),
-            "touches every face": min(mask.shape) > 2 and not mask.all() and all(
-                np.take(mask, end, axis=axis).any() for axis in range(3) for end in (0, -1)
-            ),
+            "touches every face": min(mask.shape) > 2 and not mask.all() and faces_touched(mask) == 6,
             "several components": first_appearance_components(mask, connectivity.structure())[2] > 1,
             "filter drops some but not all": 0 < filtered.sum() < mask.sum(),
+            "box smaller than the grid": box is not None
+            and box != tuple(slice(0, d) for d in mask.shape),
+            "box strictly inside the grid": mask.any() and faces_touched(mask) == 0,
+            "box touches exactly one face": faces_touched(mask) == 1,
+            "Fortran-ordered": mask.flags.f_contiguous and not mask.flags.c_contiguous,
         }
         seen.update(name for name, hit in flags.items() if hit)
         seen.update((connectivity, min_size))
@@ -219,6 +258,38 @@ def test_components_equal_first_appearance_oracle():
         got = remove_small_components(Mask3D(mask), min_size, connectivity).data
         want = first_appearance_remove_small(mask, min_size, structure)
         assert got.dtype == want.dtype and np.array_equal(got, want), f"case {i}"
+
+
+def box_layouts(mask):
+    """The mask as given, Fortran-ordered, and as two non-contiguous views of equal values."""
+    padded = np.zeros((2 * mask.shape[0], mask.shape[1] + 1, mask.shape[2]), dtype=bool)
+    padded[::2, 1:] = mask
+    reversed_z = np.ascontiguousarray(mask[:, :, ::-1])[:, :, ::-1]
+    return mask, np.asfortranarray(mask), padded[::2, 1:], reversed_z
+
+
+def test_foreground_box_equals_find_objects():
+    masks = [component_case(i)[0] for i in range(COMPONENT_CASES)]
+    for i in range(CASES):
+        seg, gt, _, _, _ = fuzz_case(i)
+        masks += [seg, gt, seg | gt]
+    for i, mask in enumerate(masks):
+        for layout in box_layouts(mask):
+            assert np.array_equal(layout, mask)
+            assert foreground_box(layout) == find_objects_box(layout), f"mask {i}"
+
+
+def test_boxed_gather_equals_full_grid_gather():
+    for i in range(COMPONENT_CASES):
+        mask, _, _ = component_case(i)
+        rng = np.random.default_rng([17, i])
+        data = np.asfortranarray(rng.random(mask.shape).astype(np.float32))
+        for where in box_layouts(mask):
+            got = Volume3D(data).float64(where)
+            want = full_grid_float64(data, where)
+            assert got.dtype == want.dtype and np.array_equal(got, want), f"case {i}"
+            mean = mean_region_confidence(Volume3D(data), Mask3D(where))
+            assert mean == (float(want.mean()) if want.size else None), f"case {i}"
 
 
 # --- gzip codec -------------------------------------------------------------
