@@ -22,7 +22,7 @@ from .phantom import DEFAULT_DIMS
 from .refine import RefinementConfig, RegionLabel
 from .survival import (DEFAULT_CAP_DAYS, DEFAULT_MAX_DEPTH, DEFAULT_N_TREES, DEFAULT_OLS_FEATURES,
                        DEFAULT_OVERRIDE_DAYS, DEFAULT_OVERRIDE_PROB, FEATURE_NAMES, ClassBins,
-                       SurvivalClass)
+                       SurvivalClass, check_forest_size)
 from .uncertainty import DEFAULT_THRESHOLDS
 from .volumes import Connectivity
 
@@ -132,6 +132,7 @@ def parse_config(doc: dict | None) -> PipelineConfig:
         for name in surv[key]:
             if name not in FEATURE_NAMES:
                 raise ValueError(f"unknown survival feature {name!r} in {key}")
+    check_forest_size(surv["n_trees"], surv["max_depth"])
     sentinel = sections["metrics"]["hd95_empty_sentinel"]
     return PipelineConfig(
         refine=RefinementConfig(
@@ -150,8 +151,8 @@ def parse_config(doc: dict | None) -> PipelineConfig:
         survival=SurvivalConfig(
             ols_features=tuple(surv["ols_features"]),
             forest_features=tuple(surv["forest_features"]),
-            n_trees=int(surv["n_trees"]),
-            max_depth=int(surv["max_depth"]),
+            n_trees=surv["n_trees"],
+            max_depth=surv["max_depth"],
             cap_days=float(surv["cap_days"]),
             override_prob=float(surv["override_prob"]),
             override_days=_enum_keyed(SurvivalClass, "survival class", "override_days",

@@ -9,6 +9,7 @@ Orientation fields pass through untouched; the pipeline is voxel-space only.
 from __future__ import annotations
 
 import gzip
+import io
 import os
 import struct
 import zlib
@@ -53,25 +54,46 @@ class NiftiHeaderView:
     vox_offset: int
     raw: bytes
 
+    @property
+    def payload_end(self) -> int:
+        """The offset one past the last voxel byte the header declares."""
+        return self.vox_offset + int(np.prod(self.dims)) * _DTYPES[self.datatype][0].itemsize
 
-def _read_bytes(path: Path) -> bytes:
+
+def _read_bytes(path: Path, limit=None) -> bytes:
     """The file's bytes, gunzipped when they start with the gzip magic.
 
-    A file that is exactly one complete gzip member is inflated in one zlib
-    pass, which also checks its CRC and length. Anything else (a truncated
-    or corrupt stream, several members, padding or trailing bytes) goes to
-    ``gzip.decompress``, which accepts and rejects exactly what it always did.
+    A gzip stream that inflates past ``limit(head)`` of its first HEADER_SIZE bytes is refused
+    as soon as it does. One complete member is inflated in one zlib pass, which checks its CRC
+    and length; anything else goes through ``gzip.GzipFile``, as ``gzip.decompress`` reads it.
     """
     blob = path.read_bytes()
     if blob[:2] != b"\x1f\x8b":
         return blob
+
+    def cap_of(head):
+        return limit(head) if limit is not None and len(head) == HEADER_SIZE else None
+
+    def within(data, cap):
+        if cap is not None and len(data) > cap:
+            raise ValueError(f"{path}: gzip stream inflates past the {cap} bytes its header declares")
+        return data
+
     inflater = zlib.decompressobj(wbits=31)
-    try:
-        data = inflater.decompress(blob)
+    try:  # the header from a throwaway inflater, so the volume is inflated into one buffer
+        cap = cap_of(zlib.decompressobj(wbits=31).decompress(blob, HEADER_SIZE))
+        data = within(inflater.decompress(blob, 0 if cap is None else cap + 1), cap)
         if inflater.eof and not inflater.unused_data:
             return data
     except zlib.error:
         pass
+    try:
+        with gzip.GzipFile(fileobj=io.BytesIO(blob)) as stream:
+            cap = cap_of(stream.read(HEADER_SIZE))
+            stream.seek(0)
+            return within(stream.read(-1 if cap is None else cap + 1), cap)
+    except (EOFError, zlib.error, gzip.BadGzipFile):
+        pass  # gzip.decompress stops at the same point and words the error as it always did
     try:
         return gzip.decompress(blob)
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
@@ -164,11 +186,11 @@ def read_nifti(path, expect_dims: tuple[int, int, int] | None = None) -> tuple[V
     A scaling pair other than (1, 0) gives float64; slope 0 or NaN means none.
     """
     file = Path(path)
-    blob = _read_bytes(file)
+    blob = _read_bytes(file, lambda head: _parse_header(head, file).payload_end)
     view = _parse_header(blob, file)
     dtype, _ = _DTYPES[view.datatype]
     count = view.dims[0] * view.dims[1] * view.dims[2]
-    end = view.vox_offset + count * dtype.itemsize
+    end = view.payload_end
     if len(blob) < end:
         raise ValueError(f"{file}: truncated file, expected {end} bytes, got {len(blob)}")
     if expect_dims is not None and view.dims != tuple(expect_dims):
@@ -176,6 +198,8 @@ def read_nifti(path, expect_dims: tuple[int, int, int] | None = None) -> tuple[V
     data = np.frombuffer(blob, dtype, count, view.vox_offset).reshape(view.dims, order="F")
     slope, inter = view.scl_slope, view.scl_inter
     if slope != 0.0 and not np.isnan(slope) and (slope, inter) != (1.0, 0.0):
+        if not np.isfinite([slope, inter]).all():
+            raise ValueError(f"{file}: volume contains non-finite values (scaling pair {slope}, {inter})")
         data = data.astype(np.float64) * slope + inter
     try:
         return Volume3D(data, view.spacing), view

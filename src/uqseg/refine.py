@@ -214,7 +214,7 @@ def refine_segmentation(
     et, et_rep = refine_region(p_et, RegionLabel.ENHANCING_TUMOR, cfg)
 
     if not tc.data.any():
-        tc = Mask3D(wt.data.copy(), wt.spacing)
+        tc = Mask3D(wt.data.copy(order="F"), wt.spacing)
         tc_rep = replace(tc_rep, core_substituted=True)
     if not wt.data.any():
         wt, cut = failsafe_mask(p_wt, cfg.failsafe_min_voxels)
@@ -223,7 +223,7 @@ def refine_segmentation(
                           DegenerateVolumeWarning, stacklevel=2)
         wt_rep = replace(wt_rep, failsafe_triggered=True, final_threshold=cut)
         if not tc.data.any():
-            tc = Mask3D(wt.data.copy(), wt.spacing)
+            tc = Mask3D(wt.data.copy(order="F"), wt.spacing)
             tc_rep = replace(tc_rep, core_substituted=True)
     if cfg.enforce_nesting:
         tc = Mask3D(tc.data & wt.data, wt.spacing)
@@ -245,7 +245,7 @@ def masks_to_brats_labels(s: SegmentationSet) -> Volume3D:
 
     Priority: enhancing tumor (4) over core (1) over edema (2).
     """
-    labels = np.zeros(s.wt.dims, dtype=np.uint8)
+    labels = np.zeros(s.wt.dims, dtype=np.uint8, order="F")  # x-fastest, as the masks and the file
     labels[s.wt.data] = BRATS_EDEMA
     labels[s.tc.data] = BRATS_CORE
     labels[s.et.data] = BRATS_ET

@@ -150,122 +150,77 @@ def fit_ols(
     return OlsModel(feature_set=tuple(feature_set), coefficients=coef, cap_days=cap_days)
 
 
-@dataclass
-class TreeNode:
-    """Decision-tree node; a leaf stores class proportions over CLASS_ORDER."""
-
-    proba: tuple[float, float, float] | None = None
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    def is_leaf(self) -> bool:
-        return self.proba is not None
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        node = self
-        while not node.is_leaf():
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return np.asarray(node.proba)
-
-    def depth(self) -> int:
-        if self.is_leaf():
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
-    def to_dict(self) -> dict:
-        if self.is_leaf():
-            return {"proba": list(self.proba)}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict, n_features: int) -> "TreeNode":
-        """The subtree stored in ``d``; each split must index a set of ``n_features``."""
-        if "proba" in d:
-            proba = _field(d, "proba", list)
-            if len(proba) != 3 or not all(_is_number(v) for v in proba):
-                raise ValueError(f"leaf proba {proba} is not three numbers")
-            return TreeNode(proba=tuple(proba))
-        feature = _field(d, "feature", int)
-        if not 0 <= feature < n_features:
-            raise ValueError(f"split feature {feature} is outside a set of {n_features}")
-        return TreeNode(
-            feature=feature,
-            threshold=_field(d, "threshold", _NUMBER),
-            left=TreeNode.from_dict(d["left"], n_features),
-            right=TreeNode.from_dict(d["right"], n_features),
-        )
+MAX_DEPTH = 10  # a stacked tree holds 2**max_depth leaf slots
+SPLIT_BATCH = 1 << 14  # (tree, record) pairs searched for splits at once: bounds the fit's temporaries
 
 
-def _best_split(x: np.ndarray, y: np.ndarray):
-    """Exhaustive Gini split search.
-
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature. Features are scanned in index order and
-    thresholds in ascending order with strictly-better acceptance, so ties
-    resolve to the lowest feature index, then the lowest threshold.
-    """
-    n, n_features = x.shape
-    onehot = np.zeros((n, 3))
-    best = None  # (cost, feature, threshold)
-    for f in range(n_features):
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        onehot[:] = 0.0
-        onehot[np.arange(n), y[order]] = 1.0
-        cum = onehot.cumsum(axis=0)
-        bounds = np.nonzero(xs[:-1] != xs[1:])[0]
-        if bounds.size == 0:
-            continue
-        thresholds = (xs[bounds] + xs[bounds + 1]) / 2.0
-        # guard against midpoints that round onto a sample value
-        usable = (xs[bounds] < thresholds) & (thresholds < xs[bounds + 1])
-        bounds, thresholds = bounds[usable], thresholds[usable]
-        if bounds.size == 0:
-            continue
-        nl = (bounds + 1).astype(float)
-        nr = n - nl
-        left = cum[bounds]
-        right = cum[-1] - left
-        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
-        cost = (nl * gini_l + nr * gini_r) / n
-        i = int(np.argmin(cost))  # first minimum: lowest threshold wins ties
-        if best is None or cost[i] < best[0]:
-            best = (float(cost[i]), f, float(thresholds[i]))
-    return best
-
-
-def _grow_tree(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int) -> TreeNode:
-    counts = np.bincount(y, minlength=3)
-    proba = tuple(counts / counts.sum())
-    if depth >= max_depth or np.count_nonzero(counts) <= 1:
-        return TreeNode(proba=proba)
-    split = _best_split(x, y)
-    if split is None:
-        return TreeNode(proba=proba)
-    _, f, threshold = split
-    left = x[:, f] <= threshold
-    return TreeNode(
-        feature=f,
-        threshold=threshold,
-        left=_grow_tree(x[left], y[left], depth + 1, max_depth),
-        right=_grow_tree(x[~left], y[~left], depth + 1, max_depth),
-    )
+def check_forest_size(n_trees, max_depth) -> None:
+    """Refuse, naming the key, a size the stacked forest cannot hold."""
+    for key, value, low, high in (("n_trees", n_trees, 1, math.inf), ("max_depth", max_depth, 0, MAX_DEPTH)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value <= high:
+            raise ValueError(f"{key} must be an integer in [{low}, {high}], got {value!r}")
 
 
 @dataclass
 class ForestModel:
+    """Trees stacked as complete binary trees of one depth d <= ``max_depth``.
+
+    Node k of each tree (level order: root 0, children 2k+1 and 2k+2) sends a
+    record left when ``x[feature[t, k]] <= threshold[t, k]``; leaf slot j holds
+    class counts ``counts[t, j]`` over CLASS_ORDER. A leaf above depth d fills
+    every leaf slot under it, so routing below it cannot matter.
+    """
+
     feature_set: tuple[str, ...]
     max_depth: int
+    feature: np.ndarray  # (n_trees, 2**d - 1) feature indices
+    threshold: np.ndarray  # (n_trees, 2**d - 1) float64
+    counts: np.ndarray  # (n_trees, 2**d, 3) int64
     seed: int = 0
-    trees: list[TreeNode] = field(default_factory=list)
+
+
+def _best_splits(distinct, y, weight, node, active):
+    """(feature, threshold, found) of each active node's least-cost Gini split.
+
+    Candidates are the usable midpoints (not rounded onto a value) between consecutive distinct
+    values a tree draws into the node; the lowest threshold, then the lowest feature wins a tie.
+    """
+    number = np.cumsum(active).reshape(active.shape) - 1  # active nodes in (tree, node) order
+    t, i = np.nonzero(active[np.arange(len(node))[:, None], node] & (weight > 0))
+    a, w, c = number[t, node[t, i]], weight[t, i], y[i]
+    best = np.full(np.count_nonzero(active), np.inf)
+    feature, threshold = np.zeros(best.size, dtype=np.int64), np.zeros(best.size)
+    for f, (values, code) in enumerate(distinct):
+        # the (node, value) pairs present, sorted, and their class counts
+        pairs, group = np.unique(a * len(values) + code[i], return_inverse=True)
+        hist = np.bincount(group * 3 + c, w, len(pairs) * 3).reshape(-1, 3)
+        owner, value = np.divmod(pairs, len(values))
+        first = np.r_[True, owner[1:] != owner[:-1]][: len(pairs)]
+        last = np.r_[first[1:], True][: len(pairs)]
+        g = np.flatnonzero(~last)  # pairs with a higher value in their node
+        lo, hi = values[value[g]], values[value[g + 1]]
+        thresholds = (lo + hi) / 2.0
+        usable = (lo < thresholds) & (thresholds < hi)
+        g, thresholds = g[usable], thresholds[usable]
+        if not g.size:
+            continue
+        cum = hist.cumsum(axis=0)
+        run = (np.cumsum(first) - 1)[g]  # each candidate's node among the nodes present
+        before = (cum - hist)[first][run]  # the counts of the earlier nodes
+        left = cum[g] - before
+        right = cum[last][run] - before - left
+        nl, nr = left.sum(axis=1), right.sum(axis=1)
+        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+        cost = (nl * gini_l + nr * gini_r) / (nl + nr)
+        head = np.r_[True, run[1:] != run[:-1]]
+        hit = np.flatnonzero(cost == np.minimum.reduceat(cost, np.flatnonzero(head))[np.cumsum(head) - 1])
+        pick = hit[np.r_[True, run[hit][1:] != run[hit][:-1]]]  # each node's first least cost
+        won = owner[g][pick]
+        better = cost[pick] < best[won]
+        won, pick = won[better], pick[better]
+        best[won], feature[won], threshold[won] = cost[pick], f, thresholds[pick]
+    return feature, threshold, np.isfinite(best)
 
 
 def fit_forest(
@@ -281,7 +236,10 @@ def fit_forest(
     Tree t resamples the training set with ``default_rng([seed, t])``, so the
     fitted model is a pure function of (seed, data) and independent of the
     input record order (records are canonically sorted by case_id first).
+    All trees grow at once, level by level. A node is a leaf when it holds
+    one class, lies at ``max_depth`` or has no usable split.
     """
+    check_forest_size(n_trees, max_depth)
     bins = bins or ClassBins()
     records = sorted(records, key=lambda r: r.case_id)
     _require_labeled(records)
@@ -292,23 +250,47 @@ def fit_forest(
         [CLASS_ORDER.index(bins.classify(r.survival_days)) for r in records], dtype=np.int64
     )
     n = len(records)
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        idx = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(x[idx], y[idx], 0, max_depth))
-    return ForestModel(
-        feature_set=tuple(feature_set), max_depth=max_depth, seed=seed, trees=trees
-    )
+    weight = np.stack([  # how often each tree draws each record
+        np.bincount(np.random.default_rng([seed, t]).integers(0, n, size=n), minlength=n)
+        for t in range(n_trees)
+    ])
+    distinct = [np.unique(column, return_inverse=True) for column in x.T]
+    rows, step = np.arange(n_trees)[:, None], max(1, SPLIT_BATCH // n)
+    node = np.zeros((n_trees, n), dtype=np.int64)  # each record's node on the level
+    levels, under_split = [], np.ones((n_trees, 1), dtype=bool)
+    for level in range(max_depth + 1):
+        width = 2**level
+        counts = np.bincount(((rows * width + node) * 3 + y).ravel(), weight.ravel(),
+                             n_trees * width * 3).reshape(n_trees, width, 3).astype(np.int64)
+        active = under_split & (np.count_nonzero(counts, axis=2) > 1) & (level < max_depth)
+        feature, threshold = np.zeros((n_trees, width), dtype=np.int64), np.zeros((n_trees, width))
+        split = active.copy()
+        found = [_best_splits(distinct, y, weight[k:k + step], node[k:k + step], active[k:k + step])
+                 for k in range(0, n_trees, step)]
+        feature[active], threshold[active], split[active] = (np.concatenate(col) for col in zip(*found))
+        levels.append((feature, threshold, counts, split))
+        if not split.any():
+            break
+        node = 2 * node + (x[np.arange(n), feature[rows, node]] > threshold[rows, node])
+        under_split = split.repeat(2, axis=1)
+    leaves = levels[0][2]  # a leaf fills the slots under it
+    for (_, _, _, split), (_, _, counts, _) in zip(levels, levels[1:]):
+        leaves = np.where(split.repeat(2, axis=1)[..., None], counts, leaves.repeat(2, axis=1))
+    feature, threshold = (np.concatenate(arrays, axis=1)[:, : leaves.shape[1] - 1]
+                          for arrays in list(zip(*levels))[:2])
+    return ForestModel(feature_set=tuple(feature_set), max_depth=max_depth, feature=feature,
+                       threshold=threshold, counts=leaves, seed=seed)
 
 
 def predict_forest_proba(model: ForestModel, rec: SurvivalRecord) -> np.ndarray:
-    """Mean of the per-tree leaf class proportions, ordered (short, mid, long)."""
+    """Mean of the per-tree leaf class proportions (short, mid, long), added in tree order."""
     x = np.asarray([rec.feature(name) for name in model.feature_set])
-    acc = np.zeros(3)
-    for tree in model.trees:
-        acc += tree.predict(x)
-    return acc / len(model.trees)
+    trees = np.arange(len(model.counts))
+    k = np.zeros(len(trees), dtype=np.int64)
+    for _ in range(model.counts.shape[1].bit_length() - 1):
+        k = 2 * k + 1 + (x[model.feature[trees, k]] > model.threshold[trees, k])
+    leaf = model.counts[trees, k - model.feature.shape[1]]
+    return (leaf / leaf.sum(axis=1, keepdims=True)).cumsum(axis=0)[-1] / len(trees)
 
 
 @dataclass
@@ -439,10 +421,11 @@ def cross_validate(records, fit_predict, folds: int = 5, seed: int = 0,
 # --- persistence ---------------------------------------------------------
 
 MODEL_FORMAT = "uqseg-survival-fusion"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def model_to_json(model: FusionModel) -> str:
+    forest = model.forest
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -455,11 +438,11 @@ def model_to_json(model: FusionModel) -> str:
             "cap_days": model.ols.cap_days,
         },
         "forest": {
-            "feature_set": list(model.forest.feature_set),
-            "n_trees": len(model.forest.trees),
-            "max_depth": model.forest.max_depth,
-            "seed": model.forest.seed,
-            "trees": [tree.to_dict() for tree in model.forest.trees],
+            "feature_set": list(forest.feature_set),
+            "max_depth": forest.max_depth,
+            "seed": forest.seed,
+            # one [feature, threshold, counts] row per tree
+            "trees": list(zip(*(a.tolist() for a in (forest.feature, forest.threshold, forest.counts)))),
         },
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -470,10 +453,6 @@ def save_model(model: FusionModel, path) -> None:
 
 
 _NUMBER = (int, float)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, _NUMBER) and not isinstance(value, bool)
 
 
 def _field(doc: dict, key: str, kind):
@@ -492,6 +471,30 @@ def _feature_set(doc: dict) -> tuple[str, ...]:
     return names
 
 
+def _forest_arrays(rows, n_features: int, max_depth: int):
+    """The stacked (feature, threshold, counts) arrays of version-2 tree rows, checked."""
+    check_forest_size(len(rows), max_depth)
+    if not all(isinstance(row, list) and len(row) == 3 for row in rows):
+        raise ValueError("each tree must be a [feature, threshold, counts] row")
+    try:
+        feature, threshold, counts = (np.array(column) for column in zip(*rows))
+    except ValueError as exc:
+        raise ValueError(f"tree rows differ in shape: {exc}") from None
+    width = feature.shape[-1]
+    if (feature.ndim != 2 or threshold.shape != feature.shape or width & (width + 1)
+            or counts.shape != (len(rows), width + 1, 3) or width >= 2**max_depth):
+        raise ValueError(f"tree rows of {width} splits and leaf counts {counts.shape[1:]} are not "
+                         f"2**d - 1 splits and 2**d leaves of 3 counts with d <= max_depth {max_depth}")
+    if width and (feature.dtype.kind != "i" or threshold.dtype.kind not in "if") or counts.dtype.kind != "i":
+        raise ValueError("split features and leaf counts must be integers, thresholds numbers")
+    outside = feature[(feature < 0) | (feature >= n_features)]
+    if outside.size:
+        raise ValueError(f"split feature {outside[0]} is outside a set of {n_features}")
+    if (counts < 0).any() or not counts.sum(axis=2).all():
+        raise ValueError("leaf counts must be >= 0 with at least one record per leaf")
+    return feature.astype(np.int64), threshold.astype(np.float64), counts.astype(np.int64)
+
+
 def load_model(path) -> FusionModel:
     try:
         doc = json.loads(Path(path).read_text())
@@ -501,10 +504,12 @@ def load_model(path) -> FusionModel:
         raise ValueError(f"not a survival fusion model file: {path}")
     try:
         bins, ols, forest = (_field(doc, key, dict) for key in ("bins", "ols", "forest"))
+        if _field(doc, "version", int) != MODEL_VERSION:
+            raise ValueError(f"format version {doc['version']} is not {MODEL_VERSION}; "
+                             "retrain the model with survival-train")
         ols_features, forest_features = _feature_set(ols), _feature_set(forest)
-        trees = [TreeNode.from_dict(d, len(forest_features)) for d in _field(forest, "trees", list)]
-        if _field(forest, "n_trees", int) != len(trees):
-            raise ValueError(f"n_trees is {forest['n_trees']} but {len(trees)} trees are stored")
+        max_depth = _field(forest, "max_depth", int)
+        trees = _forest_arrays(_field(forest, "trees", list), len(forest_features), max_depth)
         coefficients = _field(ols, "coefficients", list)
         if len(coefficients) != len(ols_features) + 1:
             raise ValueError(f"{len(coefficients)} OLS coefficients for {len(ols_features)} "
@@ -516,12 +521,7 @@ def load_model(path) -> FusionModel:
                 coefficients=np.asarray(coefficients, dtype=np.float64),
                 cap_days=_field(ols, "cap_days", _NUMBER),
             ),
-            forest=ForestModel(
-                feature_set=forest_features,
-                max_depth=_field(forest, "max_depth", int),
-                seed=_field(forest, "seed", int),
-                trees=trees,
-            ),
+            forest=ForestModel(forest_features, max_depth, *trees, seed=_field(forest, "seed", int)),
             override_prob=_field(doc, "override_prob", _NUMBER),
             override_days={cls: _field(days, cls.value, _NUMBER) for cls in CLASS_ORDER},
             bins=ClassBins(_field(bins, "short_max", _NUMBER), _field(bins, "long_min", _NUMBER)),

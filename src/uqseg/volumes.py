@@ -163,11 +163,11 @@ def remove_small_components(
         raise ValueError(f"min_size must be >= 0, got {min_size}")
     box = None if min_size <= 1 else foreground_box(m.data)
     if box is None:
-        return Mask3D(m.data.copy(), m.spacing)
+        return Mask3D(m.data.copy(order="F"), m.spacing)
     labels, n = ndimage.label(m.data[box], structure=connectivity.structure())
     keep = np.bincount(labels.ravel(), minlength=n + 1) >= min_size
     keep[0] = False
-    out = np.zeros(m.dims, dtype=bool)  # C order: label maps fill fastest from C-ordered masks
+    out = np.zeros(m.dims, dtype=bool, order="F")  # x-fastest, as every mask and label map
     out[box] = keep[labels]
     return Mask3D(out, m.spacing)
 

@@ -4,8 +4,9 @@ Nothing here may import from the library's computational paths: components
 are labeled by explicit flood fill, surface distances by all-pairs search,
 and losses by scalar math-module arithmetic. The superseded full-volume
 kernels, the first-appearance component relabel, the ``find_objects`` box and
-full-grid gather, the one-call gzip codec and the float64 read, label and
-fusion paths kept below are the references their rewrites must equal.
+full-grid gather, the one-call gzip codec, the float64 read, label and
+fusion paths and the recursive survival forest kept below are the references
+their rewrites must equal.
 """
 import gzip
 import math
@@ -317,3 +318,124 @@ def isin_masks(values):
     if extra:
         raise ValueError(f"unexpected label values {sorted(extra)}; expected subset of {{0,1,2,4}}")
     return np.isin(values, (1, 2, 4)), np.isin(values, (1, 4)), values == 4
+
+
+class TreeNode:
+    """The former recursive survival tree; a leaf stores its class counts and proportions."""
+
+    def __init__(self, counts=None, feature=None, threshold=None, left=None, right=None):
+        self.counts = None if counts is None else tuple(int(c) for c in counts)
+        self.proba = None if counts is None else tuple(np.asarray(counts) / np.sum(counts))
+        self.feature, self.threshold, self.left, self.right = feature, threshold, left, right
+
+    def is_leaf(self):
+        return self.proba is not None
+
+    def predict(self, x):
+        node = self
+        while not node.is_leaf():
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        return np.asarray(node.proba)
+
+    def depth(self):
+        return 0 if self.is_leaf() else 1 + max(self.left.depth(), self.right.depth())
+
+    def to_dict(self):
+        """The node as the version-1 model file stored it."""
+        if self.is_leaf():
+            return {"proba": list(self.proba)}
+        return {"feature": self.feature, "threshold": self.threshold,
+                "left": self.left.to_dict(), "right": self.right.to_dict()}
+
+
+def best_split(x, y):
+    """The former exhaustive Gini split search: (cost, feature, threshold) or None.
+
+    Features in index order, thresholds ascending, strictly-better acceptance.
+    """
+    n, n_features = x.shape
+    onehot = np.zeros((n, 3))
+    best = None
+    for f in range(n_features):
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        onehot[:] = 0.0
+        onehot[np.arange(n), y[order]] = 1.0
+        cum = onehot.cumsum(axis=0)
+        bounds = np.nonzero(xs[:-1] != xs[1:])[0]
+        if bounds.size == 0:
+            continue
+        thresholds = (xs[bounds] + xs[bounds + 1]) / 2.0
+        usable = (xs[bounds] < thresholds) & (thresholds < xs[bounds + 1])
+        bounds, thresholds = bounds[usable], thresholds[usable]
+        if bounds.size == 0:
+            continue
+        nl = (bounds + 1).astype(float)
+        nr = n - nl
+        left = cum[bounds]
+        right = cum[-1] - left
+        gini_l = 1.0 - ((left / nl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((right / nr[:, None]) ** 2).sum(axis=1)
+        cost = (nl * gini_l + nr * gini_r) / n
+        i = int(np.argmin(cost))
+        if best is None or cost[i] < best[0]:
+            best = (float(cost[i]), f, float(thresholds[i]))
+    return best
+
+
+def grow_tree(x, y, depth, max_depth):
+    counts = np.bincount(y, minlength=3)
+    if depth >= max_depth or np.count_nonzero(counts) <= 1:
+        return TreeNode(counts)
+    split = best_split(x, y)
+    if split is None:
+        return TreeNode(counts)
+    _, f, threshold = split
+    left = x[:, f] <= threshold
+    return TreeNode(feature=f, threshold=threshold,
+                    left=grow_tree(x[left], y[left], depth + 1, max_depth),
+                    right=grow_tree(x[~left], y[~left], depth + 1, max_depth))
+
+
+def tree_forest(x, y, n_trees, max_depth, seed):
+    """The former ``fit_forest`` on its design matrix and class indices: one tree per bootstrap."""
+    n = len(y)
+    trees = []
+    for t in range(n_trees):
+        idx = np.random.default_rng([seed, t]).integers(0, n, size=n)
+        trees.append(grow_tree(x[idx], y[idx], 0, max_depth))
+    return trees
+
+
+def tree_forest_proba(trees, x):
+    """The former ``predict_forest_proba``: per-tree proportions added in tree order."""
+    acc = np.zeros(3)
+    for tree in trees:
+        acc += tree.predict(x)
+    return acc / len(trees)
+
+
+def tree_arrays(trees):
+    """The trees in the stacked layout: (feature, threshold, counts) at the deepest tree's depth.
+
+    Node k of the level order has children 2k+1 and 2k+2. A slot under a leaf
+    holds feature 0 and threshold 0.0; a leaf fills every leaf slot under it.
+    """
+    depth = max(tree.depth() for tree in trees)
+    feature = np.zeros((len(trees), 2**depth - 1), dtype=np.int64)
+    threshold = np.zeros((len(trees), 2**depth - 1))
+    counts = np.zeros((len(trees), 2**depth, 3), dtype=np.int64)
+
+    def fill(t, node, k, level):
+        if node.is_leaf():
+            span = 2 ** (depth - level)
+            first = (k - (2**level - 1)) * span
+            counts[t, first:first + span] = node.counts
+            return
+        feature[t, k], threshold[t, k] = node.feature, node.threshold
+        fill(t, node.left, 2 * k + 1, level + 1)
+        fill(t, node.right, 2 * k + 2, level + 1)
+
+    for t, tree in enumerate(trees):
+        fill(t, tree, 0, 0)
+    return feature, threshold, counts

@@ -43,7 +43,6 @@ from uqseg.survival import (
     FusionModel,
     OlsModel,
     SurvivalRecord,
-    TreeNode,
     ForestModel,
     cross_validate,
     evaluate_survival,
@@ -395,22 +394,22 @@ def test_survival_suite():
     assert json_a == json_b
 
     # the three worked fusion examples
-    def leaf_forest(proba):
-        return ForestModel(feature_set=("age",), max_depth=3, seed=0,
-                           trees=[TreeNode(proba=proba)])
+    def leaf_forest(counts):
+        return ForestModel(feature_set=("age",), max_depth=3, feature=np.zeros((1, 0), dtype=np.int64),
+                           threshold=np.zeros((1, 0)), counts=np.array([[counts]]))
 
     def ols_const(v):
         return OlsModel(feature_set=(), coefficients=np.array([float(v)]))
 
     probe = SurvivalRecord("x", 60.0, 1, 1)
     assert predict_fused(
-        FusionModel(ols=ols_const(400.0), forest=leaf_forest((0.6, 0.3, 0.1))), probe
+        FusionModel(ols=ols_const(400.0), forest=leaf_forest((6, 3, 1))), probe
     ) == 299.0
     assert predict_fused(
-        FusionModel(ols=ols_const(200.0), forest=leaf_forest((0.9, 0.05, 0.05))), probe
+        FusionModel(ols=ols_const(200.0), forest=leaf_forest((18, 1, 1))), probe
     ) == 200.0
     assert predict_fused(
-        FusionModel(ols=ols_const(400.0), forest=leaf_forest((0.15, 0.40, 0.45))), probe
+        FusionModel(ols=ols_const(400.0), forest=leaf_forest((3, 8, 9))), probe
     ) == 400.0
 
     # perfect predictions

@@ -1,4 +1,5 @@
 import gzip
+import json
 import os
 import struct
 import subprocess
@@ -404,6 +405,51 @@ class TestSurvivalCommands:
         assert "(case-bad)" in result.stderr and "must be finite" in result.stderr
         assert "SVD" not in result.stderr
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("setting", ["n_trees: 0", "n_trees: 2.7", "max_depth: -1", "max_depth: 11"])
+    def test_unholdable_forest_config_is_usage_error(self, runner, tmp_path, setting):
+        features = tmp_path / "features.csv"
+        write_cohort_csv(features, n=12)
+        config = tmp_path / "conf.yaml"
+        config.write_text(f"survival:\n  {setting}\n")
+        result = invoke(runner, ["survival-train", "--features-csv", str(features), "--config", str(config),
+                                 "--model-out", str(tmp_path / "m.json")], expect=2)
+        key, value = setting.split(": ")
+        assert f"bad configuration: {key} must be an integer in" in result.stderr
+        assert f"got {value}" in result.stderr
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(version=1), "format version 1 is not 2; retrain the model"),
+            (lambda d: d["forest"]["trees"][0][0].append(0), "tree rows differ in shape"),
+            (lambda d: d["forest"]["trees"][0][2][0].append(1), "tree rows differ in shape"),
+            (lambda d: d["forest"].update(trees=[[[0, 0], [1.0, 2.0], [[1, 0, 0]] * 3]]),
+             "tree rows of 2 splits and leaf counts (3, 3) are not 2**d - 1 splits"),
+            (lambda d: d["forest"]["trees"][0][0].__setitem__(0, 3), "split feature 3 is outside a set of 3"),
+            (lambda d: d["forest"]["trees"][0][2][0].__setitem__(0, -1), "leaf counts must be >= 0"),
+            (lambda d: d["forest"]["trees"][0][2].__setitem__(0, [0, 0, 0]),
+             "leaf counts must be >= 0 with at least one record per leaf"),
+        ],
+        ids=["version-1", "ragged-splits", "ragged-counts", "not-2**d-1-splits", "feature-outside",
+             "negative-count", "empty-leaf"],
+    )
+    def test_refused_model_rows_are_usage_error(self, runner, tmp_path, edit, message):
+        features = tmp_path / "features.csv"
+        write_cohort_csv(features, n=12)
+        config = tmp_path / "conf.yaml"
+        config.write_text(SMALL_FOREST_CONFIG)
+        model = tmp_path / "model.json"
+        invoke(runner, ["survival-train", "--features-csv", str(features), "--model-out", str(model),
+                        "--config", str(config)])
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        result = invoke(runner, ["survival-predict", "--model", str(model), "--features-csv",
+                                 str(features), "--out-csv", str(tmp_path / "p.csv")], expect=2)
+        assert f"{model}: bad survival model: {message}" in result.stderr
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("content", [b"not a model\n", b"\xff\xfe"], ids=["text", "not-utf8"])
     def test_non_json_model_names_path(self, runner, tmp_path, content):

@@ -2,6 +2,7 @@ import gzip
 import os
 import re
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from uqseg.survival import (
     FusionModel,
     OlsModel,
     SurvivalRecord,
-    TreeNode,
     save_model,
 )
 from uqseg.tables import (
@@ -176,6 +176,34 @@ class TestNifti:
             read_nifti(bad)
         assert isinstance(info.value.__cause__, cause)
 
+    @staticmethod
+    def gzip_member(*payloads):
+        """One gzip member holding the payloads in turn."""
+        deflater = zlib.compressobj(9, zlib.DEFLATED, 31)
+        return b"".join([*(deflater.compress(p) for p in payloads), deflater.flush()])
+
+    @pytest.mark.parametrize("layout", ["one member", "second member", "empty first member", "trailing bytes"])
+    def test_stream_past_the_declared_volume_refused(self, tmp_path, layout):
+        """A stream past its 2x2x2 header's 360 bytes is refused before its 16 MiB are inflated."""
+        write_nifti(Volume3D(np.ones((2, 2, 2))), tmp_path / "small.nii", dtype="uint8")
+        volume, zeros = (tmp_path / "small.nii").read_bytes(), [bytes(1 << 20)] * 16
+        blob = {
+            "one member": self.gzip_member(volume, *zeros),
+            "second member": self.gzip_member(volume) + self.gzip_member(*zeros),
+            "empty first member": self.gzip_member() + self.gzip_member(volume, *zeros),
+            "trailing bytes": self.gzip_member(volume, *zeros) + b"junk",
+        }[layout]
+        path = tmp_path / "bomb.nii.gz"
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="bomb.nii.gz: gzip stream inflates past the 360 bytes"):
+                read_nifti(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
     def test_non_finite_vox_offset_names_path(self, tmp_path):
         path = tmp_path / "bad.nii"
         for value in (float("inf"), float("-inf"), float("nan")):
@@ -204,8 +232,8 @@ class TestNifti:
             write_predictions_table(path, [("case", float(v))])
         else:
             ols = OlsModel(feature_set=(), coefficients=np.array([float(v)]))
-            leaf = TreeNode(proba=(1.0, 0.0, 0.0))
-            forest = ForestModel(feature_set=("age",), max_depth=3, trees=[leaf])
+            forest = ForestModel(feature_set=("age",), max_depth=3, feature=np.zeros((1, 0), dtype=np.int64),
+                                 threshold=np.zeros((1, 0)), counts=np.array([[[1, 0, 0]]]))
             save_model(FusionModel(ols=ols, forest=forest), path)
 
     @pytest.mark.parametrize("fail_at", ["write", "rename"])
@@ -405,9 +433,16 @@ class TestConfig:
              "unknown region 'xx' in confidence_gate"),
             ({"survival": {"override_days": {"forever": 9999}}},
              "unknown survival class 'forever' in override_days"),
+            ({"survival": {"n_trees": 0}}, r"n_trees must be an integer in \[1, inf\], got 0"),
+            ({"survival": {"n_trees": 2.7}}, r"n_trees must be an integer in \[1, inf\], got 2.7"),
+            ({"survival": {"n_trees": "12"}}, r"n_trees must be an integer in \[1, inf\], got '12'"),
+            ({"survival": {"max_depth": -1}}, r"max_depth must be an integer in \[0, 10\], got -1"),
+            ({"survival": {"max_depth": 11}}, r"max_depth must be an integer in \[0, 10\], got 11"),
+            ({"survival": {"max_depth": 3.0}}, r"max_depth must be an integer in \[0, 10\], got 3.0"),
         ],
         ids=["uncertainty", "metrics", "survival", "phantom",
-             "ols-feature", "forest-feature", "gate-region", "override-class"],
+             "ols-feature", "forest-feature", "gate-region", "override-class",
+             "zero-trees", "fractional-trees", "text-trees", "negative-depth", "deep", "float-depth"],
     )
     def test_other_rejections(self, doc, message):
         with pytest.raises(ValueError, match=message):

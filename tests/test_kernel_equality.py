@@ -32,6 +32,9 @@ from oracles import (
     loop_fused_mean,
     loop_uncertainty_curve,
     serial_chunked_gzip,
+    tree_arrays,
+    tree_forest,
+    tree_forest_proba,
 )
 from uqseg.ensemble import PredictionPair, ensemble_with_flips, fuse_single
 from uqseg.losses import batch_loss
@@ -44,6 +47,17 @@ from uqseg.refine import (
     mean_region_confidence,
     refine_segmentation,
     threshold_mask,
+)
+from uqseg.survival import (
+    CLASS_ORDER,
+    DEFAULT_OVERRIDE_DAYS,
+    ClassBins,
+    SurvivalRecord,
+    cross_validate,
+    fit_forest,
+    fit_fusion,
+    predict_forest_proba,
+    predict_fused,
 )
 from uqseg.uncertainty import (
     certainty_from_q,
@@ -694,3 +708,147 @@ def test_labels_equal_float64_oracle(tmp_path):
         seg = brats_labels_to_masks(Volume3D(fractional))
         for got, expected in zip((seg.wt, seg.tc, seg.et), isin_masks(fractional)):
             assert np.array_equal(got.data, expected), f"case {i}"
+
+
+# --- survival forest ----------------------------------------------------------
+
+FOREST_KINDS = ("continuous", "tied", "pure", "one record", "duplicate rows", "adjacent values")
+FOREST_CASES = 60
+FEATURES = ("age", "n_tumors", "n_cores")
+
+
+def forest_case(i):
+    """Case ``i``: (records, n_trees, max_depth, seed); the index cycles cohort kinds and depths 0-4.
+
+    ``duplicate rows`` repeats feature rows under other classes, so some nodes
+    hold two classes and no split; ``adjacent values`` puts ages one float
+    apart, whose midpoints round onto a value and are not usable.
+    """
+    rng = np.random.default_rng([29, i])
+    kind = FOREST_KINDS[i % len(FOREST_KINDS)]
+    n = 1 if kind == "one record" else int(rng.integers(2, 60))
+    ages = rng.uniform(20.0, 90.0, n)
+    if kind == "tied":
+        ages = rng.integers(40, 46, n).astype(float)
+    elif kind == "adjacent values":
+        ages = np.nextafter(50.0, 50.0 + rng.choice([-1, 0, 1], n)) + rng.integers(0, 2, n) * 10.0
+    days = rng.uniform(100.0, 250.0, n) if kind == "pure" else rng.uniform(50.0, 900.0, n)
+    rows = [(float(a), int(rng.integers(0, 4)), int(rng.integers(0, 3)), float(d)) for a, d in zip(ages, days)]
+    if kind == "duplicate rows":
+        rows += [row[:3] + (float(rng.uniform(50.0, 900.0)),) for row in rows[: n // 2 + 1]]
+    records = [SurvivalRecord(f"c{j:03d}", *row) for j, row in enumerate(rows)]
+    return records, int(rng.integers(1, 25)), i % 5, int(rng.integers(0, 1000))
+
+
+def oracle_inputs(records):
+    """The design matrix and class indices the former forest took (records sorted by case id)."""
+    records = sorted(records, key=lambda r: r.case_id)
+    x = np.asarray([[r.feature(name) for name in FEATURES] for r in records])
+    bins = ClassBins()
+    y = np.asarray([CLASS_ORDER.index(bins.classify(r.survival_days)) for r in records])
+    return x, y
+
+
+def walk(tree, depth=0):
+    """(node, depth) of every node of an oracle tree."""
+    yield tree, depth
+    if not tree.is_leaf():
+        yield from walk(tree.left, depth + 1)
+        yield from walk(tree.right, depth + 1)
+
+
+def test_forest_set_covers_the_edge_cases():
+    seen = set()
+    for i in range(FOREST_CASES):
+        records, n_trees, max_depth, seed = forest_case(i)
+        x, y = oracle_inputs(records)
+        trees = tree_forest(x, y, n_trees, max_depth, seed)
+        leaves = [(node, depth) for tree in trees for node, depth in walk(tree) if node.is_leaf()]
+        flags = {
+            "tied values": len(np.unique(x[:, 0])) < len(x),
+            "one record": len(records) == 1,
+            "duplicate rows": len(np.unique(x, axis=0)) < len(x),
+            "pure node above max_depth": any(
+                depth < max_depth and np.count_nonzero(node.counts) == 1 for node, depth in leaves
+            ),
+            "no usable split": any(
+                depth < max_depth and np.count_nonzero(node.counts) > 1 for node, depth in leaves
+            ),
+            "a split": any(not tree.is_leaf() for tree in trees),
+            "ages one float apart": any(np.nextafter(a, np.inf) in x[:, 0] for a in x[:, 0]),
+        }
+        seen.update(name for name, hit in flags.items() if hit)
+        seen.add(("depth", max_depth))
+        seen.add(("grown depth", max(tree.depth() for tree in trees)))
+    assert seen >= set(flags) | {("depth", d) for d in range(5)} | {("grown depth", d) for d in range(5)}
+
+
+def probes(records):
+    """Each record, plus records at and beyond the extremes of its cohort's features."""
+    yield from records
+    ages = [r.age for r in records]
+    for age in (min(ages), max(ages), min(ages) / 2, max(ages) * 2):
+        yield SurvivalRecord("probe", age, 0, 7)
+
+
+def large_cohort():
+    """The acceptance suite's kind of cohort at the benchmark's size: three interleaved classes."""
+    rng = np.random.default_rng(17)
+    records = []
+    for i in range(236):
+        cls = i % 3
+        days = (rng.uniform(60.0, 280.0), rng.uniform(310.0, 440.0), rng.uniform(470.0, 1400.0))[cls]
+        tumors = int(rng.integers(2, 6)) if cls == 0 else 1
+        records.append(SurvivalRecord(f"case-{i:03d}", round(float(rng.uniform(40, 80)), 1),
+                                      tumors, int(rng.integers(1, tumors + 1)), round(float(days), 1)))
+    return records
+
+
+@pytest.mark.parametrize("case", [*range(FOREST_CASES), "large-3", "large-6"])
+def test_forest_equals_tree_oracle(case):
+    if isinstance(case, str):
+        records, n_trees, max_depth, seed = large_cohort(), 300, int(case[-1]), 1
+    else:
+        records, n_trees, max_depth, seed = forest_case(case)
+    model = fit_forest(records, n_trees=n_trees, max_depth=max_depth, seed=seed)
+    trees = tree_forest(*oracle_inputs(records), n_trees, max_depth, seed)
+    for got, want in zip((model.feature, model.threshold, model.counts), tree_arrays(trees)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for rec in probes(records):
+        want = tree_forest_proba(trees, np.asarray([rec.feature(name) for name in FEATURES]))
+        assert np.array_equal(predict_forest_proba(model, rec), want), rec
+
+
+def oracle_fused(model, trees, rec):
+    """``predict_fused`` with the forest's probabilities taken from the oracle trees."""
+    days = min(max(model.ols.predict(rec), 0.0), model.ols.cap_days)
+    proba = tree_forest_proba(trees, np.asarray([rec.feature(name) for name in FEATURES]))
+    rf = int(np.argmax(proba))
+    if CLASS_ORDER[rf] is not ClassBins().classify(days) and proba[rf] >= 0.5:
+        return DEFAULT_OVERRIDE_DAYS[CLASS_ORDER[rf]]
+    return days
+
+
+def test_fused_prediction_and_cv_equal_tree_oracle():
+    checked = 0
+    for i in range(FOREST_CASES):
+        records, n_trees, max_depth, seed = forest_case(i)
+        if len(records) < 6:
+            continue
+        fit = {"n_trees": n_trees, "max_depth": max_depth}
+
+        def fused(train):
+            model = fit_fusion(train, seed=seed, **fit)
+            return lambda rec: predict_fused(model, rec)
+
+        def via_oracle(train):
+            model = fit_fusion(train, seed=seed, **fit)
+            trees = tree_forest(*oracle_inputs(train), n_trees, max_depth, seed)
+            return lambda rec: oracle_fused(model, trees, rec)
+
+        got, want = fused(records), via_oracle(records)
+        assert [got(r) for r in probes(records)] == [want(r) for r in probes(records)], f"case {i}"
+        assert cross_validate(records, fused, folds=3, seed=seed) == cross_validate(
+            records, via_oracle, folds=3, seed=seed), f"case {i}"
+        checked += 1
+    assert checked > FOREST_CASES // 2

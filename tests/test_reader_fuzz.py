@@ -3,6 +3,7 @@ ValueError that names it; no other exception escapes ``read_nifti`` or
 ``read_label_volume``."""
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,3 +137,19 @@ def test_non_finite_values_name_path(tmp_path, slope, inter, payload):
     path = write(tmp_path / "scaled.nii", bytes(blob))
     with pytest.raises(ValueError, match="scaled.nii: volume contains non-finite values"):
         read_nifti(path)
+
+
+@pytest.mark.parametrize("field", ["scl_slope bit 30", "scl_inter inf", "scl_inter nan"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_non_finite_scaling_refused_before_arithmetic(tmp_path, kind, field):
+    """A non-finite scaling pair is refused, naming the file, before numpy can warn."""
+    blob = bytearray(VALID[kind])  # written with scl_slope 1.0, scl_inter 0.0
+    if field == "scl_slope bit 30":
+        blob[115] ^= 0x40  # 1.0 (0x3f800000) becomes inf (0x7f800000)
+    else:
+        struct.pack_into("<f", blob, 116, float(field.split()[1]))
+    path = write(tmp_path / "v.nii", bytes(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="v.nii: volume contains non-finite values"):
+            read_nifti(path)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from uqseg.metrics import dice
 from uqseg.phantom import diffuse_lgg_like_spec, generate_phantom, hgg_like_spec
 from uqseg.refine import (
+    REGION_ORDER,
     RefinementConfig,
     RegionLabel,
     SegmentationSet,
@@ -266,6 +267,20 @@ class TestBratsLabels:
         np.testing.assert_array_equal(back.wt.data, wt)
         np.testing.assert_array_equal(back.tc.data, tc)
         np.testing.assert_array_equal(back.et.data, et)
+
+    @pytest.mark.parametrize("min_size", [0, 10])
+    @pytest.mark.parametrize("spec", [hgg_like_spec, diffuse_lgg_like_spec])
+    def test_masks_and_label_map_are_x_fastest(self, spec, min_size):
+        """From x-fastest volumes, as read from files, every mask and the label map stay x-fastest."""
+        case = generate_phantom(spec(seed=2))
+        p = [Volume3D(np.asfortranarray(case.p[r].data)) for r in REGION_ORDER]
+        empty_core = Volume3D(np.zeros(case.p[REGION_ORDER[0]].dims, order="F"))
+        for wt, tc, et in ((p[0], p[1], p[2]), (p[0], empty_core, p[2]), (empty_core, empty_core, p[2])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateVolumeWarning)  # the failsafe on an all-zero map
+                seg, _ = refine_segmentation(wt, tc, et, RefinementConfig(min_component_size=min_size))
+            assert all(seg.mask(r).data.flags.f_contiguous for r in REGION_ORDER)
+            assert masks_to_brats_labels(seg).data.flags.f_contiguous
 
     def test_unexpected_label_rejected(self):
         with pytest.raises(ValueError, match="unexpected label"):

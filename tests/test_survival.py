@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import TreeNode
 from uqseg.refine import SegmentationSet
 from uqseg.survival import (
     CLASS_ORDER,
@@ -12,7 +13,6 @@ from uqseg.survival import (
     OlsModel,
     SurvivalClass,
     SurvivalRecord,
-    TreeNode,
     cross_validate,
     evaluate_survival,
     extract_features,
@@ -36,15 +36,13 @@ def rec(case_id, age, n_tumors=1, n_cores=1, survival=None):
 
 
 def first_split(doc):
-    """The first split node of the first tree that has one, in a model JSON document."""
-    return next(t for t in doc["forest"]["trees"] if "feature" in t)
+    """The split features of the first tree that splits, in a model JSON document."""
+    return next(features for features, _, _ in doc["forest"]["trees"] if features)
 
 
-def first_leaf(doc):
-    node = doc["forest"]["trees"][0]
-    while "proba" not in node:
-        node = node["left"]
-    return node
+def first_leaves(doc):
+    """The leaf counts of the first tree, in a model JSON document."""
+    return doc["forest"]["trees"][0][2]
 
 
 class TestSurvivalRecord:
@@ -172,32 +170,35 @@ class TestForest:
                 )
             )
         ]
-        model = fit_forest(records, n_trees=31, max_depth=3, seed=5)
-        assert all(tree.depth() <= 3 for tree in model.trees)
+        for max_depth in (1, 3):
+            model = fit_forest(records, n_trees=31, max_depth=max_depth, seed=5)
+            leaves = model.counts.shape[1]
+            assert leaves <= 2**max_depth and model.feature.shape == (31, leaves - 1)
 
     def test_deterministic_given_seed_and_data(self):
         records = separable_records()
         a = fit_forest(records, n_trees=51, seed=9)
         b = fit_forest(records, n_trees=51, seed=9)
-        assert [t.to_dict() for t in a.trees] == [t.to_dict() for t in b.trees]
+        assert same_trees(a, b)
 
     def test_record_order_irrelevant(self):
         records = separable_records()
         shuffled = list(reversed(records))
         a = fit_forest(records, n_trees=21, seed=2)
         b = fit_forest(shuffled, n_trees=21, seed=2)
-        assert [t.to_dict() for t in a.trees] == [t.to_dict() for t in b.trees]
+        assert same_trees(a, b)
 
     def test_seed_changes_model(self):
         records = separable_records()
         a = fit_forest(records, n_trees=21, seed=1)
         b = fit_forest(records, n_trees=21, seed=2)
-        assert [t.to_dict() for t in a.trees] != [t.to_dict() for t in b.trees]
+        assert not same_trees(a, b)
 
     def test_single_class_data(self):
         records = [rec(f"c{i}", 40.0 + i, survival=100.0 + i) for i in range(6)]
         model = fit_forest(records, n_trees=11, seed=0)
-        assert all(tree.is_leaf() for tree in model.trees)
+        assert model.feature.shape == (11, 0)  # every tree is a root leaf
+        assert (model.counts[:, 0, 1:] == 0).all()
         proba = predict_forest_proba(model, rec("x", 80.0))
         np.testing.assert_allclose(proba, [1.0, 0.0, 0.0])
 
@@ -207,13 +208,25 @@ class TestForest:
         for r in records[:5]:
             assert predict_forest_proba(model, r).sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("key, value", [("n_trees", 0), ("n_trees", 2.7), ("n_trees", True),
+                                            ("max_depth", -1), ("max_depth", 11), ("max_depth", 2.0)])
+    def test_unholdable_size_named(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer in"):
+            fit_forest(separable_records(), **{key: value})
 
-def leaf_forest(proba):
+
+def same_trees(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("feature", "threshold", "counts"))
+
+
+def leaf_forest(counts):
+    """Three root-leaf trees with the same class counts."""
     return ForestModel(
         feature_set=("age",),
         max_depth=3,
-        seed=0,
-        trees=[TreeNode(proba=proba) for _ in range(3)],
+        feature=np.zeros((3, 0), dtype=np.int64),
+        threshold=np.zeros((3, 0)),
+        counts=np.array([[counts]] * 3),
     )
 
 
@@ -223,29 +236,29 @@ def constant_ols(value):
 
 class TestFusion:
     def test_confident_disagreement_overrides(self):
-        model = FusionModel(ols=constant_ols(400.0), forest=leaf_forest((0.6, 0.3, 0.1)))
+        model = FusionModel(ols=constant_ols(400.0), forest=leaf_forest((6, 3, 1)))
         assert predict_fused(model, rec("x", 60.0)) == 299.0
 
     def test_agreement_keeps_regression(self):
-        model = FusionModel(ols=constant_ols(200.0), forest=leaf_forest((0.9, 0.05, 0.05)))
+        model = FusionModel(ols=constant_ols(200.0), forest=leaf_forest((18, 1, 1)))
         assert predict_fused(model, rec("x", 60.0)) == 200.0
 
     def test_unconfident_disagreement_ignored(self):
         # forest argmax is Long at 0.45 < 0.5: not confident enough to override
-        model = FusionModel(ols=constant_ols(400.0), forest=leaf_forest((0.15, 0.40, 0.45)))
+        model = FusionModel(ols=constant_ols(400.0), forest=leaf_forest((3, 8, 9)))
         assert predict_fused(model, rec("x", 60.0)) == 400.0
 
     def test_prediction_clamped_to_cap(self):
-        model = FusionModel(ols=constant_ols(5000.0), forest=leaf_forest((0.0, 0.0, 1.0)))
+        model = FusionModel(ols=constant_ols(5000.0), forest=leaf_forest((0, 0, 1)))
         assert predict_fused(model, rec("x", 60.0)) == 1000.0
-        model = FusionModel(ols=constant_ols(-50.0), forest=leaf_forest((1.0, 0.0, 0.0)))
+        model = FusionModel(ols=constant_ols(-50.0), forest=leaf_forest((1, 0, 0)))
         assert predict_fused(model, rec("x", 60.0)) == 0.0
 
     def test_override_days_must_sit_in_their_bin(self):
         with pytest.raises(ValueError, match="outside its own class bin"):
             FusionModel(
                 ols=constant_ols(100.0),
-                forest=leaf_forest((1.0, 0.0, 0.0)),
+                forest=leaf_forest((1, 0, 0)),
                 override_days={
                     SurvivalClass.SHORT: 350.0,  # not a short-class value
                     SurvivalClass.MID: 375.0,
@@ -360,31 +373,43 @@ class TestPersistence:
     def test_tree_count_is_the_stored_trees(self, tmp_path):
         model = self.fit_small_fusion()
         doc = json.loads(model_to_json(model))
-        assert doc["forest"]["n_trees"] == len(model.forest.trees) == 21
+        assert "n_trees" not in doc["forest"] and len(doc["forest"]["trees"]) == 21
         path = tmp_path / "model.json"
-        doc["forest"]["n_trees"] = 3
+        del doc["forest"]["trees"][3:]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=r"model\.json: .*n_trees is 3 but 21 trees"):
-            load_model(path)
+        assert load_model(path).forest.counts.shape[0] == 3
 
     @pytest.mark.parametrize(
         "edit, message",
         [
             (lambda d: d.pop("bins"), "lacks key 'bins'"),
             (lambda d: d["forest"].pop("seed"), "lacks key 'seed'"),
-            (lambda d: d["forest"]["trees"][0].clear(), "lacks key 'feature'"),
+            (lambda d: d["forest"]["trees"][0].clear(), r"a \[feature, threshold, counts\] row"),
+            (lambda d: d["forest"]["trees"][0][1].pop(), "tree rows differ in shape: .* after 1 dimensions"),
+            (lambda d: first_leaves(d)[0].pop(), "tree rows differ in shape: .* after 2 dimensions"),
+            (lambda d: d["forest"].update(trees=[]), r"n_trees must be an integer in \[1, inf\], got 0"),
+            (lambda d: d["forest"].update(trees=[[[0, 0], [1.0, 2.0], [[1, 0, 0]] * 3]] * 21),
+             r"tree rows of 2 splits and leaf counts \(3, 3\) are not 2\*\*d - 1"),
+            (lambda d: d["forest"].update(max_depth=0), "with d <= max_depth 0"),
+            (lambda d: d["forest"].update(max_depth=11), r"max_depth must be an integer in \[0, 10\]"),
             (lambda d: d["ols"].update(feature_set="age"), "'feature_set' is a str"),
             (lambda d: d.update(override_prob=True), "'override_prob' is a bool"),
-            (lambda d: d["forest"].update(n_trees=21.0), "'n_trees' is a float"),
+            (lambda d: d.update(version=2.0), "'version' is a float"),
+            (lambda d: d.update(version=1, forest={**d["forest"], "n_trees": 1,
+                                                   "trees": [TreeNode((3, 1, 0)).to_dict()]}),
+             "format version 1 is not 2; retrain the model with survival-train"),
             (lambda d: d["ols"].update(coefficients=["x", "y"]), "bad survival model"),
             (lambda d: d.update(forest=[]), "'forest' is a list"),
             (lambda d: d["forest"].update(feature_set=["agee", "n_tumors", "n_cores"]),
              r"unknown feature\(s\) \['agee'\]"),
             (lambda d: d["ols"].update(feature_set=["agee"]), r"unknown feature\(s\) \['agee'\]"),
-            (lambda d: first_split(d).update(feature=3), "split feature 3 is outside a set of 3"),
-            (lambda d: first_split(d).update(feature=-1), "split feature -1 is outside a set of 3"),
-            (lambda d: first_leaf(d).update(proba=[0.5, 0.5]), r"leaf proba \[0.5, 0.5\] is not three"),
-            (lambda d: first_leaf(d).update(proba=[0.5, "x", 0.5]), "is not three numbers"),
+            (lambda d: first_split(d).__setitem__(0, 3), "split feature 3 is outside a set of 3"),
+            (lambda d: first_split(d).__setitem__(0, -1), "split feature -1 is outside a set of 3"),
+            (lambda d: first_split(d).__setitem__(0, 1.5), "split features and leaf counts must be integers"),
+            (lambda d: d["forest"]["trees"][0][1].__setitem__(0, "x"), "thresholds numbers"),
+            (lambda d: first_leaves(d)[0].__setitem__(1, 0.5), "leaf counts must be integers"),
+            (lambda d: first_leaves(d)[0].__setitem__(1, -4), "leaf counts must be >= 0"),
+            (lambda d: first_leaves(d).__setitem__(0, [0, 0, 0]), "at least one record per leaf"),
             (lambda d: d["ols"]["coefficients"].append(1.0), "3 OLS coefficients for 1 features"),
             (lambda d: d["ols"]["coefficients"].pop(), "1 OLS coefficients for 1 features"),
         ],
