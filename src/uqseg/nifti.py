@@ -12,6 +12,7 @@ import gzip
 import io
 import os
 import struct
+import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,10 +61,10 @@ class NiftiHeaderView:
         return self.vox_offset + int(np.prod(self.dims)) * _DTYPES[self.datatype][0].itemsize
 
 
-def _read_bytes(path: Path, limit=None) -> bytes:
+def _read_bytes(path: Path) -> bytes:
     """The file's bytes, gunzipped when they start with the gzip magic.
 
-    A gzip stream that inflates past ``limit(head)`` of its first HEADER_SIZE bytes is refused
+    A gzip stream that inflates past the end of the volume its NIfTI header declares is refused
     as soon as it does. One complete member is inflated in one zlib pass, which checks its CRC
     and length; anything else goes through ``gzip.GzipFile``, as ``gzip.decompress`` reads it.
     """
@@ -71,27 +72,32 @@ def _read_bytes(path: Path, limit=None) -> bytes:
     if blob[:2] != b"\x1f\x8b":
         return blob
 
-    def cap_of(head):
-        return limit(head) if limit is not None and len(head) == HEADER_SIZE else None
+    def cap_of(head):  # below sys.maxsize, the largest size zlib takes
+        end = _parse_header(head, path).payload_end if len(head) == HEADER_SIZE else sys.maxsize
+        return min(end, sys.maxsize - 1)
 
-    def within(data, cap):
-        if cap is not None and len(data) > cap:
+    def within(size, cap):
+        if size > cap:
             raise ValueError(f"{path}: gzip stream inflates past the {cap} bytes its header declares")
-        return data
+        return size
 
     inflater = zlib.decompressobj(wbits=31)
     try:  # the header from a throwaway inflater, so the volume is inflated into one buffer
         cap = cap_of(zlib.decompressobj(wbits=31).decompress(blob, HEADER_SIZE))
-        data = within(inflater.decompress(blob, 0 if cap is None else cap + 1), cap)
+        data = inflater.decompress(blob, cap + 1)
+        within(len(data), cap)
         if inflater.eof and not inflater.unused_data:
             return data
     except zlib.error:
         pass
     try:
         with gzip.GzipFile(fileobj=io.BytesIO(blob)) as stream:
-            cap = cap_of(stream.read(HEADER_SIZE))
-            stream.seek(0)
-            return within(stream.read(-1 if cap is None else cap + 1), cap)
+            parts = [stream.read(HEADER_SIZE)]
+            cap, size = cap_of(parts[0]), len(parts[0])
+            while part := stream.read(DEFLATE_CHUNK):  # a read allocates the size it is given
+                size = within(size + len(part), cap)
+                parts.append(part)
+            return b"".join(parts)
     except (EOFError, zlib.error, gzip.BadGzipFile):
         pass  # gzip.decompress stops at the same point and words the error as it always did
     try:
@@ -186,7 +192,7 @@ def read_nifti(path, expect_dims: tuple[int, int, int] | None = None) -> tuple[V
     A scaling pair other than (1, 0) gives float64; slope 0 or NaN means none.
     """
     file = Path(path)
-    blob = _read_bytes(file, lambda head: _parse_header(head, file).payload_end)
+    blob = _read_bytes(file)
     view = _parse_header(blob, file)
     dtype, _ = _DTYPES[view.datatype]
     count = view.dims[0] * view.dims[1] * view.dims[2]

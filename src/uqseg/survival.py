@@ -12,6 +12,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -485,8 +486,10 @@ def _forest_arrays(rows, n_features: int, max_depth: int):
             or counts.shape != (len(rows), width + 1, 3) or width >= 2**max_depth):
         raise ValueError(f"tree rows of {width} splits and leaf counts {counts.shape[1:]} are not "
                          f"2**d - 1 splits and 2**d leaves of 3 counts with d <= max_depth {max_depth}")
-    if width and (feature.dtype.kind != "i" or threshold.dtype.kind not in "if") or counts.dtype.kind != "i":
-        raise ValueError("split features and leaf counts must be integers, thresholds numbers")
+    if (width and (feature.dtype.kind != "i" or threshold.dtype.kind not in "if") or counts.dtype.kind != "i"
+            or not np.isfinite(threshold).all()  # below: numpy would read a JSON true or false as 1 or 0
+            or any(type(v) is bool for row in rows for v in chain(row[0], row[1], *row[2]))):
+        raise ValueError("split features and leaf counts must be integers, thresholds finite numbers")
     outside = feature[(feature < 0) | (feature >= n_features)]
     if outside.size:
         raise ValueError(f"split feature {outside[0]} is outside a set of {n_features}")

@@ -333,6 +333,7 @@ def write_cohort_csv(path, n=30, seed=0):
 
 
 SMALL_FOREST_CONFIG = "survival:\n  n_trees: 25\n"
+ROW_TYPES = "split features and leaf counts must be integers, thresholds finite numbers"
 
 
 class TestSurvivalCommands:
@@ -431,9 +432,11 @@ class TestSurvivalCommands:
             (lambda d: d["forest"]["trees"][0][2][0].__setitem__(0, -1), "leaf counts must be >= 0"),
             (lambda d: d["forest"]["trees"][0][2].__setitem__(0, [0, 0, 0]),
              "leaf counts must be >= 0 with at least one record per leaf"),
+            (lambda d: d["forest"]["trees"][0][2][0].__setitem__(0, True), ROW_TYPES),
+            (lambda d: d["forest"]["trees"][0][1].__setitem__(0, float("nan")), ROW_TYPES),
         ],
         ids=["version-1", "ragged-splits", "ragged-counts", "not-2**d-1-splits", "feature-outside",
-             "negative-count", "empty-leaf"],
+             "negative-count", "empty-leaf", "boolean-count", "nan-threshold"],
     )
     def test_refused_model_rows_are_usage_error(self, runner, tmp_path, edit, message):
         features = tmp_path / "features.csv"

@@ -372,17 +372,38 @@ def with_header_fields(member, fname=None, extra=None, header_crc=None):
     return head + member[10:]
 
 
+def as_nifti(payload):
+    """``payload``, zero-padded to whole KiB, behind the header of a uint8 volume of exactly its size."""
+    rows = max(1, -(-len(payload) // 1024))
+    header = bytearray(348)
+    struct.pack_into("<i", header, 0, 348)
+    struct.pack_into("<8h", header, 40, 3, 1024, rows, 1, 1, 1, 1, 1)
+    struct.pack_into("<2h", header, 70, 2, 8)
+    struct.pack_into("<f", header, 108, 352.0)
+    header[344:348] = b"n+1\x00"
+    return bytes(header) + bytes(4) + payload.ljust(1024 * rows, b"\x00")
+
+
 def reader_inputs():
-    payload, strategy = codec_payload(3)
-    other, _ = codec_payload(11)
-    ours, theirs = gzip_deflate(payload, strategy), gzip_encode(payload)
+    """NIfTI files as gzip streams the former reader accepts, and ones it refuses.
+
+    Every stream inflates to at most the volume its header declares, so each one takes the
+    reader's capped path and is accepted or refused as ``gzip.decompress`` would.
+    """
+    payload, strategy = codec_payload(8)  # noisy: the second member below is large
+    volume, other = as_nifti(payload), as_nifti(codec_payload(11)[0])
+    ours, theirs = gzip_deflate(volume, strategy), gzip_encode(volume)
+    split = gzip_deflate(volume[:200_000], strategy) + gzip_encode(volume[200_000:])
     accepted = {
         "writer": ours,
         "gzip.compress": theirs,
+        "other": gzip_encode(other),
         "empty": gzip_encode(b""),
-        "multi-member": ours + gzip_encode(other),
+        "multi-member": split,
+        "header-across-members": gzip_encode(volume[:100]) + gzip_encode(volume[100:]),
         "multi-member-empty-first": gzip_encode(b"") + theirs,
         "nul-padded": ours + b"\x00" * 7,
+        "multi-member-nul-padded": gzip_encode(volume[:100]) + b"\x00" * 3 + gzip_encode(volume[100:]),
         "fname": with_header_fields(theirs, fname=b"case.nii"),
         "fextra": with_header_fields(theirs, extra=b"AB\x02\x00hi"),
         "fhcrc": with_header_fields(theirs, header_crc="good"),
@@ -397,10 +418,21 @@ def reader_inputs():
         "bad-crc": ours[:-8] + bytes([ours[-8] ^ 1]) + ours[-7:],
         "bad-length": ours[:-4] + bytes([ours[-4] ^ 1]) + ours[-3:],
         "trailing-garbage": ours + b"junk",
-        "bad-second-member": ours + gzip_encode(other)[:-8] + b"\x00" * 8,
+        "multi-member-trailing-garbage": split + b"junk",
+        "bad-second-member": split[:-8] + b"\x00" * 8,
+        "truncated-second-member": split[:-1000],
         "bad-method": ours[:2] + b"\x07" + ours[3:],
     }
     return accepted, corrupt
+
+
+def test_reader_inputs_declare_their_volume():
+    accepted, _ = reader_inputs()
+    for name, blob in accepted.items():
+        volume = gzip.decompress(blob)
+        if volume:
+            rows = struct.unpack_from("<h", volume, 44)[0]
+            assert 352 + 1024 * rows == len(volume), name
 
 
 def test_gzip_reader_equals_former_reader(tmp_path):

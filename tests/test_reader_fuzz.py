@@ -153,3 +153,22 @@ def test_non_finite_scaling_refused_before_arithmetic(tmp_path, kind, field):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="v.nii: volume contains non-finite values"):
             read_nifti(path)
+
+
+@pytest.mark.parametrize("layout", ["one member", "two members"])
+@pytest.mark.parametrize("field", ["vox_offset 1e30", "vox_offset bit 29", "dims 32767 cubed"])
+def test_gzip_declaring_more_than_it_holds_is_truncated(tmp_path, field, layout):
+    """A header that declares more bytes than a C size or memory can hold reads as a truncated file."""
+    blob = bytearray(VALID["float32"])
+    if field == "vox_offset 1e30":
+        struct.pack_into("<f", blob, 108, 1e30)
+    elif field == "vox_offset bit 29":
+        blob[111] ^= 0x20  # 352.0 (0x43b00000) becomes about 6.5e21 (0x63b00000)
+    else:
+        struct.pack_into("<3h", blob, 42, 32767, 32767, 32767)
+    members = [bytes(blob)] if layout == "one member" else [bytes(blob[:100]), bytes(blob[100:])]
+    path = tmp_path / "v.nii.gz"
+    path.write_bytes(b"".join(map(gzip_encode, members)))
+    with pytest.raises(ValueError, match="v.nii.gz: truncated file, expected"):
+        read_nifti(path)
+    expect_read_or_named_error(path)

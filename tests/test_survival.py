@@ -406,7 +406,15 @@ class TestPersistence:
             (lambda d: first_split(d).__setitem__(0, 3), "split feature 3 is outside a set of 3"),
             (lambda d: first_split(d).__setitem__(0, -1), "split feature -1 is outside a set of 3"),
             (lambda d: first_split(d).__setitem__(0, 1.5), "split features and leaf counts must be integers"),
-            (lambda d: d["forest"]["trees"][0][1].__setitem__(0, "x"), "thresholds numbers"),
+            (lambda d: d["forest"]["trees"][0][1].__setitem__(0, "x"), "thresholds finite numbers"),
+            pytest.param(lambda d: first_split(d).__setitem__(0, True), "must be integers, thresholds finite",
+                         id="boolean-split-feature"),
+            pytest.param(lambda d: first_leaves(d)[0].__setitem__(0, False), "must be integers, thresholds finite",
+                         id="boolean-leaf-count"),
+            pytest.param(lambda d: d["forest"]["trees"][0][1].__setitem__(0, float("nan")),
+                         "thresholds finite numbers", id="nan-threshold"),
+            pytest.param(lambda d: d["forest"]["trees"][0][1].__setitem__(0, -float("inf")),
+                         "thresholds finite numbers", id="infinite-threshold"),
             (lambda d: first_leaves(d)[0].__setitem__(1, 0.5), "leaf counts must be integers"),
             (lambda d: first_leaves(d)[0].__setitem__(1, -4), "leaf counts must be >= 0"),
             (lambda d: first_leaves(d).__setitem__(0, [0, 0, 0]), "at least one record per leaf"),
