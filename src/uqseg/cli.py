@@ -1,17 +1,18 @@
 """Batch command-line front end.
 
-Conventions: prediction-pair directories hold ``{region}_p.nii.gz`` and
-``{region}_q.nii.gz`` per region (wt, tc, et); fused probabilities are
-``{region}_prob.nii.gz``; label maps are one ``{case}.nii.gz`` per case;
-certainty maps use challenge-style names ``{case}_unc_{whole,core,enhance}``.
+Layout, named only by the functions below: prediction-pair directories hold
+``{region}_p`` and ``{region}_q`` per region (wt, tc, et), and ``phantom``
+writes one per case plus ``gt/{case}``; fused probabilities are
+``{region}_prob``; label maps are ``{case}``; certainty maps are
+``{case}_unc_{whole,core,enhance}``; each is ``.nii.gz`` or ``.nii``.
 
-Exit codes: 0 success, 1 per-case processing failure, 2 configuration or
-usage error. Progress and summaries go to stderr; results go to files.
+Exit codes: 0 success, 1 when a case failed (``error: <name>: <exc>``), 2
+configuration or usage error, a missing input file included. Progress and
+summaries go to stderr; results go to files.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import click
@@ -61,24 +62,6 @@ CHALLENGE_NAMES = {"wt": "whole", "tc": "core", "et": "enhance"}
 _NIFTI_SUFFIXES = (".nii.gz", ".nii")
 
 
-@dataclass
-class RunManifest:
-    """Every input file of a subcommand, checked before processing."""
-
-    subcommand: str
-    inputs: list[Path] = field(default_factory=list)
-
-    def require(self, *paths: Path) -> None:
-        self.inputs.extend(paths)
-
-    def validate(self) -> None:
-        missing = [str(p) for p in self.inputs if not p.exists()]
-        if missing:
-            shown = ", ".join(missing[:10])
-            more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
-            raise click.UsageError(f"{self.subcommand}: missing input file(s): {shown}{more}")
-
-
 def _config(config_path) -> PipelineConfig:
     try:
         return load_config(config_path)
@@ -94,24 +77,50 @@ def _case_name(path: Path) -> str:
 
 
 def _nifti_files(directory: Path) -> list[Path]:
-    return sorted(p for p in directory.iterdir() if p.name.endswith(_NIFTI_SUFFIXES))
+    files = sorted(p for p in directory.iterdir() if p.name.endswith(_NIFTI_SUFFIXES))
+    if not files:
+        raise click.UsageError(f"no NIfTI files in {directory}")
+    return files
 
 
 def _find_nifti(directory: Path, stem: str) -> Path:
+    """The existing ``{stem}.nii.gz`` or ``{stem}.nii`` in ``directory``, else the ``.nii.gz`` path."""
     for suffix in _NIFTI_SUFFIXES:
         candidate = directory / f"{stem}{suffix}"
         if candidate.exists():
             return candidate
-    return directory / f"{stem}.nii.gz"  # manifest validation will name it
+    return directory / f"{stem}.nii.gz"
 
 
-def _run_cases(fn, plan: list[tuple], jobs: int = 1) -> tuple[list, int]:
+def _pair_files(pred_dir: Path, region: str) -> tuple[Path, Path]:
+    """The p and q files of one region in a prediction-pair directory."""
+    return _find_nifti(pred_dir, f"{region}_p"), _find_nifti(pred_dir, f"{region}_q")
+
+
+def _fused_file(out_dir: Path, region: str) -> Path:
+    return out_dir / f"{region}_prob.nii.gz"
+
+
+def _cert_files(cert_dir: Path, case: str) -> dict[str, Path]:
+    return {region: _find_nifti(cert_dir, f"{case}_unc_{CHALLENGE_NAMES[region]}") for region in REGION_KEYS}
+
+
+def _require(command: str, paths) -> None:
+    """Fail fast with a usage error (exit 2) naming the first ten missing input files."""
+    missing = [str(p) for p in paths if not p.exists()]
+    if missing:
+        more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
+        raise click.UsageError(f"{command}: missing input file(s): {', '.join(missing[:10])}{more}")
+
+
+def _run_cases(fn, plan: list[tuple], jobs: int = 1, write=None) -> None:
     """Call ``fn(*item)`` for each item of ``plan`` on up to ``jobs`` threads.
 
     Each item starts with the case name. A case that raises ``ValueError`` or
     ``OSError`` is reported as ``error: <name>: <exc>`` on stderr and left out,
-    so one bad input never aborts the batch. Returns the results of the cases
-    that succeeded, in plan order, and the number that failed.
+    so one bad input never aborts the batch. ``write``, if given, receives the
+    results of the cases that succeeded, in plan order. The command then exits
+    1 if any case failed.
     """
 
     def attempt(item):
@@ -122,19 +131,17 @@ def _run_cases(fn, plan: list[tuple], jobs: int = 1) -> tuple[list, int]:
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         outcomes = list(pool.map(attempt, plan))
-    results, failures = [], 0
     for (name, *_), outcome in zip(plan, outcomes):
         if isinstance(outcome, Exception):
             click.echo(f"error: {name}: {outcome}", err=True)
-            failures += 1
-        else:
-            results.append(outcome)
-    return results, failures
+    results = [outcome for outcome in outcomes if not isinstance(outcome, Exception)]
+    if write is not None:
+        write(results)
+    if len(results) < len(plan):
+        raise SystemExit(1)
 
 
 def _parse_axes(spec: str) -> list[Axis]:
-    if not spec:
-        return []
     try:
         return [Axis[token.strip().upper()] for token in spec.split(",") if token.strip()]
     except KeyError as exc:
@@ -152,11 +159,7 @@ def main():
 def standardize(in_path: Path, out_path: Path):
     """Standardize nonzero intensities to zero mean, unit variance per volume."""
     if in_path.is_dir():
-        files = _nifti_files(in_path)
-        if not files:
-            raise click.UsageError(f"no NIfTI files in {in_path}")
-        out_path.mkdir(parents=True, exist_ok=True)
-        targets = [(f.name, f, out_path / f.name) for f in files]
+        targets = [(f.name, f, out_path / f.name) for f in _nifti_files(in_path)]
     else:
         targets = [(in_path.name, in_path, out_path)]
 
@@ -164,9 +167,7 @@ def standardize(in_path: Path, out_path: Path):
         vol, header = read_nifti(src)
         write_nifti(standardize_nonzero(vol), dst, header_template=header)
 
-    _, failures = _run_cases(one_file, targets)
-    if failures:
-        raise SystemExit(1)
+    _run_cases(one_file, targets)
 
 
 @main.command()
@@ -178,27 +179,21 @@ def standardize(in_path: Path, out_path: Path):
 def ensemble(pred_dirs, flips, out_dir: Path):
     """Fuse (p, q) prediction pairs into one probability volume per region."""
     axes = _parse_axes(flips)
-    manifest = RunManifest("ensemble")
-    wanted = {}
-    for region in REGION_KEYS:
-        wanted[region] = [
-            (_find_nifti(d, f"{region}_p"), _find_nifti(d, f"{region}_q")) for d in pred_dirs
-        ]
-        for p_path, q_path in wanted[region]:
-            manifest.require(p_path, q_path)
-    manifest.validate()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        for region in REGION_KEYS:
-            pairs = []
-            for p_path, q_path in wanted[region]:
-                p, header = read_nifti(p_path)
-                q, _ = read_nifti(q_path)
+    plan = [(region, [_pair_files(d, region) for d in pred_dirs]) for region in REGION_KEYS]
+    _require("ensemble", [path for _, files in plan for pair in files for path in pair])
+
+    def one_region(region, files):
+        pairs = []
+        for p_path, q_path in files:
+            p, header = read_nifti(p_path)
+            q, _ = read_nifti(q_path)
+            try:
                 pairs.append(PredictionPair(p=p, q=q))
-            fused = ensemble_with_flips(pairs, axes)
-            write_nifti(fused, out_dir / f"{region}_prob.nii.gz", header_template=header)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+            except ValueError as exc:
+                raise ValueError(f"{p_path}, {q_path}: {exc}") from exc
+        write_nifti(ensemble_with_flips(pairs, axes), _fused_file(out_dir, region), header_template=header)
+
+    _run_cases(one_region, plan)
 
 
 @main.command()
@@ -212,23 +207,20 @@ def ensemble(pred_dirs, flips, out_dir: Path):
 def refine(prob_wt, prob_tc, prob_et, config_path, out_labels: Path, out_report, case_id):
     """Refine three probability channels into a BraTS label map."""
     cfg = _config(config_path)
-    manifest = RunManifest("refine")
-    manifest.require(prob_wt, prob_tc, prob_et)
-    manifest.validate()
-    try:
+    _require("refine", [prob_wt, prob_tc, prob_et])
+
+    def one_case(case):
         p_wt, header = read_nifti(prob_wt)
-        p_tc, _ = read_nifti(prob_tc)
-        p_et, _ = read_nifti(prob_et)
+        p_tc, _ = read_nifti(prob_tc, expect_dims=p_wt.dims)
+        p_et, _ = read_nifti(prob_et, expect_dims=p_wt.dims)
         seg, report = refine_segmentation(p_wt, p_tc, p_et, cfg.refine)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-    write_nifti(masks_to_brats_labels(seg), out_labels, header_template=header, dtype="uint8")
-    for line in report.summary_lines():
-        click.echo(line, err=True)
-    if out_report is not None:
-        row = {"case_id": case_id or _case_name(out_labels)}
-        row.update(report.flat_record())
-        write_results_table(out_report, [row], summary=False)
+        write_nifti(masks_to_brats_labels(seg), out_labels, header_template=header, dtype="uint8")
+        for line in report.summary_lines():
+            click.echo(line, err=True)
+        if out_report is not None:
+            write_results_table(out_report, [{"case_id": case, **report.flat_record()}], summary=False)
+
+    _run_cases(one_case, [(case_id or _case_name(out_labels),)])
 
 
 @main.command()
@@ -245,20 +237,14 @@ def refine(prob_wt, prob_tc, prob_et, config_path, out_labels: Path, out_report,
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def uncertainty(prob_path, q_path, formula, raw, dtype, out_path: Path):
     """Convert model output to a 0-100 certainty map."""
-    if formula == "flip":
-        if q_path is None:
-            raise click.UsageError("--formula flip requires --q")
-        src = q_path
-    else:
-        if prob_path is None:
-            raise click.UsageError(f"--formula {formula} requires --prob")
-        src = prob_path
+    option, src = ("--q", q_path) if formula == "flip" else ("--prob", prob_path)
+    if src is None:
+        raise click.UsageError(f"--formula {formula} requires {option}")
     if raw and formula == "flip":
         raise click.UsageError("--raw only applies to symmetric and negative-only formulas")
-    manifest = RunManifest("uncertainty")
-    manifest.require(src)
-    manifest.validate()
-    try:
+    _require("uncertainty", [src])
+
+    def one_file(_):
         vol, header = read_nifti(src)
         if formula == "flip":
             cert = certainty_from_q(vol)
@@ -268,11 +254,11 @@ def uncertainty(prob_path, q_path, formula, raw, dtype, out_path: Path):
             cert = negative_only_uncertainty_raw(vol)
         else:
             cert = certainty_negative_only(vol)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
-    if dtype == "uint8":
-        cert = Volume3D(np.rint(cert.data), cert.spacing)
-    write_nifti(cert, out_path, header_template=header, dtype=dtype)
+        if dtype == "uint8":
+            cert = Volume3D(np.rint(cert.data), cert.spacing)
+        write_nifti(cert, out_path, header_template=header, dtype=dtype)
+
+    _run_cases(one_file, [(src,)])
 
 
 @main.command()
@@ -285,24 +271,12 @@ def uncertainty(prob_path, q_path, formula, raw, dtype, out_path: Path):
 def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config_path):
     """Per-case Dice/HD95 (and uncertainty AUCs) against ground-truth label maps."""
     cfg = _config(config_path)
-    pred_files = _nifti_files(pred_dir)
-    if not pred_files:
-        raise click.UsageError(f"no NIfTI files in {pred_dir}")
-    cases = [_case_name(f) for f in pred_files]
-    manifest = RunManifest("evaluate")
     plan = []
-    for case, pred_file in zip(cases, pred_files):
-        gt_file = _find_nifti(gt_dir, case)
-        cert_files = None
-        if cert_dir is not None:
-            cert_files = {
-                region: _find_nifti(cert_dir, f"{case}_unc_{CHALLENGE_NAMES[region]}")
-                for region in REGION_KEYS
-            }
-            manifest.require(*cert_files.values())
-        manifest.require(pred_file, gt_file)
-        plan.append((case, pred_file, gt_file, cert_files))
-    manifest.validate()
+    for pred_file in _nifti_files(pred_dir):
+        case = _case_name(pred_file)
+        cert_files = None if cert_dir is None else _cert_files(cert_dir, case)
+        plan.append((case, pred_file, _find_nifti(gt_dir, case), cert_files))
+    _require("evaluate", [f for _, pred, gt, certs in plan for f in (*(certs or {}).values(), pred, gt)])
 
     sentinel = cfg.hd95_empty_sentinel
     thresholds = cfg.uncertainty_thresholds
@@ -327,10 +301,7 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
                 row[f"ftn_auc_{region_key}"] = curve.ftn_auc
         return row
 
-    rows, failures = _run_cases(one_case, plan, jobs)
-    write_results_table(out_csv, rows)
-    if failures:
-        raise SystemExit(1)
+    _run_cases(one_case, plan, jobs, write=lambda rows: write_results_table(out_csv, rows))
 
 
 @main.command()
@@ -349,13 +320,8 @@ def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
         meta = read_case_table(meta_csv, required=("case_id", "age"))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    manifest = RunManifest("features")
-    plan = []
-    for row in meta:
-        label_file = _find_nifti(labels_dir, row["case_id"])
-        manifest.require(label_file)
-        plan.append((row["case_id"], row, label_file))
-    manifest.validate()
+    plan = [(row["case_id"], row, _find_nifti(labels_dir, row["case_id"])) for row in meta]
+    _require("features", [label_file for *_, label_file in plan])
 
     def one_case(case, row, label_file):
         labels, _ = read_label_volume(label_file)
@@ -368,10 +334,7 @@ def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
             survival_days=float(survival) if survival else None,
         )
 
-    records, failures = _run_cases(one_case, plan)
-    write_survival_table(out_csv, records)
-    if failures:
-        raise SystemExit(1)
+    _run_cases(one_case, plan, write=lambda records: write_survival_table(out_csv, records))
 
 
 def _fused_fitter(scfg: SurvivalConfig, seed: int):
@@ -461,17 +424,15 @@ def phantom(preset, seed, count, out_dir: Path, config_path):
     preset = preset or cfg.phantom.preset
     if preset not in PRESETS:
         raise click.UsageError(f"unknown phantom preset {preset!r}; choose from {sorted(PRESETS)}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "gt").mkdir(exist_ok=True)
-    for i in range(count):
-        case_seed = seed + i
+    for case_seed in range(seed, seed + count):
         case = f"phantom-{case_seed:04d}"
         spec = PRESETS[preset](case_seed, dims=cfg.phantom.dims)
         data = generate_phantom(spec)
         for region_key, region in zip(REGION_KEYS, REGION_ORDER):
-            write_nifti(data.p[region], out_dir / f"{case}_prob_{region_key}.nii.gz")
-            write_nifti(data.q[region], out_dir / f"{case}_q_{region_key}.nii.gz")
-        write_nifti(masks_to_brats_labels(data.gt), out_dir / "gt" / f"{case}.nii.gz", dtype="uint8")
+            p_file, q_file = _pair_files(out_dir / case, region_key)
+            write_nifti(data.p[region], p_file)
+            write_nifti(data.q[region], q_file)
+        write_nifti(masks_to_brats_labels(data.gt), _find_nifti(out_dir / "gt", case), dtype="uint8")
         click.echo(f"generated {case}", err=True)
 
 

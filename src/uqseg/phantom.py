@@ -149,7 +149,11 @@ def hgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = DEFAULT_DIMS) -> P
 
 
 def diffuse_lgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = DEFAULT_DIMS) -> PhantomSpec:
-    """Vaguely delineated core: wide falloff, interior level well below the gate."""
+    """Vaguely delineated core: wide falloff, interior level well below the gate.
+
+    The flip probability inside the tumor is 0.3: fusion turns p > 0.5 into
+    1 - 0.3 = 0.7, so the fused WT and TC confidences stay below their gates.
+    """
     rng = np.random.default_rng([abs(int(seed)), 13])
     center = _centered(dims, rng, 1.5)
     r_wt = 17.0 + rng.uniform(-1.0, 1.0)
@@ -161,6 +165,7 @@ def diffuse_lgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = DEFAULT_DI
             RegionLabel.TUMOR_CORE: SphereSpec(center, r_tc, 0.60, falloff=6.0),
             RegionLabel.ENHANCING_TUMOR: SphereSpec(center, 0.0, 0.0),
         },
+        q_inside=0.3,
         seed=seed,
     )
 

@@ -60,7 +60,7 @@ def _write_rows(path, header: tuple[str, ...], rows: Iterable[Iterable]) -> None
     write_atomic(path, buf.getvalue().encode())
 
 
-def _read_rows(path, required: tuple[str, ...]) -> tuple[list[str], list[dict[str, str]]]:
+def _read_rows(path, required: tuple[str, ...]) -> list[dict[str, str]]:
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -68,7 +68,7 @@ def _read_rows(path, required: tuple[str, ...]) -> tuple[list[str], list[dict[st
         missing = [col for col in required if col not in header]
         if missing:
             raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-        return list(header), list(reader)
+        return list(reader)
 
 
 def _cell(path, row: dict[str, str], column: str, convert):
@@ -88,7 +88,7 @@ def write_survival_table(path, records: Iterable[SurvivalRecord]) -> None:
 
 
 def read_survival_table(path) -> list[SurvivalRecord]:
-    _, rows = _read_rows(path, SURVIVAL_COLUMNS)
+    rows = _read_rows(path, SURVIVAL_COLUMNS)
     return [
         SurvivalRecord(
             case_id=row["case_id"],
@@ -107,7 +107,7 @@ def write_predictions_table(path, rows: Iterable[tuple[str, float]]) -> None:
 
 
 def read_predictions_table(path) -> list[tuple[str, float]]:
-    _, rows = _read_rows(path, PREDICTION_COLUMNS)
+    rows = _read_rows(path, PREDICTION_COLUMNS)
     return [(row["case_id"], _cell(path, row, "predicted_days", float)) for row in rows]
 
 
@@ -129,8 +129,7 @@ def write_results_table(path, records: list[dict], summary: bool = True) -> None
 
 
 def read_case_table(path, required: tuple[str, ...] = ("case_id",)) -> list[dict[str, str]]:
-    _, rows = _read_rows(path, required)
-    return rows
+    return _read_rows(path, required)
 
 
 def _is_number(v) -> bool:

@@ -19,6 +19,8 @@ DEFAULT_THRESHOLDS = (0.0, 25.0, 50.0, 75.0, 100.0)
 
 def certainty_from_q(q: Volume3D) -> Volume3D:
     """100 * (1 - 2q): flip-probability 0 is fully certain, 0.5 fully uncertain."""
+    if q.data.min() < 0.0 or q.data.max() > 0.5:
+        raise ValueError("q values must lie in [0, 0.5]")
     return Volume3D(100.0 * (1.0 - 2.0 * q.float64()), q.spacing)
 
 

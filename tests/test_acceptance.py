@@ -460,21 +460,11 @@ def drive_cli(root, jobs):
     run(["phantom", "--preset", "diffuse-lgg-like", "--seed", "21", "--count", "1",
          "--out", str(cases), "--config", str(config)])
 
-    run(["standardize", "--in", str(cases / "phantom-0005_prob_wt.nii.gz"),
+    run(["standardize", "--in", str(cases / "phantom-0005" / "wt_p.nii.gz"),
          "--out", str(root / "standardized.nii.gz")])
 
-    models = [root / "m1", root / "m2"]
-    for seed, d in zip((5, 6), models):
-        d.mkdir()
-        spec_case = f"phantom-{seed:04d}"
-        for region in ("wt", "tc", "et"):
-            (d / f"{region}_p.nii.gz").write_bytes(
-                (cases / f"{spec_case}_prob_{region}.nii.gz").read_bytes()
-            )
-            (d / f"{region}_q.nii.gz").write_bytes(
-                (cases / f"{spec_case}_q_{region}.nii.gz").read_bytes()
-            )
-    run(["ensemble", "--pred", str(models[0]), "--pred", str(models[1]),
+    # each phantom case directory is a prediction-pair directory
+    run(["ensemble", "--pred", str(cases / "phantom-0005"), "--pred", str(cases / "phantom-0006"),
          "--flips", "X,Y", "--out", str(root / "fused")])
 
     pred = root / "pred"
@@ -483,21 +473,21 @@ def drive_cli(root, jobs):
     cert.mkdir()
     for case in ("phantom-0005", "phantom-0006", "phantom-0021"):
         run(["refine",
-             "--prob-wt", str(cases / f"{case}_prob_wt.nii.gz"),
-             "--prob-tc", str(cases / f"{case}_prob_tc.nii.gz"),
-             "--prob-et", str(cases / f"{case}_prob_et.nii.gz"),
+             "--prob-wt", str(cases / case / "wt_p.nii.gz"),
+             "--prob-tc", str(cases / case / "tc_p.nii.gz"),
+             "--prob-et", str(cases / case / "et_p.nii.gz"),
              "--config", str(config),
              "--out-labels", str(pred / f"{case}.nii.gz"),
              "--out-report", str(root / f"{case}_report.csv")])
         for region, challenge in (("wt", "whole"), ("tc", "core"), ("et", "enhance")):
             run(["uncertainty", "--formula", "flip",
-                 "--q", str(cases / f"{case}_q_{region}.nii.gz"),
+                 "--q", str(cases / case / f"{region}_q.nii.gz"),
                  "--out", str(cert / f"{case}_unc_{challenge}.nii.gz")])
     run(["uncertainty", "--formula", "symmetric",
-         "--prob", str(cases / "phantom-0005_prob_wt.nii.gz"),
+         "--prob", str(cases / "phantom-0005" / "wt_p.nii.gz"),
          "--out", str(root / "sym.nii.gz")])
     run(["uncertainty", "--formula", "negative-only", "--raw",
-         "--prob", str(cases / "phantom-0005_prob_wt.nii.gz"),
+         "--prob", str(cases / "phantom-0005" / "wt_p.nii.gz"),
          "--out", str(root / "negraw.nii.gz")])
 
     run(["evaluate", "--pred-dir", str(pred), "--gt-dir", str(cases / "gt"),

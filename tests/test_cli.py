@@ -28,6 +28,13 @@ def invoke(runner, args, expect=0):
     return result
 
 
+def refine_args(prob_dir, out_labels):
+    args = ["refine", "--out-labels", str(out_labels)]
+    for region in ("wt", "tc", "et"):
+        args += [f"--prob-{region}", str(prob_dir / f"{region}_p.nii.gz")]
+    return args
+
+
 def run_pipeline(runner, root, seed=3, count=2, jobs=1):
     """phantom -> refine -> uncertainty -> evaluate, returning the results CSV path."""
     cases_dir = root / "cases"
@@ -39,18 +46,12 @@ def run_pipeline(runner, root, seed=3, count=2, jobs=1):
     cert_dir.mkdir()
     for i in range(count):
         case = f"phantom-{seed + i:04d}"
-        invoke(runner, [
-            "refine",
-            "--prob-wt", str(cases_dir / f"{case}_prob_wt.nii.gz"),
-            "--prob-tc", str(cases_dir / f"{case}_prob_tc.nii.gz"),
-            "--prob-et", str(cases_dir / f"{case}_prob_et.nii.gz"),
-            "--out-labels", str(pred_dir / f"{case}.nii.gz"),
-            "--out-report", str(root / f"{case}_report.csv"),
-        ])
+        invoke(runner, refine_args(cases_dir / case, pred_dir / f"{case}.nii.gz")
+               + ["--out-report", str(root / f"{case}_report.csv")])
         for region, challenge in (("wt", "whole"), ("tc", "core"), ("et", "enhance")):
             invoke(runner, [
                 "uncertainty", "--formula", "flip",
-                "--q", str(cases_dir / f"{case}_q_{region}.nii.gz"),
+                "--q", str(cases_dir / case / f"{region}_q.nii.gz"),
                 "--out", str(cert_dir / f"{case}_unc_{challenge}.nii.gz"),
             ])
     out_csv = root / "results.csv"
@@ -129,6 +130,17 @@ class TestEnsembleCommand:
         assert result.exit_code == 2
         assert "missing input" in result.stderr
 
+    def test_refused_pair_fails_its_region_naming_files(self, runner, tmp_path):
+        d = tmp_path / "model"
+        for region in ("wt", "tc", "et"):
+            write_nifti(Volume3D(np.full((3, 3, 3), 0.8)), d / f"{region}_p.nii.gz")
+            write_nifti(Volume3D(np.full((3, 3, 3), 0.1)), d / f"{region}_q.nii.gz")
+        write_nifti(Volume3D(np.full((3, 3, 3), 0.7)), d / "tc_q.nii.gz")
+        out = tmp_path / "fused"
+        result = invoke(runner, ["ensemble", "--pred", str(d), "--out", str(out)], expect=1)
+        assert f"error: tc: {d / 'tc_p.nii.gz'}, {d / 'tc_q.nii.gz'}: q values must lie in [0, 0.5]" in result.stderr
+        assert sorted(f.name for f in out.iterdir()) == ["et_prob.nii.gz", "wt_prob.nii.gz"]
+
 
 class TestUncertaintyCommand:
     def test_flip_formula_challenge_scale(self, runner, tmp_path):
@@ -161,6 +173,16 @@ class TestUncertaintyCommand:
         np.testing.assert_array_equal(cert.data, want)
         assert np.any(cert.data != np.rint(cert.data))
 
+    @pytest.mark.parametrize("dtype", ["uint8", "float32"])
+    def test_q_outside_range_names_file(self, runner, tmp_path, dtype):
+        q = tmp_path / "q.nii.gz"
+        write_nifti(Volume3D(np.full((3, 3, 3), 0.7)), q)
+        out = tmp_path / "cert.nii.gz"
+        result = invoke(runner, ["uncertainty", "--formula", "flip", "--q", str(q), "--dtype", dtype,
+                                 "--out", str(out)], expect=1)
+        assert f"error: {q}: q values must lie in [0, 0.5]" in result.stderr
+        assert not out.exists()
+
     def test_wrong_input_kind(self, runner, tmp_path):
         result = runner.invoke(
             main, ["uncertainty", "--formula", "flip", "--prob", "x.nii", "--out", "y.nii"],
@@ -169,7 +191,80 @@ class TestUncertaintyCommand:
         assert result.exit_code == 2
 
 
+class TestFailurePath:
+    @pytest.mark.parametrize("command", ["refine", "uncertainty"])
+    def test_write_into_directory_fails_its_case(self, runner, tmp_path, command):
+        invoke(runner, ["phantom", "--seed", "1", "--out", str(tmp_path / "cases")])
+        case = tmp_path / "cases" / "phantom-0001"
+        target = tmp_path / "out.nii.gz"
+        target.mkdir()
+        if command == "refine":
+            args = refine_args(case, target)
+        else:
+            args = ["uncertainty", "--formula", "flip", "--q", str(case / "wt_q.nii.gz"), "--out", str(target)]
+        result = invoke(runner, args, expect=1)
+        assert result.stderr.startswith("error: ")
+        assert str(target) in result.stderr and "Traceback" not in result.stderr
+        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")] == []
+
+    def test_refine_missing_channel_fails_fast(self, runner, tmp_path):
+        invoke(runner, ["phantom", "--seed", "1", "--out", str(tmp_path / "cases")])
+        case = tmp_path / "cases" / "phantom-0001"
+        (case / "tc_p.nii.gz").unlink()
+        result = invoke(runner, refine_args(case, tmp_path / "labels.nii.gz"), expect=2)
+        assert f"refine: missing input file(s): {case / 'tc_p.nii.gz'}" in result.stderr
+        assert not (tmp_path / "labels.nii.gz").exists()
+
+    def test_uncertainty_missing_input_fails_fast(self, runner, tmp_path):
+        q = tmp_path / "q.nii.gz"
+        result = invoke(runner, ["uncertainty", "--formula", "flip", "--q", str(q),
+                                 "--out", str(tmp_path / "cert.nii.gz")], expect=2)
+        assert f"uncertainty: missing input file(s): {q}" in result.stderr
+
+    def test_evaluate_missing_certainty_maps_capped_at_ten(self, runner, tmp_path):
+        pred, cert = tmp_path / "pred", tmp_path / "cert"
+        cert.mkdir()
+        for i in range(4):
+            write_nifti(Volume3D(np.zeros((3, 3, 3))), pred / f"c{i}.nii.gz", dtype="uint8")
+        result = invoke(runner, ["evaluate", "--pred-dir", str(pred), "--gt-dir", str(pred),
+                                 "--cert-dir", str(cert), "--out-csv", str(tmp_path / "r.csv")], expect=2)
+        message = result.stderr.strip().splitlines()[-1]
+        shown = [cert / f"c{i}_unc_{c}.nii.gz" for i in range(4) for c in ("whole", "core", "enhance")]
+        expected = ", ".join(str(p) for p in shown[:10])
+        assert message.endswith(f"evaluate: missing input file(s): {expected} (+2 more)")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_features_missing_labels_capped_at_ten(self, runner, tmp_path):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        meta = tmp_path / "meta.csv"
+        meta.write_text("case_id,age\n" + "".join(f"case{i:02d},60\n" for i in range(13)))
+        result = invoke(runner, ["features", "--labels-dir", str(labels), "--meta-csv", str(meta),
+                                 "--out-csv", str(tmp_path / "f.csv")], expect=2)
+        assert "features: missing input file(s): " in result.stderr
+        assert f"{labels / 'case09.nii.gz'} (+3 more)" in result.stderr
+        assert "case10" not in result.stderr
+        assert not (tmp_path / "f.csv").exists()
+
+
 class TestPipeline:
+    def test_diffuse_phantom_falls_back_after_fusion(self, runner, tmp_path):
+        cases = tmp_path / "cases"
+        invoke(runner, ["phantom", "--preset", "diffuse-lgg-like", "--seed", "21", "--out", str(cases)])
+        invoke(runner, ["ensemble", "--pred", str(cases / "phantom-0021"), "--out", str(tmp_path / "fused")])
+        pred = tmp_path / "pred"
+        args = ["refine", "--out-labels", str(pred / "phantom-0021.nii.gz"),
+                "--out-report", str(tmp_path / "report.csv")]
+        for region in ("wt", "tc", "et"):
+            args += [f"--prob-{region}", str(tmp_path / "fused" / f"{region}_prob.nii.gz")]
+        invoke(runner, args)
+        report = read_case_table(tmp_path / "report.csv")[0]
+        assert report["wt_fallback_used"] == "true" and report["tc_fallback_used"] == "true"
+        invoke(runner, ["evaluate", "--pred-dir", str(pred), "--gt-dir", str(cases / "gt"),
+                        "--out-csv", str(tmp_path / "results.csv")])
+        row = read_case_table(tmp_path / "results.csv")[0]
+        assert float(row["dice_wt"]) > 0.95 and float(row["dice_tc"]) > 0.95
+
     def test_phantom_refine_evaluate(self, runner, tmp_path):
         out_csv = run_pipeline(runner, tmp_path)
         rows = read_case_table(out_csv)

@@ -23,6 +23,13 @@ class TestFormulas:
         assert certainty_from_q(vol(0.5)).data[0, 0, 0] == pytest.approx(0.0)
         assert certainty_from_q(vol(0.1)).data[0, 0, 0] == pytest.approx(80.0)
 
+    @pytest.mark.parametrize("value", [0.51, -0.01])
+    def test_flip_formula_refuses_q_outside_range(self, value):
+        q = vol(0.1, dims=(3, 3, 3))
+        q.data[1, 1, 1] = value
+        with pytest.raises(ValueError, match=r"q values must lie in \[0, 0.5\]"):
+            certainty_from_q(q)
+
     def test_symmetric_certainty(self):
         assert certainty_symmetric(vol(0.5)).data[0, 0, 0] == pytest.approx(0.0)
         assert certainty_symmetric(vol(0.0)).data[0, 0, 0] == 100.0
