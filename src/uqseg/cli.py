@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from .atomic import write_atomic
-from .config import PipelineConfig, SurvivalConfig, default_config_yaml, load_config
+from .config import PipelineConfig, default_config_yaml, load_config
 from .ensemble import PredictionPair, ensemble_with_flips
 from .metrics import compare_masks
 from .nifti import read_label_volume, read_nifti, write_nifti
@@ -40,6 +40,7 @@ from .survival import (
     extract_features,
 )
 from .tables import (
+    cell,
     read_case_table,
     read_survival_table,
     write_predictions_table,
@@ -111,6 +112,15 @@ def _require(command: str, paths) -> None:
     if missing:
         more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
         raise click.UsageError(f"{command}: missing input file(s): {', '.join(missing[:10])}{more}")
+
+
+def _write(path: Path, write, *args) -> None:
+    """``write(path, *args)``; an ``OSError`` prints ``error: <path>: <exc>`` and exits 1."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        click.echo(f"error: {path}: {exc}", err=True)
+        raise SystemExit(1) from None
 
 
 def _run_cases(fn, plan: list[tuple], jobs: int = 1, write=None) -> None:
@@ -278,9 +288,6 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
         plan.append((case, pred_file, _find_nifti(gt_dir, case), cert_files))
     _require("evaluate", [f for _, pred, gt, certs in plan for f in (*(certs or {}).values(), pred, gt)])
 
-    sentinel = cfg.hd95_empty_sentinel
-    thresholds = cfg.uncertainty_thresholds
-
     def one_case(case, pred_file, gt_file, cert_files):
         pred_labels, _ = read_label_volume(pred_file)
         gt_labels, _ = read_label_volume(gt_file, expect_dims=pred_labels.dims)
@@ -290,18 +297,18 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
         for region_key, region in zip(REGION_KEYS, REGION_ORDER):
             pred_mask = pred_seg.mask(region)
             gt_mask = gt_seg.mask(region)
-            result = compare_masks(pred_mask, gt_mask, hd95_empty_sentinel=sentinel)
+            result = compare_masks(pred_mask, gt_mask, hd95_empty_sentinel=cfg.hd95_empty_sentinel)
             row[f"dice_{region_key}"] = result.dice
             row[f"hd95_{region_key}"] = result.hd95
             if cert_files is not None:
                 cert, _ = read_nifti(cert_files[region_key], expect_dims=pred_labels.dims)
-                curve = evaluate_uncertainty(pred_mask, gt_mask, cert, thresholds)
+                curve = evaluate_uncertainty(pred_mask, gt_mask, cert, cfg.uncertainty_thresholds)
                 row[f"dice_auc_{region_key}"] = curve.dice_auc
                 row[f"ftp_auc_{region_key}"] = curve.ftp_auc
                 row[f"ftn_auc_{region_key}"] = curve.ftn_auc
         return row
 
-    _run_cases(one_case, plan, jobs, write=lambda rows: write_results_table(out_csv, rows))
+    _run_cases(one_case, plan, jobs, write=lambda rows: _write(out_csv, write_results_table, rows))
 
 
 @main.command()
@@ -325,32 +332,15 @@ def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
 
     def one_case(case, row, label_file):
         labels, _ = read_label_volume(label_file)
-        survival = row.get("survival_days") or None
         return extract_features(
             brats_labels_to_masks(labels),
-            age=float(row["age"]),
+            age=cell(meta_csv, row, "age", float),
             connectivity=cfg.refine.connectivity,
             case_id=case,
-            survival_days=float(survival) if survival else None,
+            survival_days=cell(meta_csv, row, "survival_days", float) if row.get("survival_days") else None,
         )
 
-    _run_cases(one_case, plan, write=lambda records: write_survival_table(out_csv, records))
-
-
-def _fused_fitter(scfg: SurvivalConfig, seed: int):
-    def fit(train):
-        model = fit_fusion(train, seed=seed, **vars(scfg))
-        return lambda rec: predict_fused(model, rec)
-
-    return fit
-
-
-def _ols_fitter(scfg: SurvivalConfig):
-    def fit(train):
-        model = fit_ols(train, feature_set=scfg.ols_features, cap_days=scfg.cap_days)
-        return lambda rec: min(max(model.predict(rec), 0.0), scfg.cap_days)
-
-    return fit
+    _run_cases(one_case, plan, write=lambda records: _write(out_csv, write_survival_table, records))
 
 
 @main.command("survival-train")
@@ -366,7 +356,7 @@ def survival_train(features_csv, seed, model_out: Path, config_path):
         model = fit_fusion(records, seed=seed, **vars(cfg.survival))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    save_model(model, model_out)
+    _write(model_out, lambda path: save_model(model, path))
 
 
 @main.command("survival-predict")
@@ -381,7 +371,7 @@ def survival_predict(model_path, features_csv, out_csv: Path):
         rows = [(rec.case_id, predict_fused(model, rec)) for rec in records]
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    write_predictions_table(out_csv, rows)
+    _write(out_csv, write_predictions_table, rows)
 
 
 @main.command("survival-cv")
@@ -392,13 +382,20 @@ def survival_predict(model_path, features_csv, out_csv: Path):
 @click.option("--config", "config_path", default=None, type=click.Path(path_type=Path))
 def survival_cv(features_csv, folds, seed, out_csv, config_path):
     """Cross-validated accuracy of the fused model vs the OLS baseline."""
-    cfg = _config(config_path)
+    scfg = _config(config_path).survival
+
+    def fit_fused(train):
+        model = fit_fusion(train, seed=seed, **vars(scfg))
+        return lambda rec: predict_fused(model, rec)
+
+    def fit_baseline(train):
+        model = fit_ols(train, feature_set=scfg.ols_features, cap_days=scfg.cap_days)
+        return lambda rec: min(max(model.predict(rec), 0.0), scfg.cap_days)
+
     try:
         records = read_survival_table(features_csv)
-        fused = cross_validate(records, _fused_fitter(cfg.survival, seed),
-                               folds=folds, seed=seed, bins=cfg.survival.bins)
-        baseline = cross_validate(records, _ols_fitter(cfg.survival),
-                                  folds=folds, seed=seed, bins=cfg.survival.bins)
+        fused, baseline = [cross_validate(records, fit, folds=folds, seed=seed, bins=scfg.bins)
+                           for fit in (fit_fused, fit_baseline)]
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     lines = [("fold", "fused_accuracy", "ols_accuracy")]
@@ -406,7 +403,7 @@ def survival_cv(features_csv, folds, seed, out_csv, config_path):
         lines.append((str(i), repr(f_acc), repr(o_acc)))
     lines.append(("mean", repr(float(np.mean(fused))), repr(float(np.mean(baseline)))))
     if out_csv is not None:
-        write_atomic(out_csv, "".join(",".join(row) + "\r\n" for row in lines).encode())
+        _write(out_csv, write_atomic, "".join(",".join(row) + "\r\n" for row in lines).encode())
     else:
         for row in lines:
             click.echo(",".join(row))
@@ -440,7 +437,7 @@ def phantom(preset, seed, count, out_dir: Path, config_path):
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 def init_config(out_path: Path):
     """Write the default configuration file."""
-    write_atomic(out_path, default_config_yaml().encode())
+    _write(out_path, write_atomic, default_config_yaml().encode())
 
 
 if __name__ == "__main__":

@@ -16,8 +16,6 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .phantom import DEFAULT_DIMS
 from .refine import RefinementConfig, RegionLabel
 from .survival import (DEFAULT_CAP_DAYS, DEFAULT_MAX_DEPTH, DEFAULT_N_TREES, DEFAULT_OLS_FEATURES,
@@ -61,6 +59,7 @@ class PipelineConfig:
 
 
 def default_config_yaml() -> str:
+    import yaml
     return yaml.safe_dump(_to_doc(PipelineConfig()), sort_keys=False)
 
 
@@ -171,8 +170,8 @@ def load_config(path=None) -> PipelineConfig:
         path = os.environ.get(ENV_CONFIG_PATH) or None
     if path is None:
         return PipelineConfig()
-    text = Path(path).read_text()
-    doc = yaml.safe_load(text)
+    import yaml
+    doc = yaml.safe_load(Path(path).read_text())
     if doc is not None and not isinstance(doc, dict):
         raise ValueError(f"{path}: config must be a mapping")
     return parse_config(doc)

@@ -4,11 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .volumes import foreground_box, require_same_dims, require_same_grid
-
-_FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
+from .volumes import Connectivity, foreground_box, require_same_dims, require_same_grid
 
 
 @dataclass
@@ -36,7 +33,8 @@ def surface(mask: np.ndarray) -> np.ndarray:
     Positions outside the array count as background, so foreground touching
     the array boundary is part of the surface.
     """
-    eroded = ndimage.binary_erosion(mask, structure=_FACE_STRUCTURE, border_value=0)
+    from scipy import ndimage
+    eroded = ndimage.binary_erosion(mask, structure=Connectivity.FACE6.structure(), border_value=0)
     return mask & ~eroded
 
 
@@ -59,6 +57,7 @@ def hausdorff95(a, b, empty_sentinel: float | None = None) -> float:
             raise ValueError("hausdorff95 undefined: exactly one mask is empty")
         return float(empty_sentinel)
 
+    from scipy import ndimage
     # Outside the bounding box of a | b both masks are background and no surface voxel
     # lies, so the erosion (border_value=0) and both distance transforms are exact on it.
     box = foreground_box(a.data | b.data)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .refine import REGION_ORDER, RegionLabel, SegmentationSet
 from .volumes import Mask3D, Volume3D
@@ -90,6 +89,7 @@ class PhantomCase:
 
 
 def _radial_profile(r: np.ndarray, sphere: SphereSpec) -> np.ndarray:
+    from scipy.special import expit
     if sphere.radius <= 0 or sphere.interior_level == 0.0:
         return np.zeros_like(r)
     if sphere.falloff == 0.0:

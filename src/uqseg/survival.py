@@ -392,8 +392,10 @@ def evaluate_survival(pairs, bins: ClassBins | None = None) -> dict[str, float]:
 
 def kfold_split(n: int, folds: int, seed: int) -> list[np.ndarray]:
     """Deterministic shuffled fold assignment: index arrays per fold."""
-    if folds < 2 or folds > n:
-        raise ValueError(f"folds must be in [2, {n}], got {folds}")
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+    if folds > n:
+        raise ValueError(f"{n} records are too few for {folds} folds")
     perm = np.random.default_rng([seed]).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 

@@ -71,7 +71,7 @@ def _read_rows(path, required: tuple[str, ...]) -> list[dict[str, str]]:
         return list(reader)
 
 
-def _cell(path, row: dict[str, str], column: str, convert):
+def cell(path, row: dict[str, str], column: str, convert):
     """``convert`` applied to one cell; a bad cell raises naming the file, case and column."""
     try:
         return convert(row[column])
@@ -92,11 +92,11 @@ def read_survival_table(path) -> list[SurvivalRecord]:
     return [
         SurvivalRecord(
             case_id=row["case_id"],
-            age=_cell(path, row, "age", float),
-            n_tumors=_cell(path, row, "n_tumors", int),
-            n_cores=_cell(path, row, "n_cores", int),
+            age=cell(path, row, "age", float),
+            n_tumors=cell(path, row, "n_tumors", int),
+            n_cores=cell(path, row, "n_cores", int),
             survival_days=None if row["survival_days"] in ("", None)
-            else _cell(path, row, "survival_days", float),
+            else cell(path, row, "survival_days", float),
         )
         for row in rows
     ]
@@ -108,7 +108,7 @@ def write_predictions_table(path, rows: Iterable[tuple[str, float]]) -> None:
 
 def read_predictions_table(path) -> list[tuple[str, float]]:
     rows = _read_rows(path, PREDICTION_COLUMNS)
-    return [(row["case_id"], _cell(path, row, "predicted_days", float)) for row in rows]
+    return [(row["case_id"], cell(path, row, "predicted_days", float)) for row in rows]
 
 
 def write_results_table(path, records: list[dict], summary: bool = True) -> None:

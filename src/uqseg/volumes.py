@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 
 class DegenerateVolumeWarning(UserWarning):
@@ -33,6 +32,7 @@ class Connectivity(enum.Enum):
     CORNER26 = 3
 
     def structure(self) -> np.ndarray:
+        from scipy import ndimage
         return ndimage.generate_binary_structure(3, self.value)
 
 
@@ -151,6 +151,7 @@ def foreground_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
 
 def count_components(m: Mask3D, connectivity: Connectivity = Connectivity.CORNER26) -> int:
     """Number of maximal connected foreground components, labelled inside their box."""
+    from scipy import ndimage
     box = foreground_box(m.data)
     return 0 if box is None else ndimage.label(m.data[box], structure=connectivity.structure())[1]
 
@@ -164,6 +165,7 @@ def remove_small_components(
     box = None if min_size <= 1 else foreground_box(m.data)
     if box is None:
         return Mask3D(m.data.copy(order="F"), m.spacing)
+    from scipy import ndimage
     labels, n = ndimage.label(m.data[box], structure=connectivity.structure())
     keep = np.bincount(labels.ravel(), minlength=n + 1) >= min_size
     keep[0] = False

@@ -207,6 +207,34 @@ class TestFailurePath:
         assert str(target) in result.stderr and "Traceback" not in result.stderr
         assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")] == []
 
+    @pytest.mark.parametrize("command", ["evaluate", "features", "survival-train", "survival-predict",
+                                         "survival-cv", "init-config"])
+    def test_unwritable_output_is_error_line(self, runner, tmp_path, command):
+        target = tmp_path / "out"
+        target.mkdir()
+        labels, features, config = tmp_path / "labels", tmp_path / "features.csv", tmp_path / "conf.yaml"
+        write_nifti(Volume3D(np.zeros((3, 3, 3))), labels / "c0.nii.gz", dtype="uint8")
+        (tmp_path / "meta.csv").write_text("case_id,age\nc0,60\n")
+        write_cohort_csv(features, n=6)
+        config.write_text(SMALL_FOREST_CONFIG)
+        survival = ["--features-csv", str(features)]
+        if command == "survival-predict":
+            invoke(runner, ["survival-train", *survival, "--config", str(config),
+                            "--model-out", str(tmp_path / "model.json")])
+        args = {
+            "evaluate": ["--pred-dir", str(labels), "--gt-dir", str(labels), "--out-csv"],
+            "features": ["--labels-dir", str(labels), "--meta-csv", str(tmp_path / "meta.csv"), "--out-csv"],
+            "survival-train": [*survival, "--config", str(config), "--model-out"],
+            "survival-predict": [*survival, "--model", str(tmp_path / "model.json"), "--out-csv"],
+            "survival-cv": [*survival, "--config", str(config), "--folds", "3", "--out-csv"],
+            "init-config": ["--out"],
+        }[command]
+        result = invoke(runner, [command, *args, str(target)], expect=1)
+        assert result.stderr.splitlines()[-1].startswith(f"error: {target}: ")
+        assert "Traceback" not in result.stderr
+        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")] == []
+        assert list(target.iterdir()) == []
+
     def test_refine_missing_channel_fails_fast(self, runner, tmp_path):
         invoke(runner, ["phantom", "--seed", "1", "--out", str(tmp_path / "cases")])
         case = tmp_path / "cases" / "phantom-0001"
@@ -599,12 +627,67 @@ class TestFeaturesCommand:
         assert records[0].survival_days == 400.0
 
 
-def test_cli_import_skips_scipy_stats():
-    code = "import sys, uqseg.cli; print('scipy.stats' in sys.modules)"
+    def test_bad_age_names_meta_file_and_column(self, runner, tmp_path):
+        labels_dir = tmp_path / "labels"
+        write_nifti(Volume3D(np.zeros((3, 3, 3))), labels_dir / "phantom-0001.nii.gz", dtype="uint8")
+        meta = tmp_path / "meta.csv"
+        meta.write_text("case_id,age\nphantom-0001,abc\n")
+        out = tmp_path / "features.csv"
+        result = invoke(runner, ["features", "--labels-dir", str(labels_dir),
+                                 "--meta-csv", str(meta), "--out-csv", str(out)], expect=1)
+        assert f"error: phantom-0001: {meta}: case 'phantom-0001': bad age 'abc'" in result.stderr
+        assert read_survival_table(out) == []
+        result = invoke(runner, ["survival-cv", "--features-csv", str(out)], expect=2)
+        assert "0 records are too few for 5 folds" in result.stderr
+
+
+def fresh_env():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    env.pop("UQSEG_CONFIG", None)
+    return env
+
+
+def test_cli_import_skips_scipy_stats():
+    """Neither the package nor the CLI loads scipy or PyYAML on import."""
+    code = ("import sys\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml'))\n"
+            "import uqseg\nprint(loaded())\nimport uqseg.cli\nprint(loaded())")
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+# Runs ``uqseg <argv>`` and reports, at exit, the top-level scipy/yaml packages it loaded.
+FRESH_RUN = """
+import atexit, sys
+atexit.register(lambda: print("loaded:", sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}),
+                              file=sys.stderr))
+from uqseg.cli import main
+main(sys.argv[1:], prog_name="uqseg")
+"""
+
+
+def test_scipy_free_commands_load_neither_scipy_nor_yaml(runner, tmp_path):
+    invoke(runner, ["phantom", "--seed", "1", "--out", str(tmp_path / "cases")])
+    case = tmp_path / "cases" / "phantom-0001"
+    features = tmp_path / "features.csv"
+    write_cohort_csv(features, n=9)
+    model = tmp_path / "model.json"
+    survival = ["--features-csv", str(features)]
+    commands = [
+        ["ensemble", "--pred", str(case), "--out", str(tmp_path / "fused")],
+        ["uncertainty", "--formula", "flip", "--q", str(case / "wt_q.nii.gz"), "--out", str(tmp_path / "c.nii.gz")],
+        ["standardize", "--in", str(case / "wt_p.nii.gz"), "--out", str(tmp_path / "s.nii.gz")],
+        ["survival-train", *survival, "--model-out", str(model)],
+        ["survival-predict", *survival, "--model", str(model), "--out-csv", str(tmp_path / "p.csv")],
+        ["survival-cv", *survival, "--folds", "3"],
+        ["--help"],
+    ]
+    for argv in commands:
+        out = subprocess.run([sys.executable, "-c", FRESH_RUN, *argv], env=fresh_env(),
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr.splitlines()[-1] == "loaded: []", argv
 
 
 class TestInitConfig:

@@ -323,6 +323,14 @@ class TestCrossValidation:
         b = kfold_split(23, 5, seed=2)
         assert any(not np.array_equal(fa, fb) for fa, fb in zip(a, b))
 
+    def test_too_few_records_for_folds_names_both_counts(self):
+        with pytest.raises(ValueError, match="^3 records are too few for 5 folds$"):
+            kfold_split(3, 5, seed=0)
+        with pytest.raises(ValueError, match="^0 records are too few for 5 folds$"):
+            cross_validate([], lambda train: None, folds=5)
+        with pytest.raises(ValueError, match="^folds must be >= 2, got 1$"):
+            kfold_split(10, 1, seed=0)
+
     def test_cross_validate_runs_and_is_deterministic(self):
         records = separable_records(10)
 

@@ -88,6 +88,15 @@ class TestConnectedComponents:
         assert count_components(Mask3D(m), Connectivity.EDGE18) == 2
         assert count_components(Mask3D(m), Connectivity.FACE6) == 2
 
+    @pytest.mark.parametrize("connectivity, rank", [
+        (Connectivity.FACE6, 1), (Connectivity.EDGE18, 2), (Connectivity.CORNER26, 3),
+    ])
+    def test_structure_is_scipy_neighbourhood(self, connectivity, rank):
+        from scipy import ndimage
+
+        got, want = connectivity.structure(), ndimage.generate_binary_structure(3, rank)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     @pytest.mark.parametrize("connectivity", list(Connectivity))
     def test_against_flood_fill(self, connectivity):
         rng = np.random.default_rng(connectivity.value)
