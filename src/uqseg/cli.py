@@ -421,16 +421,17 @@ def phantom(preset, seed, count, out_dir: Path, config_path):
     preset = preset or cfg.phantom.preset
     if preset not in PRESETS:
         raise click.UsageError(f"unknown phantom preset {preset!r}; choose from {sorted(PRESETS)}")
-    for case_seed in range(seed, seed + count):
-        case = f"phantom-{case_seed:04d}"
-        spec = PRESETS[preset](case_seed, dims=cfg.phantom.dims)
-        data = generate_phantom(spec)
+
+    def one_case(case, case_seed):
+        data = generate_phantom(PRESETS[preset](case_seed, dims=cfg.phantom.dims))
         for region_key, region in zip(REGION_KEYS, REGION_ORDER):
             p_file, q_file = _pair_files(out_dir / case, region_key)
             write_nifti(data.p[region], p_file)
             write_nifti(data.q[region], q_file)
         write_nifti(masks_to_brats_labels(data.gt), _find_nifti(out_dir / "gt", case), dtype="uint8")
         click.echo(f"generated {case}", err=True)
+
+    _run_cases(one_case, [(f"phantom-{s:04d}", s) for s in range(seed, seed + count)])
 
 
 @main.command("init-config")

@@ -14,6 +14,8 @@ import numpy as np
 
 from .volumes import Axis, Volume3D, require_same_grid
 
+FUSE_SLAB = 1 << 16  # voxels per fusion slab, rounded down to whole planes (at least one)
+
 
 @dataclass
 class PredictionPair:
@@ -51,16 +53,28 @@ def ensemble_with_flips(preds: Sequence[PredictionPair], flip_axes: Iterable[Axi
     model's output on the axis-flipped input; mirroring the fused volume back
     aligns it with the original frame before it joins the mean. With no flip
     axes this is the plain mean of the fused pairs.
+
+    The result is the one full-size array. It is summed in slabs of whole planes
+    (FUSE_SLAB voxels) across the slowest axis in memory that no view flips, one
+    slab if all three are; each slab adds the views from zero in the same order.
     """
     if not preds:
         raise ValueError("cannot ensemble an empty prediction list")
     require_same_grid(*[pair.p for pair in preds])
-    axes = sorted(set(flip_axes), key=lambda a: a.value)
-    acc = np.zeros_like(preds[0].p.data, dtype=np.float64)
-    for pair in preds:
-        fused = fuse_single(pair.p.data, pair.q.data)
-        acc += fused
-        for axis in axes:
-            acc += np.flip(fused, axis=axis.value)
-    n_views = len(preds) * (1 + len(axes))
-    return Volume3D(acc / n_views, preds[0].p.spacing)
+    flipped = sorted({a.value for a in flip_axes})
+    out = np.empty_like(preds[0].p.data, dtype=np.float64)
+    free = [a for a in np.argsort(out.strides, kind="stable")[::-1] if a not in flipped]
+    axis = int(free[0]) if free else 0
+    step = max(1, FUSE_SLAB * out.shape[axis] // out.size) if free else out.shape[0]
+    n_views = len(preds) * (1 + len(flipped))
+    for start in range(0, out.shape[axis], step):
+        slab = (slice(None),) * axis + (slice(start, start + step),)
+        acc = out[slab]
+        acc.fill(0.0)  # 0.0 + -0.0 is 0.0, as in a sum started from zeros
+        for pair in preds:
+            fused = fuse_single(pair.p.data[slab], pair.q.data[slab])
+            acc += fused
+            for a in flipped:
+                acc += np.flip(fused, axis=a)
+        np.divide(acc, n_views, out=acc)
+    return Volume3D(out, preds[0].p.spacing)

@@ -113,8 +113,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def gzip_deflate(payload: bytes, strategy: int) -> bytes:
-    """One gzip member (level 9, zlib ``strategy``, mtime 0) holding ``payload``.
+def gzip_deflate(payload, strategy: int) -> bytes:
+    """One gzip member (level 9, zlib ``strategy``, mtime 0) holding the bytes-like ``payload``.
 
     The payload is cut at fixed DEFLATE_CHUNK boundaries and the chunks are
     deflated on a thread pool (zlib releases the GIL). Each chunk after the
@@ -253,6 +253,13 @@ def _build_header(
     return bytes(header)
 
 
+def _cast_back_equal(voxels: np.ndarray, values: np.ndarray) -> bool:
+    """Whether ``voxels == values`` everywhere, compared DEFLATE_CHUNK voxels of whole z-planes at a time."""
+    step = max(1, DEFLATE_CHUNK * voxels.shape[2] // voxels.size)
+    return all(np.array_equal(voxels[..., z : z + step], values[..., z : z + step])
+               for z in range(0, voxels.shape[2], step))
+
+
 def write_nifti(
     vol,
     path,
@@ -280,17 +287,21 @@ def write_nifti(
     code = _CODE_FOR[dtype]
     np_dtype = _DTYPES[code][0]
 
+    payload = np.empty(DATA_OFFSET + vol.data.size * np_dtype.itemsize, np.uint8)
+    payload.data[:HEADER_SIZE] = _build_header(vol.dims, vol.spacing, code, header_template)
+    payload[HEADER_SIZE:DATA_OFFSET] = 0
+    voxels = payload[DATA_OFFSET:].view(np_dtype).reshape(vol.dims, order="F")
     values = vol.data
-    if code != DT_FLOAT32 and not np.can_cast(values.dtype, np_dtype):
+    with np.errstate(invalid="ignore"):  # a value the cast cannot hold is caught below
+        np.copyto(voxels, values, casting="unsafe")
+    # a fractional or out-of-range value does not survive the cast unchanged
+    lossy = code != DT_FLOAT32 and not np.can_cast(values.dtype, np_dtype)
+    if lossy and not _cast_back_equal(voxels, values):
         info = np.iinfo(np_dtype)
         if values.dtype.kind == "f" and not np.all(values == np.round(values)):
             raise ValueError(f"cannot write non-integer values as {dtype}")
         if values.min() < info.min or values.max() > info.max:
             raise ValueError(f"values out of range for {dtype}")
-    data = values.astype(np_dtype, copy=False)
-
-    header = _build_header(vol.dims, vol.spacing, code, header_template)
-    payload = header + b"\x00\x00\x00\x00" + data.tobytes(order="F")
     if path.suffix == ".gz":
         payload = gzip_deflate(payload, zlib.Z_DEFAULT_STRATEGY if code == DT_FLOAT32 else zlib.Z_RLE)
     write_atomic(path, payload)

@@ -21,7 +21,9 @@ def certainty_from_q(q: Volume3D) -> Volume3D:
     """100 * (1 - 2q): flip-probability 0 is fully certain, 0.5 fully uncertain."""
     if q.data.min() < 0.0 or q.data.max() > 0.5:
         raise ValueError("q values must lie in [0, 0.5]")
-    return Volume3D(100.0 * (1.0 - 2.0 * q.float64()), q.spacing)
+    cert = np.multiply(q.data, 2.0, dtype=np.float64)  # the one full-size array, then in place
+    np.subtract(1.0, cert, out=cert)
+    return Volume3D(np.multiply(cert, 100.0, out=cert), q.spacing)
 
 
 def symmetric_uncertainty_raw(x: Volume3D) -> Volume3D:

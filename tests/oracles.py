@@ -5,8 +5,9 @@ are labeled by explicit flood fill, surface distances by all-pairs search,
 and losses by scalar math-module arithmetic. The superseded full-volume
 kernels, the first-appearance component relabel, the ``find_objects`` box and
 full-grid gather, the one-call gzip codec, the float64 read, label and
-fusion paths and the recursive survival forest kept below are the references
-their rewrites must equal.
+fusion paths, the full-volume fusion, certainty and concatenated-payload
+writer and the recursive survival forest kept below are the references their
+rewrites must equal.
 """
 import gzip
 import math
@@ -182,6 +183,43 @@ def loop_fused_mean(pairs, axes=()):
         for axis in axes:
             acc += np.flip(fused, axis=axis).copy()
     return acc / (len(pairs) * (1 + len(axes)))
+
+
+def full_volume_fused_mean(pairs, axes=()):
+    """The former ``ensemble_with_flips`` body on (p, q) arrays in their own dtype:
+    a zeroed float64 accumulator, each pair fused into a full-size copy and added,
+    then its flips, then one division by the number of views."""
+    axes = sorted(set(axes))
+    acc = np.zeros_like(pairs[0][0], dtype=np.float64)
+    for p, q in pairs:
+        fused = np.array(q, dtype=np.float64)
+        np.subtract(1.0, fused, out=fused, where=np.asarray(p) > np.float64(0.5))
+        acc += fused
+        for axis in axes:
+            acc += np.flip(fused, axis=axis)
+    return acc / (len(pairs) * (1 + len(axes)))
+
+
+def full_volume_certainty(q):
+    """The former ``certainty_from_q`` expression on an array in its own dtype."""
+    return 100.0 * (1.0 - 2.0 * q.astype(np.float64, copy=False))
+
+
+def concatenated_nifti(values, header, dtype, gz):
+    """The former ``write_nifti`` file bytes after the header was built: the
+    integer checks, then ``astype``, ``tobytes`` and one concatenation, deflated
+    by the serial chunked writer for a ``.gz`` path."""
+    np_dtype = np.dtype(dtype).newbyteorder("<")
+    if np_dtype.kind != "f" and not np.can_cast(values.dtype, np_dtype):
+        info = np.iinfo(np_dtype)
+        if values.dtype.kind == "f" and not np.all(values == np.round(values)):
+            raise ValueError(f"cannot write non-integer values as {dtype}")
+        if values.min() < info.min or values.max() > info.max:
+            raise ValueError(f"values out of range for {dtype}")
+    payload = header + b"\x00\x00\x00\x00" + values.astype(np_dtype, copy=False).tobytes(order="F")
+    if not gz:
+        return payload
+    return serial_chunked_gzip(payload, zlib.Z_DEFAULT_STRATEGY if np_dtype.kind == "f" else zlib.Z_RLE)
 
 
 def brute_dice(a, b):

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from uqseg.cli import main
+from uqseg.config import DEFAULT_DIMS
 from uqseg.ensemble import PredictionPair, ensemble_with_flips
 from uqseg.nifti import read_nifti, write_nifti
 from uqseg.tables import read_case_table, read_predictions_table, read_survival_table
@@ -234,6 +235,29 @@ class TestFailurePath:
         assert "Traceback" not in result.stderr
         assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")] == []
         assert list(target.iterdir()) == []
+
+    def test_phantom_case_that_cannot_be_written_fails_alone(self, runner, tmp_path):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        (cases / "phantom-0000").write_text("not a directory")
+        result = invoke(runner, ["phantom", "--seed", "0", "--count", "3", "--out", str(cases)], expect=1)
+        assert result.stderr.splitlines()[-1] == (
+            f"error: phantom-0000: [Errno 17] File exists: '{cases / 'phantom-0000'}'")
+        assert "Traceback" not in result.stderr
+        for case in ("phantom-0001", "phantom-0002"):
+            assert f"generated {case}" in result.stderr
+            assert read_nifti(cases / case / "et_q.nii.gz")[0].dims == DEFAULT_DIMS
+            assert (cases / "gt" / f"{case}.nii.gz").is_file()
+        assert not (cases / "gt" / "phantom-0000.nii.gz").exists()
+        assert [p for p in tmp_path.rglob("*") if p.name.endswith(".part")] == []
+
+    def test_unwritable_target_error_names_only_the_target(self, runner, tmp_path):
+        target = tmp_path / "d.csv"
+        target.mkdir()
+        result = invoke(runner, ["init-config", "--out", str(target)], expect=1)
+        assert result.stderr == f"error: {target}: [Errno 21] Is a directory: '{target}'\n"
+        assert ".part" not in result.stderr and str(os.getpid()) not in result.stderr
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
     def test_refine_missing_channel_fails_fast(self, runner, tmp_path):
         invoke(runner, ["phantom", "--seed", "1", "--out", str(tmp_path / "cases")])
@@ -663,6 +687,7 @@ import atexit, sys
 atexit.register(lambda: print("loaded:", sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}),
                               file=sys.stderr))
 from uqseg.cli import main
+from uqseg.config import DEFAULT_DIMS
 main(sys.argv[1:], prog_name="uqseg")
 """
 

@@ -6,7 +6,10 @@ over the whole grid, the box ``find_objects``' box and the boxed gather the
 whole-grid gather; the pooled gzip writer must
 equal its serial oracle byte for byte, and the one-pass reader must return
 or reject what the former reader did. Volumes read in their file dtype must
-give what the former float64 read, label and fusion paths gave."""
+give what the former float64 read, label and fusion paths gave. Slab fusion,
+in-place certainty and the one-buffer NIfTI writer must give the bits, bytes
+and errors of the full-volume fusion, certainty expression and
+concatenated-payload writer."""
 import gzip
 import os
 import struct
@@ -19,12 +22,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    concatenated_nifti,
     find_objects_box,
     first_appearance_components,
     first_appearance_remove_small,
     float64_label_read,
     float64_read,
     full_grid_float64,
+    full_volume_certainty,
+    full_volume_fused_mean,
     full_volume_hd95,
     gzip_encode,
     gzip_read_bytes,
@@ -884,3 +890,152 @@ def test_fused_prediction_and_cv_equal_tree_oracle():
             records, via_oracle, folds=3, seed=seed), f"case {i}"
         checked += 1
     assert checked > FOREST_CASES // 2
+
+
+# --- slab fusion, in-place certainty, one-buffer writer --------------------------
+
+SLAB_PLANES = 3  # FUSE_SLAB is patched to this many planes of each case's slab axis
+FLIP_SUBSETS = [tuple(a for a in Axis if mask >> a.value & 1) for mask in range(8)]
+
+
+def slab_axis(order, flips):
+    """The slowest axis in memory that no view flips, or None when all three are flipped."""
+    free = [a for a in ((0, 1, 2) if order == "C" else (2, 1, 0)) if a not in {f.value for f in flips}]
+    return free[0] if free else None
+
+
+def fusion_pairs(rng, dims, dtype, order, n_models):
+    """(p, q) arrays with p exactly 0.5 and q -0.0, 0.0 and 0.5 on some voxels."""
+    pairs = []
+    for _ in range(n_models):
+        p, q = rng.random(dims), rng.random(dims) * 0.5
+        p[rng.random(dims) < 0.15] = 0.5
+        q[rng.random(dims) < 0.1] = -0.0
+        q[rng.random(dims) < 0.1] = 0.0
+        q[rng.random(dims) < 0.05] = 0.5
+        pairs.append(tuple(np.asarray(a.astype(dtype), order=order) for a in (p, q)))
+    return pairs
+
+
+def fusion_cases():
+    """Every flip subset, dtype and order, with the slab axis 1, slab - 1, slab and slab + 1 planes long."""
+    for n, (flips, dtype, order, length) in enumerate(
+            (f, d, o, length) for f in FLIP_SUBSETS for d in (np.float32, np.float64) for o in "CF"
+            for length in (1, SLAB_PLANES - 1, SLAB_PLANES, SLAB_PLANES + 1)):
+        rng = np.random.default_rng([41, n])
+        dims = [int(d) for d in rng.integers(2, 7, size=3)]
+        axis = slab_axis(order, flips)
+        dims[2 if axis is None else axis] = length
+        yield flips, dtype, order, axis, fusion_pairs(rng, tuple(dims), dtype, order, 1 + n % 3)
+
+
+def test_slab_fusion_equals_full_volume_oracle(monkeypatch):
+    import uqseg.ensemble as ensemble
+
+    calls = []
+    fuse, default_slab = ensemble.fuse_single, ensemble.FUSE_SLAB
+    monkeypatch.setattr(ensemble, "fuse_single", lambda p, q: calls.append(p.shape) or fuse(p, q))
+    seen = set()
+    for flips, dtype, order, axis, arrays in fusion_cases():
+        dims = arrays[0][0].shape
+        plane = int(np.prod(dims)) // dims[axis if axis is not None else 2]
+        pairs = [PredictionPair(Volume3D(p), Volume3D(q)) for p, q in arrays]
+        before = [a.copy() for pair in arrays for a in pair]
+        want = full_volume_fused_mean(arrays, [a.value for a in flips])
+        for slab in (SLAB_PLANES * plane, default_slab):
+            monkeypatch.setattr(ensemble, "FUSE_SLAB", slab)
+            calls.clear()
+            got = ensemble_with_flips(pairs, flips).data
+            assert same_bits(got, want), (flips, dtype, order, dims)
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+            slabs = 1 if axis is None else -(-dims[axis] // max(1, slab // plane))
+            assert len(calls) == len(pairs) * slabs, (flips, order, dims, slab)
+            seen.add((len(flips), slabs > 1))
+        assert all(same_bits(a, b) for a, b in zip((a for pair in arrays for a in pair), before))
+    assert {(k, True) for k in range(3)} | {(3, False)} <= seen
+
+
+def test_certainty_equals_full_volume_oracle():
+    rng = np.random.default_rng(43)
+    checked = 0
+    for dtype in (np.float32, np.float64, np.uint8, np.int16):
+        for order in "CF":
+            for dims in ((1, 1, 1), (3, 4, 5), (17, 9, 6)):
+                q = np.where(rng.random(dims) < 0.2, -0.0, rng.random(dims) * 0.5)
+                q[rng.random(dims) < 0.2] = 0.5
+                q = np.asarray(q.astype(dtype) if dtype in (np.float32, np.float64) else np.zeros(dims, dtype),
+                               order=order)
+                before = q.copy()
+                got = certainty_from_q(Volume3D(q, (1.0, 2.0, 3.0))).data
+                assert same_bits(got, full_volume_certainty(q)), (dtype, order, dims)
+                assert got.flags.f_contiguous == full_volume_certainty(q).flags.f_contiguous
+                assert same_bits(q, before) and not np.shares_memory(got, q)
+                checked += 1
+    assert checked == 24
+
+
+WRITER_SOURCES = ("bool", "uint8", "int16", "float32", "float64")
+
+
+def writer_values(rng, source, dims, fault):
+    """Values of dtype ``source`` that each output dtype holds, or with one ``fault``:
+    ``fraction``, ``range`` or ``both`` (a fraction in the last plane, out of range in the first)."""
+    if source == "bool":
+        return rng.random(dims) < 0.4
+    values = rng.integers(0, 5, dims).astype(source)
+    if source.startswith("float"):
+        values[rng.random(dims) < 0.2] = -0.0
+        if fault in ("fraction", "both"):
+            values[-1, -1, -1] = 2.5
+    if fault in ("range", "both"):
+        values[0, 0, 0] = -1 if source == "int16" else 300
+    return values
+
+
+def test_writer_equals_concatenated_payload_oracle(tmp_path):
+    from uqseg.nifti import _build_header
+
+    rng = np.random.default_rng(47)
+    seen = set()
+    for n, (source, dims, fault) in enumerate(
+            (s, d, f) for s in WRITER_SOURCES for d in ((1, 1, 1), (5, 3, 4), (64, 64, 70))
+            for f in ("none", "fraction", "range", "both")):
+        if (source in ("bool", "uint8") and fault != "none") or (source == "int16" and fault in ("fraction", "both")):
+            continue
+        values = writer_values(rng, source, dims, fault)
+        vol = Mask3D(values) if source == "bool" else Volume3D(values, (0.5, 1.0, 2.0))
+        for dtype in ("uint8", "int16", "float32"):
+            header = _build_header(vol.dims, vol.spacing, {"uint8": 2, "int16": 4, "float32": 16}[dtype], None)
+            for suffix in (".nii", ".nii.gz"):
+                if dims[0] == 64 and suffix == ".nii.gz" and dtype == "float32":
+                    continue  # level 9 over a float payload of this size is slow and adds no case
+                path = tmp_path / f"w{n}-{dtype}{suffix}"
+                try:
+                    want = concatenated_nifti(vol.data, header, dtype, suffix == ".nii.gz")
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as info:
+                        write_nifti(vol, path, dtype=dtype)
+                    assert str(info.value) == str(exc), (source, dims, fault, dtype)
+                    assert not path.exists() and list(tmp_path.glob("*.part")) == []
+                    seen.add((source, str(exc).split(" as ")[0].split(" for ")[0]))
+                    continue
+                write_nifti(vol, path, dtype=dtype)
+                assert path.read_bytes() == want, (source, dims, fault, dtype, suffix)
+                seen.add((source, dtype, suffix))
+    assert {(s, d, x) for s in WRITER_SOURCES for d in ("uint8", "int16", "float32")
+            for x in (".nii", ".nii.gz")} <= seen
+    assert {(s, e) for s in ("float32", "float64") for e in ("cannot write non-integer values",
+                                                            "values out of range")} <= seen
+    assert ("int16", "values out of range") in seen
+
+
+def test_writer_reports_the_fraction_before_the_range(tmp_path):
+    values = np.zeros((64, 64, 70))
+    values[0, 0, 0], values[-1, -1, -1] = 300.0, 0.5  # out of range in the first slab, the fraction in the last
+    for dtype in ("uint8", "int16"):
+        with pytest.raises(ValueError, match=f"^cannot write non-integer values as {dtype}$"):
+            write_nifti(Volume3D(values), tmp_path / "v.nii", dtype=dtype)
+    values[-1, -1, -1] = 70000.0
+    with pytest.raises(ValueError, match="^values out of range for int16$"):
+        write_nifti(Volume3D(values), tmp_path / "v.nii", dtype="int16")
+    assert list(tmp_path.iterdir()) == []
