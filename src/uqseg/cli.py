@@ -12,6 +12,7 @@ summaries go to stderr; results go to files.
 """
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -57,7 +58,7 @@ from .uncertainty import (
 )
 from .volumes import Axis, Volume3D, standardize_nonzero
 
-REGION_KEYS = ("wt", "tc", "et")
+REGION_KEYS = tuple(region.value for region in REGION_ORDER)
 CHALLENGE_NAMES = {"wt": "whole", "tc": "core", "et": "enhance"}
 
 _NIFTI_SUFFIXES = (".nii.gz", ".nii")
@@ -294,18 +295,18 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
         pred_seg = brats_labels_to_masks(pred_labels)
         gt_seg = brats_labels_to_masks(gt_labels)
         row: dict[str, object] = {"case_id": case}
-        for region_key, region in zip(REGION_KEYS, REGION_ORDER):
+        for region in REGION_ORDER:
             pred_mask = pred_seg.mask(region)
             gt_mask = gt_seg.mask(region)
             result = compare_masks(pred_mask, gt_mask, hd95_empty_sentinel=cfg.hd95_empty_sentinel)
-            row[f"dice_{region_key}"] = result.dice
-            row[f"hd95_{region_key}"] = result.hd95
+            row[f"dice_{region.value}"] = result.dice
+            row[f"hd95_{region.value}"] = result.hd95
             if cert_files is not None:
-                cert, _ = read_nifti(cert_files[region_key], expect_dims=pred_labels.dims)
+                cert, _ = read_nifti(cert_files[region.value], expect_dims=pred_labels.dims)
                 curve = evaluate_uncertainty(pred_mask, gt_mask, cert, cfg.uncertainty_thresholds)
-                row[f"dice_auc_{region_key}"] = curve.dice_auc
-                row[f"ftp_auc_{region_key}"] = curve.ftp_auc
-                row[f"ftn_auc_{region_key}"] = curve.ftn_auc
+                row[f"dice_auc_{region.value}"] = curve.dice_auc
+                row[f"ftp_auc_{region.value}"] = curve.ftp_auc
+                row[f"ftn_auc_{region.value}"] = curve.ftn_auc
         return row
 
     _run_cases(one_case, plan, jobs, write=lambda rows: _write(out_csv, write_results_table, rows))
@@ -327,6 +328,9 @@ def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
         meta = read_case_table(meta_csv, required=("case_id", "age"))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    twice = [case for case, n in Counter(row["case_id"] for row in meta).items() if n > 1]
+    if twice:
+        raise click.UsageError(f"{meta_csv}: case {twice[0]!r} is listed more than once")
     plan = [(row["case_id"], row, _find_nifti(labels_dir, row["case_id"])) for row in meta]
     _require("features", [label_file for *_, label_file in plan])
 
@@ -424,8 +428,8 @@ def phantom(preset, seed, count, out_dir: Path, config_path):
 
     def one_case(case, case_seed):
         data = generate_phantom(PRESETS[preset](case_seed, dims=cfg.phantom.dims))
-        for region_key, region in zip(REGION_KEYS, REGION_ORDER):
-            p_file, q_file = _pair_files(out_dir / case, region_key)
+        for region in REGION_ORDER:
+            p_file, q_file = _pair_files(out_dir / case, region.value)
             write_nifti(data.p[region], p_file)
             write_nifti(data.q[region], q_file)
         write_nifti(masks_to_brats_labels(data.gt), _find_nifti(out_dir / "gt", case), dtype="uint8")

@@ -106,6 +106,30 @@ def _overlay(defaults: dict, doc, section: str) -> dict:
     return {**defaults, **doc}
 
 
+def _fits(value, default) -> bool:
+    """Whether ``value`` has ``default``'s type; an int fits a float, a bool fits neither."""
+    if isinstance(default, dict):  # null keeps the defaults; _enum_keyed reads the entries
+        return value is None or isinstance(value, dict)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if default is None or isinstance(default, float):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return number or (value is None and default is None)
+    return type(value) is type(default)
+
+
+def _kind(default, plural: bool = False) -> str:
+    """What a value of ``default``'s type is called in an error message."""
+    if isinstance(default, dict):
+        return "a mapping"
+    if isinstance(default, list):
+        return "a list of " + _kind(default[0], plural=True)
+    noun = {bool: "boolean", int: "integer", str: "string"}.get(type(default), "number")
+    if plural:
+        return noun + "s"
+    return ("an " if noun == "integer" else "a ") + noun + (" or null" if default is None else "")
+
+
 def _enum_keyed(kind, what: str, section: str, defaults: dict, doc) -> dict:
     """The number map ``doc`` laid over ``defaults``, keyed by members of ``kind``."""
     out = {}
@@ -123,6 +147,13 @@ def parse_config(doc: dict | None) -> PipelineConfig:
     doc = _overlay(defaults, doc, "top-level")
     sections = {name: _overlay(defaults[name], doc[name], name) for name in defaults}
     ref, surv, pha = sections["refine"], sections["survival"], sections["phantom"]
+    check_forest_size(surv["n_trees"], surv["max_depth"])  # first: its messages give the range
+    for name, section in sections.items():
+        for key, value in section.items():
+            if not _fits(value, defaults[name][key]):
+                raise ValueError(f"{key} must be {_kind(defaults[name][key])}, got {value!r}")
+    if len(pha["dims"]) != 3 or min(pha["dims"]) < 1:
+        raise ValueError(f"dims must be three positive integers, got {pha['dims']!r}")
     conn = str(ref["connectivity"]).upper()
     if conn not in Connectivity.__members__:
         names = sorted(c.name.lower() for c in Connectivity)
@@ -131,7 +162,6 @@ def parse_config(doc: dict | None) -> PipelineConfig:
         for name in surv[key]:
             if name not in FEATURE_NAMES:
                 raise ValueError(f"unknown survival feature {name!r} in {key}")
-    check_forest_size(surv["n_trees"], surv["max_depth"])
     sentinel = sections["metrics"]["hd95_empty_sentinel"]
     return PipelineConfig(
         refine=RefinementConfig(
@@ -140,10 +170,10 @@ def parse_config(doc: dict | None) -> PipelineConfig:
             confidence_gate=_enum_keyed(RegionLabel, "region", "confidence_gate",
                                         defaults["refine"]["confidence_gate"],
                                         ref["confidence_gate"]),
-            min_component_size=int(ref["min_component_size"]),
-            failsafe_min_voxels=int(ref["failsafe_min_voxels"]),
+            min_component_size=ref["min_component_size"],
+            failsafe_min_voxels=ref["failsafe_min_voxels"],
             connectivity=Connectivity[conn],
-            enforce_nesting=bool(ref["enforce_nesting"]),
+            enforce_nesting=ref["enforce_nesting"],
         ),
         uncertainty_thresholds=tuple(float(t) for t in sections["uncertainty"]["thresholds"]),
         hd95_empty_sentinel=None if sentinel is None else float(sentinel),
@@ -160,7 +190,7 @@ def parse_config(doc: dict | None) -> PipelineConfig:
             bins=ClassBins(short_max=float(surv["short_max_days"]),
                            long_min=float(surv["long_min_days"])),
         ),
-        phantom=PhantomConfig(preset=str(pha["preset"]), dims=tuple(int(d) for d in pha["dims"])),
+        phantom=PhantomConfig(preset=pha["preset"], dims=tuple(pha["dims"])),
     )
 
 

@@ -12,8 +12,6 @@ from .volumes import Connectivity, foreground_box, require_same_dims, require_sa
 class MetricResult:
     dice: float
     hd95: float | None
-    both_empty: bool = False
-    one_empty: bool = False
 
 
 def dice(a, b) -> float:
@@ -71,12 +69,10 @@ def hausdorff95(a, b, empty_sentinel: float | None = None) -> float:
 
 
 def compare_masks(a, b, hd95_empty_sentinel: float | None = None) -> MetricResult:
-    """Dice plus HD95 with empty-mask bookkeeping, for per-case result rows."""
+    """Dice plus HD95: 0.0 for two empty masks, the sentinel for one, neither checking spacing."""
+    d = dice(a, b)
     a_empty = not a.data.any()
     b_empty = not b.data.any()
-    d = dice(a, b)
-    if a_empty and b_empty:
-        return MetricResult(dice=d, hd95=0.0, both_empty=True)
     if a_empty or b_empty:
-        return MetricResult(dice=d, hd95=hd95_empty_sentinel, one_empty=True)
+        return MetricResult(dice=d, hd95=0.0 if a_empty and b_empty else hd95_empty_sentinel)
     return MetricResult(dice=d, hd95=hausdorff95(a, b))

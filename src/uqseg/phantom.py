@@ -118,11 +118,7 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
         q_clean = np.where(truth, spec.q_inside, spec.q_outside)
         q_noisy = q_clean + rng.normal(0.0, spec.noise_sigma, spec.dims)
         q[region] = Volume3D(np.clip(q_noisy, 0.0, 0.5), spec.spacing)
-    gt = SegmentationSet(
-        wt=gt_masks[RegionLabel.WHOLE_TUMOR],
-        tc=gt_masks[RegionLabel.TUMOR_CORE],
-        et=gt_masks[RegionLabel.ENHANCING_TUMOR],
-    )
+    gt = SegmentationSet(**{region.value: mask for region, mask in gt_masks.items()})
     return PhantomCase(p=p, q=q, gt=gt)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class RegionLabel(enum.Enum):
     ENHANCING_TUMOR = "et"
 
 
-REGION_ORDER = (RegionLabel.WHOLE_TUMOR, RegionLabel.TUMOR_CORE, RegionLabel.ENHANCING_TUMOR)
+REGION_ORDER = tuple(RegionLabel)
 
 # BraTS label encoding: 4 = enhancing tumor, 1 = non-enhancing core, 2 = edema.
 BRATS_ET = 4
@@ -53,11 +53,7 @@ class SegmentationSet:
         require_same_dims(self.wt, self.tc, self.et)
 
     def mask(self, region: RegionLabel) -> Mask3D:
-        return {
-            RegionLabel.WHOLE_TUMOR: self.wt,
-            RegionLabel.TUMOR_CORE: self.tc,
-            RegionLabel.ENHANCING_TUMOR: self.et,
-        }[region]
+        return getattr(self, region.value)
 
 
 @dataclass
@@ -105,14 +101,14 @@ class RegionReport:
     was re-thresholded at the fallback threshold.
     """
 
-    mean_core_confidence: float | None = None
+    mean_confidence: float | None = None
     fallback_used: bool = False
     core_substituted: bool = False
     failsafe_triggered: bool = False
     final_threshold: float = 0.5
 
     def summary(self, region: RegionLabel) -> str:
-        conf = "n/a" if self.mean_core_confidence is None else f"{self.mean_core_confidence:.4f}"
+        conf = "n/a" if self.mean_confidence is None else f"{self.mean_confidence:.4f}"
         notes = []
         if self.fallback_used:
             notes.append("fallback")
@@ -127,6 +123,9 @@ class RegionReport:
         )
 
 
+REPORT_COLUMNS = tuple(f"{r.value}_{f.name}" for r in REGION_ORDER for f in fields(RegionReport))
+
+
 @dataclass
 class RefinementReport:
     regions: dict[RegionLabel, RegionReport]
@@ -135,16 +134,9 @@ class RefinementReport:
         return [self.regions[r].summary(r) for r in REGION_ORDER]
 
     def flat_record(self) -> dict[str, object]:
-        rec: dict[str, object] = {}
-        for region in REGION_ORDER:
-            r = self.regions[region]
-            prefix = region.value
-            rec[f"{prefix}_mean_confidence"] = r.mean_core_confidence
-            rec[f"{prefix}_fallback_used"] = r.fallback_used
-            rec[f"{prefix}_core_substituted"] = r.core_substituted
-            rec[f"{prefix}_failsafe_triggered"] = r.failsafe_triggered
-            rec[f"{prefix}_final_threshold"] = r.final_threshold
-        return rec
+        """The report as one row keyed by REPORT_COLUMNS."""
+        values = (getattr(self.regions[r], f.name) for r in REGION_ORDER for f in fields(RegionReport))
+        return dict(zip(REPORT_COLUMNS, values))
 
 
 def threshold_mask(p: Volume3D, t: float) -> Mask3D:
@@ -168,7 +160,7 @@ def refine_region(
         threshold_mask(p, cfg.base_threshold), cfg.min_component_size, cfg.connectivity
     )
     confidence = mean_region_confidence(p, mask)
-    report = RegionReport(mean_core_confidence=confidence, final_threshold=cfg.base_threshold)
+    report = RegionReport(mean_confidence=confidence, final_threshold=cfg.base_threshold)
     if confidence is None or confidence < cfg.confidence_gate[region]:
         mask = remove_small_components(
             threshold_mask(p, cfg.fallback_threshold), cfg.min_component_size, cfg.connectivity
@@ -230,13 +222,7 @@ def refine_segmentation(
         et = Mask3D(et.data & tc.data, wt.spacing)
 
     seg = SegmentationSet(wt=wt, tc=tc, et=et)
-    report = RefinementReport(
-        regions={
-            RegionLabel.WHOLE_TUMOR: wt_rep,
-            RegionLabel.TUMOR_CORE: tc_rep,
-            RegionLabel.ENHANCING_TUMOR: et_rep,
-        }
-    )
+    report = RefinementReport(regions=dict(zip(REGION_ORDER, (wt_rep, tc_rep, et_rep))))
     return seg, report
 
 

@@ -7,35 +7,25 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
 from .atomic import write_atomic
-from .refine import REGION_ORDER
+from .refine import REPORT_COLUMNS
 from .survival import SurvivalRecord
 
-SURVIVAL_COLUMNS = ("case_id", "age", "n_tumors", "n_cores", "survival_days")
+SURVIVAL_COLUMNS = tuple(f.name for f in fields(SurvivalRecord))
 PREDICTION_COLUMNS = ("case_id", "predicted_days")
 
 _METRIC_COLUMNS = (
     "dice_et", "dice_wt", "dice_tc",
     "hd95_et", "hd95_wt", "hd95_tc",
 )
-_REFINE_COLUMNS = tuple(
-    f"{region.value}_{suffix}"
-    for region in REGION_ORDER
-    for suffix in (
-        "mean_confidence",
-        "fallback_used",
-        "core_substituted",
-        "failsafe_triggered",
-        "final_threshold",
-    )
-)
 _AUC_COLUMNS = tuple(
     f"{kind}_auc_{region}" for kind in ("dice", "ftp", "ftn") for region in ("et", "wt", "tc")
 )
-CASE_RESULT_COLUMNS = ("case_id",) + _METRIC_COLUMNS + _REFINE_COLUMNS + _AUC_COLUMNS
+CASE_RESULT_COLUMNS = ("case_id",) + _METRIC_COLUMNS + REPORT_COLUMNS + _AUC_COLUMNS
 
 # Summary rows aggregate the metric-like columns only.
 SUMMARY_COLUMNS = _METRIC_COLUMNS + _AUC_COLUMNS
@@ -60,7 +50,8 @@ def _write_rows(path, header: tuple[str, ...], rows: Iterable[Iterable]) -> None
     write_atomic(path, buf.getvalue().encode())
 
 
-def _read_rows(path, required: tuple[str, ...]) -> list[dict[str, str]]:
+def read_case_table(path, required: tuple[str, ...] = ("case_id",)) -> list[dict[str, str]]:
+    """The rows of a CSV file as dicts; a missing required column raises naming the file."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -80,15 +71,12 @@ def cell(path, row: dict[str, str], column: str, convert):
 
 
 def write_survival_table(path, records: Iterable[SurvivalRecord]) -> None:
-    rows = [
-        (r.case_id, r.age, r.n_tumors, r.n_cores, r.survival_days)
-        for r in sorted(records, key=lambda r: r.case_id)
-    ]
+    rows = [[getattr(r, col) for col in SURVIVAL_COLUMNS] for r in sorted(records, key=lambda r: r.case_id)]
     _write_rows(path, SURVIVAL_COLUMNS, rows)
 
 
 def read_survival_table(path) -> list[SurvivalRecord]:
-    rows = _read_rows(path, SURVIVAL_COLUMNS)
+    rows = read_case_table(path, SURVIVAL_COLUMNS)
     return [
         SurvivalRecord(
             case_id=row["case_id"],
@@ -107,7 +95,7 @@ def write_predictions_table(path, rows: Iterable[tuple[str, float]]) -> None:
 
 
 def read_predictions_table(path) -> list[tuple[str, float]]:
-    rows = _read_rows(path, PREDICTION_COLUMNS)
+    rows = read_case_table(path, PREDICTION_COLUMNS)
     return [(row["case_id"], cell(path, row, "predicted_days", float)) for row in rows]
 
 
@@ -126,10 +114,6 @@ def write_results_table(path, records: list[dict], summary: bool = True) -> None
                 row.append(fn(values) if values else None)
             rows.append(row)
     _write_rows(path, CASE_RESULT_COLUMNS, rows)
-
-
-def read_case_table(path, required: tuple[str, ...] = ("case_id",)) -> list[dict[str, str]]:
-    return _read_rows(path, required)
 
 
 def _is_number(v) -> bool:

@@ -299,6 +299,15 @@ class TestFailurePath:
         assert not (tmp_path / "f.csv").exists()
 
 
+RESULTS_HEADER = (
+    "case_id,dice_et,dice_wt,dice_tc,hd95_et,hd95_wt,hd95_tc,"
+    "wt_mean_confidence,wt_fallback_used,wt_core_substituted,wt_failsafe_triggered,wt_final_threshold,"
+    "tc_mean_confidence,tc_fallback_used,tc_core_substituted,tc_failsafe_triggered,tc_final_threshold,"
+    "et_mean_confidence,et_fallback_used,et_core_substituted,et_failsafe_triggered,et_final_threshold,"
+    "dice_auc_et,dice_auc_wt,dice_auc_tc,ftp_auc_et,ftp_auc_wt,ftp_auc_tc,ftn_auc_et,ftn_auc_wt,ftn_auc_tc"
+)
+
+
 class TestPipeline:
     def test_diffuse_phantom_falls_back_after_fusion(self, runner, tmp_path):
         cases = tmp_path / "cases"
@@ -316,6 +325,20 @@ class TestPipeline:
                         "--out-csv", str(tmp_path / "results.csv")])
         row = read_case_table(tmp_path / "results.csv")[0]
         assert float(row["dice_wt"]) > 0.95 and float(row["dice_tc"]) > 0.95
+
+    def test_file_headers_are_pinned(self, runner, tmp_path):
+        """The headers of the written tables; a new record field changes them on purpose only."""
+        results = run_pipeline(runner, tmp_path, count=1)
+        meta = tmp_path / "meta.csv"
+        meta.write_text("case_id,age\nphantom-0003,60\n")
+        features = tmp_path / "features.csv"
+        invoke(runner, ["features", "--labels-dir", str(tmp_path / "pred"), "--meta-csv", str(meta),
+                        "--out-csv", str(features)])
+        header = lambda path: path.read_text().splitlines()[0]
+        assert header(results) == RESULTS_HEADER
+        assert len(RESULTS_HEADER.split(",")) == 31
+        assert header(tmp_path / "phantom-0003_report.csv") == RESULTS_HEADER
+        assert header(features) == "case_id,age,n_tumors,n_cores,survival_days"
 
     def test_phantom_refine_evaluate(self, runner, tmp_path):
         out_csv = run_pipeline(runner, tmp_path)
@@ -567,6 +590,21 @@ class TestSurvivalCommands:
         assert f"got {value}" in result.stderr
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("refine:\n  enforce_nesting: 'false'", "enforce_nesting must be a boolean, got 'false'"),
+        ("refine:\n  min_component_size: abc", "min_component_size must be an integer, got 'abc'"),
+        ("uncertainty:\n  thresholds: 5", "thresholds must be a list of numbers, got 5"),
+        ("phantom:\n  dims: 48", "dims must be a list of integers, got 48"),
+        ("phantom:\n  dims: [40, 40]", "dims must be three positive integers, got [40, 40]"),
+    ])
+    def test_mistyped_config_value_is_usage_error(self, runner, tmp_path, setting, message):
+        config = tmp_path / "conf.yaml"
+        config.write_text(setting + "\n")
+        result = invoke(runner, ["phantom", "--out", str(tmp_path / "cases"), "--config", str(config)], expect=2)
+        assert f"bad configuration: {message}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "cases").exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -663,6 +701,18 @@ class TestFeaturesCommand:
         assert read_survival_table(out) == []
         result = invoke(runner, ["survival-cv", "--features-csv", str(out)], expect=2)
         assert "0 records are too few for 5 folds" in result.stderr
+
+    def test_case_listed_twice_is_usage_error(self, runner, tmp_path):
+        labels_dir = tmp_path / "labels"
+        write_nifti(Volume3D(np.zeros((3, 3, 3))), labels_dir / "phantom-0001.nii.gz", dtype="uint8")
+        meta = tmp_path / "meta.csv"
+        meta.write_text("case_id,age\nphantom-0001,61\nphantom-0001,62\n")
+        out = tmp_path / "features.csv"
+        result = invoke(runner, ["features", "--labels-dir", str(labels_dir),
+                                 "--meta-csv", str(meta), "--out-csv", str(out)], expect=2)
+        assert f"{meta}: case 'phantom-0001' is listed more than once" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
 
 def fresh_env():

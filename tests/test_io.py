@@ -439,10 +439,17 @@ class TestConfig:
             ({"survival": {"max_depth": -1}}, r"max_depth must be an integer in \[0, 10\], got -1"),
             ({"survival": {"max_depth": 11}}, r"max_depth must be an integer in \[0, 10\], got 11"),
             ({"survival": {"max_depth": 3.0}}, r"max_depth must be an integer in \[0, 10\], got 3.0"),
+            ({"refine": {"enforce_nesting": "false"}}, "enforce_nesting must be a boolean, got 'false'"),
+            ({"refine": {"min_component_size": 2.7}}, "min_component_size must be an integer, got 2.7"),
+            ({"refine": {"min_component_size": "abc"}}, "min_component_size must be an integer, got 'abc'"),
+            ({"uncertainty": {"thresholds": 5}}, "thresholds must be a list of numbers, got 5"),
+            ({"phantom": {"dims": 48}}, "dims must be a list of integers, got 48"),
+            ({"phantom": {"dims": [40, 40]}}, r"dims must be three positive integers, got \[40, 40\]"),
         ],
         ids=["uncertainty", "metrics", "survival", "phantom",
              "ols-feature", "forest-feature", "gate-region", "override-class",
-             "zero-trees", "fractional-trees", "text-trees", "negative-depth", "deep", "float-depth"],
+             "zero-trees", "fractional-trees", "text-trees", "negative-depth", "deep", "float-depth",
+             "text-nesting", "fractional-size", "text-size", "scalar-thresholds", "scalar-dims", "two-dims"],
     )
     def test_other_rejections(self, doc, message):
         with pytest.raises(ValueError, match=message):

@@ -116,14 +116,13 @@ class TestCompareMasks:
         result = compare_masks(a, b)
         assert result.dice == 0.0
         assert result.hd95 == pytest.approx(1.0)
-        assert not result.one_empty and not result.both_empty
 
     def test_empty_bookkeeping(self):
         e = Mask3D(np.zeros((3, 3, 3), dtype=bool))
         m = mask_at([(0, 0, 0)], dims=(3, 3, 3))
         both = compare_masks(e, e)
-        assert both.both_empty and both.dice == 1.0 and both.hd95 == 0.0
+        assert both.dice == 1.0 and both.hd95 == 0.0
         one = compare_masks(m, e)
-        assert one.one_empty and one.hd95 is None
+        assert one.hd95 is None
         with_sentinel = compare_masks(m, e, hd95_empty_sentinel=999.0)
         assert with_sentinel.hd95 == 999.0

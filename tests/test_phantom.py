@@ -98,7 +98,7 @@ class TestPresets:
     def test_diffuse_preset_triggers_fallback(self):
         case = generate_phantom(diffuse_lgg_like_spec(0))
         _, report = refine_region(case.p[RegionLabel.TUMOR_CORE], RegionLabel.TUMOR_CORE)
-        assert report.mean_core_confidence < 0.75
+        assert report.mean_confidence < 0.75
         assert report.fallback_used
 
     def test_preset_registry(self):

@@ -62,7 +62,7 @@ class TestRefineRegion:
         case = generate_phantom(hgg_like_spec(0))
         p = case.p[RegionLabel.TUMOR_CORE]
         mask, report = refine_region(p, RegionLabel.TUMOR_CORE)
-        assert report.mean_core_confidence > 0.75
+        assert report.mean_confidence > 0.75
         assert not report.fallback_used
         assert report.final_threshold == 0.5
         cfg = RefinementConfig()
@@ -75,7 +75,7 @@ class TestRefineRegion:
         case = generate_phantom(diffuse_lgg_like_spec(0))
         p = case.p[RegionLabel.TUMOR_CORE]
         mask, report = refine_region(p, RegionLabel.TUMOR_CORE)
-        assert report.mean_core_confidence < 0.75
+        assert report.mean_confidence < 0.75
         assert report.fallback_used
         assert report.final_threshold == 0.05
         cfg = RefinementConfig()
@@ -87,7 +87,7 @@ class TestRefineRegion:
     def test_all_zero_probability(self):
         mask, report = refine_region(uniform_volume(0.0), RegionLabel.TUMOR_CORE)
         assert not mask.data.any()
-        assert report.mean_core_confidence is None
+        assert report.mean_confidence is None
         assert report.fallback_used
 
     def test_zero_gate_never_falls_back_on_nonempty(self):
