@@ -12,7 +12,6 @@ summaries go to stderr; results go to files.
 """
 from __future__ import annotations
 
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -328,9 +327,6 @@ def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
         meta = read_case_table(meta_csv, required=("case_id", "age"))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    twice = [case for case, n in Counter(row["case_id"] for row in meta).items() if n > 1]
-    if twice:
-        raise click.UsageError(f"{meta_csv}: case {twice[0]!r} is listed more than once")
     plan = [(row["case_id"], row, _find_nifti(labels_dir, row["case_id"])) for row in meta]
     _require("features", [label_file for *_, label_file in plan])
 

@@ -138,6 +138,8 @@ def _enum_keyed(kind, what: str, section: str, defaults: dict, doc) -> dict:
             member = kind(key)
         except ValueError:
             raise ValueError(f"unknown {what} {key!r} in {section}") from None
+        if not _fits(value, defaults[member.value]):
+            raise ValueError(f"{key} must be {_kind(defaults[member.value])}, got {value!r}")
         out[member] = float(value)
     return out
 

@@ -8,6 +8,7 @@ Orientation fields pass through untouched; the pipeline is voxel-space only.
 """
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 import os
@@ -41,6 +42,8 @@ _CODE_FOR = {"uint8": DT_UINT8, "int16": DT_INT16, "float32": DT_FLOAT32}
 GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\x03"
 DEFLATE_CHUNK = 256 * 1024
 DEFLATE_WINDOW = 32 * 1024
+# No deflate stream inflates to more than 1032 times its size (a 258-byte match per 2 bits).
+DEFLATE_MAX_RATIO = 1032
 
 
 @dataclass
@@ -61,12 +64,62 @@ class NiftiHeaderView:
         return self.vox_offset + int(np.prod(self.dims)) * _DTYPES[self.datatype][0].itemsize
 
 
-def _read_bytes(path: Path) -> bytes:
+@functools.cache
+def _libdeflate():
+    """libdeflate's gzip inflater as ``gunzip(blob, size)``, or None where the system lacks it.
+
+    Looked up on the first gzip read, not at import: ``find_library`` starts ``ldconfig``.
+    ``gunzip`` inflates the one gzip member ``blob`` into a fresh read-only buffer of ``size``
+    bytes, or returns None unless the member fills it exactly and ends the blob. Each call has
+    its own decompressor, and ctypes releases the GIL, so threads may call it at once.
+    """
+    import ctypes
+    import ctypes.util
+
+    name = ctypes.util.find_library("deflate")
+    if name is None:
+        return None
+    try:
+        lib = ctypes.CDLL(name)
+        alloc, free = lib.libdeflate_alloc_decompressor, lib.libdeflate_free_decompressor
+        inflate = lib.libdeflate_gzip_decompress_ex
+    except (OSError, AttributeError):  # unloadable, or older than the _ex entry point
+        return None
+    alloc.restype, alloc.argtypes = ctypes.c_void_p, []
+    free.restype, free.argtypes = None, [ctypes.c_void_p]
+    size_p = ctypes.POINTER(ctypes.c_size_t)
+    inflate.restype = ctypes.c_int  # 0 is LIBDEFLATE_SUCCESS
+    inflate.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t,
+                        ctypes.c_void_p, ctypes.c_size_t, size_p, size_p]
+
+    def gunzip(blob: bytes, size: int) -> memoryview | None:
+        out = np.empty(size, np.uint8)
+        read, made = ctypes.c_size_t(), ctypes.c_size_t()
+        decompressor = alloc()
+        if not decompressor:
+            return None
+        try:
+            status = inflate(decompressor, blob, len(blob), out.ctypes.data, size,
+                             ctypes.byref(read), ctypes.byref(made))
+        finally:
+            free(decompressor)
+        if status or read.value != len(blob) or made.value != size:
+            return None
+        out.flags.writeable = False
+        return out.data
+
+    return gunzip
+
+
+def _read_bytes(path: Path) -> bytes | memoryview:
     """The file's bytes, gunzipped when they start with the gzip magic.
 
     A gzip stream that inflates past the end of the volume its NIfTI header declares is refused
-    as soon as it does. One complete member is inflated in one zlib pass, which checks its CRC
-    and length; anything else goes through ``gzip.GzipFile``, as ``gzip.decompress`` reads it.
+    as soon as it does. When the first gzip member holds the whole header and the system has
+    libdeflate, one member that ends the file and inflates to its stated size, within the
+    declared volume, is inflated by libdeflate into one read-only buffer. Any other complete
+    member is inflated in one zlib pass, which checks its CRC and length; anything else goes
+    through ``gzip.GzipFile``, as ``gzip.decompress`` reads it. Errors come from the zlib paths.
     """
     blob = path.read_bytes()
     if blob[:2] != b"\x1f\x8b":
@@ -83,7 +136,12 @@ def _read_bytes(path: Path) -> bytes:
 
     inflater = zlib.decompressobj(wbits=31)
     try:  # the header from a throwaway inflater, so the volume is inflated into one buffer
-        cap = cap_of(zlib.decompressobj(wbits=31).decompress(blob, HEADER_SIZE))
+        head = zlib.decompressobj(wbits=31).decompress(blob, HEADER_SIZE)
+        cap = cap_of(head)
+        if len(head) == HEADER_SIZE and (gunzip := _libdeflate()) is not None:
+            (stated,) = struct.unpack_from("<I", blob, len(blob) - 4)  # ISIZE, if one member ends the file
+            if stated <= min(cap, DEFLATE_MAX_RATIO * len(blob)) and (data := gunzip(blob, stated)) is not None:
+                return data
         data = inflater.decompress(blob, cap + 1)
         within(len(data), cap)
         if inflater.eof and not inflater.unused_data:
@@ -146,7 +204,7 @@ def gzip_deflate(payload, strategy: int) -> bytes:
 def _parse_header(blob: bytes, path) -> NiftiHeaderView:
     if len(blob) < HEADER_SIZE:
         raise ValueError(f"{path}: truncated file, header shorter than {HEADER_SIZE} bytes")
-    raw = blob[:HEADER_SIZE]
+    raw = bytes(blob[:HEADER_SIZE])
     (sizeof_hdr,) = struct.unpack_from("<i", raw, 0)
     if sizeof_hdr != HEADER_SIZE:
         if struct.unpack_from(">i", raw, 0)[0] == HEADER_SIZE:

@@ -7,24 +7,22 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 from typing import Iterable
 
 from .atomic import write_atomic
-from .refine import REPORT_COLUMNS
+from .refine import REPORT_COLUMNS, RegionLabel
 from .survival import SurvivalRecord
 
 SURVIVAL_COLUMNS = tuple(f.name for f in fields(SurvivalRecord))
 PREDICTION_COLUMNS = ("case_id", "predicted_days")
 
-_METRIC_COLUMNS = (
-    "dice_et", "dice_wt", "dice_tc",
-    "hd95_et", "hd95_wt", "hd95_tc",
-)
-_AUC_COLUMNS = tuple(
-    f"{kind}_auc_{region}" for kind in ("dice", "ftp", "ftn") for region in ("et", "wt", "tc")
-)
+# The results file lists regions as et, wt, tc, not in REGION_ORDER.
+_RESULT_REGIONS = (RegionLabel.ENHANCING_TUMOR, RegionLabel.WHOLE_TUMOR, RegionLabel.TUMOR_CORE)
+_METRIC_COLUMNS = tuple(f"{metric}_{r.value}" for metric in ("dice", "hd95") for r in _RESULT_REGIONS)
+_AUC_COLUMNS = tuple(f"{kind}_auc_{r.value}" for kind in ("dice", "ftp", "ftn") for r in _RESULT_REGIONS)
 CASE_RESULT_COLUMNS = ("case_id",) + _METRIC_COLUMNS + REPORT_COLUMNS + _AUC_COLUMNS
 
 # Summary rows aggregate the metric-like columns only.
@@ -51,7 +49,7 @@ def _write_rows(path, header: tuple[str, ...], rows: Iterable[Iterable]) -> None
 
 
 def read_case_table(path, required: tuple[str, ...] = ("case_id",)) -> list[dict[str, str]]:
-    """The rows of a CSV file as dicts; a missing required column raises naming the file."""
+    """The rows of a CSV file as dicts; a missing required column or a case listed twice raises naming the file."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -59,7 +57,12 @@ def read_case_table(path, required: tuple[str, ...] = ("case_id",)) -> list[dict
         missing = [col for col in required if col not in header]
         if missing:
             raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-        return list(reader)
+        rows = list(reader)
+    if "case_id" in header:
+        twice = [case for case, n in Counter(row["case_id"] for row in rows).items() if n > 1]
+        if twice:
+            raise ValueError(f"{path}: case {twice[0]!r} is listed more than once")
+    return rows
 
 
 def cell(path, row: dict[str, str], column: str, convert):

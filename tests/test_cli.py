@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from oracles import gzip_read_bytes
 from uqseg.cli import main
 from uqseg.config import DEFAULT_DIMS
 from uqseg.ensemble import PredictionPair, ensemble_with_flips
@@ -235,6 +236,44 @@ class TestFailurePath:
         assert "Traceback" not in result.stderr
         assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")] == []
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("inflater", ["libdeflate", "zlib"], indirect=True)
+    @pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
+    def test_corrupt_gzip_input_is_error_line(self, runner, tmp_path, inflater, damage):
+        """Each reading command gives the former reader's error for a damaged .nii.gz, whichever inflater runs."""
+        pair, labels, out = tmp_path / "pair", tmp_path / "labels", tmp_path / "out"
+        write_nifti(Volume3D(np.random.default_rng(4).random((6, 6, 6)) * 0.5), tmp_path / "good.nii.gz")
+        good = (tmp_path / "good.nii.gz").read_bytes()
+        middle = len(good) // 2
+        blob = good[:middle] if damage == "truncated" else good[:middle] + bytes([good[middle] ^ 4]) + good[middle + 1:]
+        for path in [*(pair / f"{region}_{kind}.nii.gz" for region in ("wt", "tc", "et") for kind in "pq"),
+                     labels / "c.nii.gz"]:
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(blob)
+        (tmp_path / "meta.csv").write_text("case_id,age\nc,60\n")
+        wt_p, wt_q, label_map = pair / "wt_p.nii.gz", pair / "wt_q.nii.gz", labels / "c.nii.gz"
+        runs = {  # the arguments, then (case name, unreadable file) for each error line
+            "ensemble": (["--pred", str(pair), "--out", str(out)],
+                         [(region, pair / f"{region}_p.nii.gz") for region in ("wt", "tc", "et")]),
+            "refine": (refine_args(pair, out / "c.nii.gz")[1:], [("c", wt_p)]),
+            "uncertainty": (["--formula", "flip", "--q", str(wt_q), "--out", str(out / "u.nii.gz")],
+                            [(wt_q, wt_q)]),
+            "evaluate": (["--pred-dir", str(labels), "--gt-dir", str(labels), "--out-csv", str(out / "r.csv")],
+                         [("c", label_map)]),
+            "features": (["--labels-dir", str(labels), "--meta-csv", str(tmp_path / "meta.csv"),
+                          "--out-csv", str(out / "f.csv")], [("c", label_map)]),
+            "standardize": (["--in", str(wt_p), "--out", str(out / "s.nii.gz")], [(wt_p.name, wt_p)]),
+        }
+        for command, (args, failures) in runs.items():
+            expected = []
+            for name, path in failures:
+                with pytest.raises(ValueError) as former:
+                    gzip_read_bytes(path)
+                expected.append(f"error: {name}: {former.value}\n")
+            result = invoke(runner, [command, *args], expect=1)
+            assert result.stderr == "".join(expected), command
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
+        assert sorted(p.name for p in out.iterdir()) == ["f.csv", "r.csv"]  # the header-only tables
 
     def test_phantom_case_that_cannot_be_written_fails_alone(self, runner, tmp_path):
         cases = tmp_path / "cases"
@@ -658,6 +697,24 @@ class TestSurvivalCommands:
         assert f"{features}: case 'case-7': bad age 'abc'" in result.stderr
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["survival-train", "survival-predict", "survival-cv"])
+    def test_case_listed_twice_is_usage_error(self, runner, tmp_path, command):
+        model = tmp_path / "model.json"
+        write_cohort_csv(tmp_path / "cohort.csv", n=12)
+        invoke(runner, ["survival-train", "--features-csv", str(tmp_path / "cohort.csv"),
+                        "--model-out", str(model)])
+        features = tmp_path / "features.csv"  # 13 rows: c0 at ages 40 and 99
+        rows = [f"c{i},{40 + i},1,1,{200 + 50 * i}" for i in range(12)] + ["c0,99,2,1,300"]
+        features.write_text("case_id,age,n_tumors,n_cores,survival_days\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        args = {"survival-train": ["--model-out", str(out)],
+                "survival-predict": ["--model", str(model), "--out-csv", str(out)],
+                "survival-cv": ["--folds", "3", "--out-csv", str(out)]}[command]
+        result = invoke(runner, [command, "--features-csv", str(features), *args], expect=2)
+        assert f"{features}: case 'c0' is listed more than once" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_unlabeled_rows_is_usage_error(self, runner, tmp_path):
         features = tmp_path / "features.csv"
         features.write_text("case_id,age,n_tumors,n_cores,survival_days\nx,60,1,1,\n")
@@ -722,9 +779,10 @@ def fresh_env():
 
 
 def test_cli_import_skips_scipy_stats():
-    """Neither the package nor the CLI loads scipy or PyYAML on import."""
+    """Neither the package nor the CLI loads scipy, PyYAML or the library lookup on import."""
     code = ("import sys\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'yaml'))\n"
+            "loaded = lambda: sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] in ('scipy', 'yaml') or m in ('ctypes.util', 'subprocess'))\n"
             "import uqseg\nprint(loaded())\nimport uqseg.cli\nprint(loaded())")
     out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, check=True, timeout=120)

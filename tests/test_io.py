@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uqseg import nifti
 from uqseg.config import (
     ENV_CONFIG_PATH,
     PipelineConfig,
@@ -54,6 +55,7 @@ def craft_nifti_bytes(data, datatype, bitpix, slope=0.0, inter=0.0, pixdim=(1.0,
     return bytes(header) + b"\x00\x00\x00\x00" + data.tobytes(order="F")
 
 
+@pytest.mark.usefixtures("inflater")
 class TestNifti:
     def test_float32_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -176,6 +178,17 @@ class TestNifti:
             read_nifti(bad)
         assert isinstance(info.value.__cause__, cause)
 
+    def test_gzip_volume_is_read_only(self, tmp_path, inflater):
+        """libdeflate inflates into one read-only buffer, zlib into bytes; both read the same."""
+        path = tmp_path / "v.nii.gz"
+        write_nifti(Volume3D(np.arange(64.0).reshape(4, 4, 4)), path)
+        blob = nifti._read_bytes(path)
+        assert isinstance(blob, memoryview if inflater == "libdeflate" else bytes)
+        assert blob == gzip.decompress(path.read_bytes())
+        vol, _ = read_nifti(path)
+        assert not vol.data.flags.writeable
+        assert np.array_equal(vol.data, np.arange(64.0).reshape(4, 4, 4))
+
     @staticmethod
     def gzip_member(*payloads):
         """One gzip member holding the payloads in turn."""
@@ -198,6 +211,23 @@ class TestNifti:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="bomb.nii.gz: gzip stream inflates past the 360 bytes"):
+                read_nifti(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_stated_size_past_the_deflate_ratio_is_not_allocated(self, tmp_path):
+        """A member whose trailer states 4 GiB is refused without a buffer of that size."""
+        blob = bytearray(craft_nifti_bytes(np.zeros((2, 2, 2), dtype="<f4"), 16, 32))
+        struct.pack_into("<3h", blob, 42, 32767, 32767, 32767)  # a volume that 4 GiB fits in
+        member = bytearray(gzip.compress(bytes(blob), mtime=0))
+        member[-4:] = struct.pack("<I", 0xFFFFFFF0)
+        path = tmp_path / "v.nii.gz"
+        path.write_bytes(member)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="v.nii.gz: corrupt gzip stream: Incorrect length"):
                 read_nifti(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -445,11 +475,14 @@ class TestConfig:
             ({"uncertainty": {"thresholds": 5}}, "thresholds must be a list of numbers, got 5"),
             ({"phantom": {"dims": 48}}, "dims must be a list of integers, got 48"),
             ({"phantom": {"dims": [40, 40]}}, r"dims must be three positive integers, got \[40, 40\]"),
+            ({"refine": {"confidence_gate": {"wt": "0.5"}}}, "wt must be a number, got '0.5'"),
+            ({"survival": {"override_days": {"short": True}}}, "short must be a number, got True"),
         ],
         ids=["uncertainty", "metrics", "survival", "phantom",
              "ols-feature", "forest-feature", "gate-region", "override-class",
              "zero-trees", "fractional-trees", "text-trees", "negative-depth", "deep", "float-depth",
-             "text-nesting", "fractional-size", "text-size", "scalar-thresholds", "scalar-dims", "two-dims"],
+             "text-nesting", "fractional-size", "text-size", "scalar-thresholds", "scalar-dims", "two-dims",
+             "text-gate", "boolean-override-days"],
     )
     def test_other_rejections(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -478,7 +511,7 @@ class TestConfig:
             parse_config({"loss": {"gamma": 3.5}})
 
     def test_bad_gate_value_is_not_an_unknown_region(self):
-        with pytest.raises(ValueError, match="could not convert string to float: 'high'"):
+        with pytest.raises(ValueError, match="wt must be a number, got 'high'"):
             parse_config({"refine": {"confidence_gate": {"wt": "high"}}})
 
     def test_non_mapping_section_rejected(self):

@@ -424,6 +424,7 @@ def reader_inputs():
         "bad-crc": ours[:-8] + bytes([ours[-8] ^ 1]) + ours[-7:],
         "bad-length": ours[:-4] + bytes([ours[-4] ^ 1]) + ours[-3:],
         "trailing-garbage": ours + b"junk",
+        "trailing-copy-of-isize": ours + ours[-4:],
         "multi-member-trailing-garbage": split + b"junk",
         "bad-second-member": split[:-8] + b"\x00" * 8,
         "truncated-second-member": split[:-1000],
@@ -441,6 +442,7 @@ def test_reader_inputs_declare_their_volume():
             assert 352 + 1024 * rows == len(volume), name
 
 
+@pytest.mark.usefixtures("inflater")
 def test_gzip_reader_equals_former_reader(tmp_path):
     accepted, corrupt = reader_inputs()
     path = tmp_path / "x.nii.gz"

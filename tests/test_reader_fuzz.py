@@ -31,6 +31,8 @@ FLIPPED = ("dim", "datatype", "bitpix", "vox_offset", "scl_slope")
 KINDS = ("uint8", "int16", "float32")
 READERS = (read_nifti, read_label_volume)
 
+pytestmark = pytest.mark.usefixtures("inflater")
+
 
 def valid_file(kind):
     """The bytes of a small valid ``.nii`` of one dtype: a label map, intensities or probabilities."""
