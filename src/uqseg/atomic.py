@@ -1,4 +1,5 @@
 """Whole-file writes: a reader finds the old file or the new one, never a part."""
+import errno
 import os
 from pathlib import Path
 
@@ -10,13 +11,15 @@ def write_atomic(path, data) -> None:
     is removed, ``path`` is unchanged and an ``OSError`` names ``path``.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.{os.getpid()}.part")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         partial.write_bytes(data)
         os.replace(partial, path)
     except BaseException as exc:
-        partial.unlink(missing_ok=True)
+        if partial.parent.is_dir():  # else a regular file is in the way, and no partial file was made
+            partial.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.strerror:
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+            code = errno.ENOTDIR if isinstance(exc, FileExistsError) else exc.errno  # mkdir: a file is in the way
+            raise OSError(code, os.strerror(code), str(path)) from exc
         raise

@@ -424,6 +424,7 @@ def phantom(preset, seed, count, out_dir: Path, config_path):
 
     def one_case(case, case_seed):
         data = generate_phantom(PRESETS[preset](case_seed, dims=cfg.phantom.dims))
+        (out_dir / case).mkdir(parents=True, exist_ok=True)  # a file in its place is named as the case's error
         for region in REGION_ORDER:
             p_file, q_file = _pair_files(out_dir / case, region.value)
             write_nifti(data.p[region], p_file)

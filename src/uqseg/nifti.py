@@ -44,6 +44,7 @@ DEFLATE_CHUNK = 256 * 1024
 DEFLATE_WINDOW = 32 * 1024
 # No deflate stream inflates to more than 1032 times its size (a 258-byte match per 2 bits).
 DEFLATE_MAX_RATIO = 1032
+LIBDEFLATE_LEVEL = 1  # for float32 payloads with few repeats; zlib level 9 writes every other .gz
 
 
 @dataclass
@@ -66,12 +67,14 @@ class NiftiHeaderView:
 
 @functools.cache
 def _libdeflate():
-    """libdeflate's gzip inflater as ``gunzip(blob, size)``, or None where the system lacks it.
+    """libdeflate's gzip codec as ``(gunzip, gzip_member)``, or None where the system lacks it.
 
-    Looked up on the first gzip read, not at import: ``find_library`` starts ``ldconfig``.
-    ``gunzip`` inflates the one gzip member ``blob`` into a fresh read-only buffer of ``size``
-    bytes, or returns None unless the member fills it exactly and ends the blob. Each call has
-    its own decompressor, and ctypes releases the GIL, so threads may call it at once.
+    Looked up on the first gzip read or write, not at import: ``find_library`` starts ``ldconfig``.
+    ``gunzip(blob, size)`` inflates the one gzip member ``blob`` into a fresh read-only buffer of
+    ``size`` bytes, or returns None unless the member fills it exactly and ends the blob.
+    ``gzip_member(payload)`` deflates a uint8 array at LIBDEFLATE_LEVEL into one gzip member
+    (mtime 0) in a buffer of libdeflate's bound, or returns None. Each call has its own
+    (de)compressor, and ctypes releases the GIL, so threads may call both at once.
     """
     import ctypes
     import ctypes.util
@@ -83,14 +86,21 @@ def _libdeflate():
         lib = ctypes.CDLL(name)
         alloc, free = lib.libdeflate_alloc_decompressor, lib.libdeflate_free_decompressor
         inflate = lib.libdeflate_gzip_decompress_ex
+        alloc_c, free_c = lib.libdeflate_alloc_compressor, lib.libdeflate_free_compressor
+        compress, bound = lib.libdeflate_gzip_compress, lib.libdeflate_gzip_compress_bound
     except (OSError, AttributeError):  # unloadable, or older than the _ex entry point
         return None
     alloc.restype, alloc.argtypes = ctypes.c_void_p, []
-    free.restype, free.argtypes = None, [ctypes.c_void_p]
+    alloc_c.restype, alloc_c.argtypes = ctypes.c_void_p, [ctypes.c_int]
+    for release in (free, free_c):
+        release.restype, release.argtypes = None, [ctypes.c_void_p]
     size_p = ctypes.POINTER(ctypes.c_size_t)
     inflate.restype = ctypes.c_int  # 0 is LIBDEFLATE_SUCCESS
     inflate.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t,
                         ctypes.c_void_p, ctypes.c_size_t, size_p, size_p]
+    bound.restype, bound.argtypes = ctypes.c_size_t, [ctypes.c_void_p, ctypes.c_size_t]
+    compress.restype = ctypes.c_size_t  # 0 when the member does not fit
+    compress.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p, ctypes.c_size_t]
 
     def gunzip(blob: bytes, size: int) -> memoryview | None:
         out = np.empty(size, np.uint8)
@@ -108,7 +118,19 @@ def _libdeflate():
         out.flags.writeable = False
         return out.data
 
-    return gunzip
+    def gzip_member(payload: np.ndarray) -> np.ndarray | None:
+        payload = np.ascontiguousarray(payload, np.uint8)  # the pointer below needs one uint8 block
+        compressor = alloc_c(LIBDEFLATE_LEVEL)
+        if not compressor:
+            return None
+        try:
+            out = np.empty(bound(compressor, payload.size), np.uint8)
+            made = compress(compressor, payload.ctypes.data, payload.size, out.ctypes.data, out.size)
+        finally:
+            free_c(compressor)
+        return out[:made] if made else None
+
+    return gunzip, gzip_member
 
 
 def _read_bytes(path: Path) -> bytes | memoryview:
@@ -138,9 +160,9 @@ def _read_bytes(path: Path) -> bytes | memoryview:
     try:  # the header from a throwaway inflater, so the volume is inflated into one buffer
         head = zlib.decompressobj(wbits=31).decompress(blob, HEADER_SIZE)
         cap = cap_of(head)
-        if len(head) == HEADER_SIZE and (gunzip := _libdeflate()) is not None:
+        if len(head) == HEADER_SIZE and (codec := _libdeflate()) is not None:
             (stated,) = struct.unpack_from("<I", blob, len(blob) - 4)  # ISIZE, if one member ends the file
-            if stated <= min(cap, DEFLATE_MAX_RATIO * len(blob)) and (data := gunzip(blob, stated)) is not None:
+            if stated <= min(cap, DEFLATE_MAX_RATIO * len(blob)) and (data := codec[0](blob, stated)) is not None:
                 return data
         data = inflater.decompress(blob, cap + 1)
         within(len(data), cap)
@@ -318,6 +340,15 @@ def _cast_back_equal(voxels: np.ndarray, values: np.ndarray) -> bool:
                for z in range(0, voxels.shape[2], step))
 
 
+def _few_repeats(voxels: np.ndarray) -> bool:
+    """Whether under one in 16 of the uint8 array's 8-byte words repeat a word of their DEFLATE_CHUNK.
+
+    Runs, quantized values and mirrored rows repeat; noise, where level 9 gains least, does not."""
+    words, step = voxels[: voxels.size // 8 * 8].view("<u8"), DEFLATE_CHUNK // 8
+    chunks = (np.sort(words[start : start + step]) for start in range(0, words.size, step))
+    return 16 * sum(np.count_nonzero(chunk[1:] == chunk[:-1]) for chunk in chunks) < words.size
+
+
 def write_nifti(
     vol,
     path,
@@ -328,10 +359,12 @@ def write_nifti(
 
     float32 round-trips losslessly. Integer dtypes require integral values in
     range. A header template must match the volume's dims; its uninterpreted
-    fields are carried over verbatim. A ``.gz`` path gets gzip level 9: run-
-    length deflate for integer maps, the default strategy for float32. The
-    file appears whole or not at all: it is written beside the target and
-    renamed over it.
+    fields are carried over verbatim. A ``.gz`` path gets one gzip member: a
+    noise-dominated float32 payload (``_few_repeats``) goes to libdeflate at
+    LIBDEFLATE_LEVEL when the system has it; every other payload, and any
+    libdeflate failure, to ``gzip_deflate`` at level 9: run-length deflate for
+    integer maps, the default strategy for float32. The file appears whole or
+    not at all: it is written beside the target and renamed over it.
     """
     path = Path(path)
     if header_template is not None and header_template.dims != vol.dims:
@@ -361,5 +394,8 @@ def write_nifti(
         if values.min() < info.min or values.max() > info.max:
             raise ValueError(f"values out of range for {dtype}")
     if path.suffix == ".gz":
-        payload = gzip_deflate(payload, zlib.Z_DEFAULT_STRATEGY if code == DT_FLOAT32 else zlib.Z_RLE)
+        codec = _libdeflate() if code == DT_FLOAT32 else None
+        fast = codec[1](payload) if codec and _few_repeats(payload[DATA_OFFSET:]) else None
+        payload = fast if fast is not None else gzip_deflate(
+            payload, zlib.Z_DEFAULT_STRATEGY if code == DT_FLOAT32 else zlib.Z_RLE)
     write_atomic(path, payload)

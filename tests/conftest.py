@@ -5,10 +5,10 @@ from uqseg import nifti
 
 @pytest.fixture
 def inflater(request, monkeypatch):
-    """The inflater ``.nii.gz`` files are read through: "libdeflate" (the default) or "zlib".
+    """The codec ``.nii.gz`` files are read and written through: "libdeflate" (the default) or "zlib".
 
-    Parametrize it indirectly to choose. "zlib" hides libdeflate, so every read takes the zlib
-    path; "libdeflate" skips the test where the system has no libdeflate.
+    Parametrize it indirectly to choose. "zlib" hides libdeflate, so every read and every write
+    takes the zlib path; "libdeflate" skips the test where the system has no libdeflate.
     """
     name = getattr(request, "param", "libdeflate")
     if name == "zlib":

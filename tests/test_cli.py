@@ -193,21 +193,50 @@ class TestUncertaintyCommand:
         assert result.exit_code == 2
 
 
+def volume_writer_args(command, case, out):
+    """``command``'s arguments to write from phantom ``case`` under ``out``, and the files it writes."""
+    if command == "refine":
+        return refine_args(case, out / "labels.nii.gz"), [out / "labels.nii.gz"]
+    if command == "uncertainty":
+        return (["uncertainty", "--formula", "flip", "--q", str(case / "wt_q.nii.gz"), "--out", str(out / "cert.nii.gz")],
+                [out / "cert.nii.gz"])
+    if command == "ensemble":
+        return ["ensemble", "--pred", str(case), "--out", str(out)], [out / f"{r}_prob.nii.gz" for r in ("wt", "tc", "et")]
+    return ["standardize", "--in", str(case), "--out", str(out)], sorted(out / f.name for f in case.glob("*.nii.gz"))
+
+
+def part_files(root):
+    return [p for p in root.rglob("*") if p.name.endswith(".part")]
+
+
 class TestFailurePath:
-    @pytest.mark.parametrize("command", ["refine", "uncertainty"])
+    @pytest.mark.parametrize("command", ["refine", "uncertainty", "ensemble", "standardize"])
     def test_write_into_directory_fails_its_case(self, runner, tmp_path, command):
+        """A target that is a directory fails its own case; the command's other files are written."""
         invoke(runner, ["phantom", "--seed", "1", "--out", str(tmp_path / "cases")])
         case = tmp_path / "cases" / "phantom-0001"
-        target = tmp_path / "out.nii.gz"
-        target.mkdir()
-        if command == "refine":
-            args = refine_args(case, target)
-        else:
-            args = ["uncertainty", "--formula", "flip", "--q", str(case / "wt_q.nii.gz"), "--out", str(target)]
+        args, (target, *others) = volume_writer_args(command, case, tmp_path / "out")
+        target.mkdir(parents=True)
         result = invoke(runner, args, expect=1)
         assert result.stderr.startswith("error: ")
         assert str(target) in result.stderr and "Traceback" not in result.stderr
-        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")] == []
+        assert part_files(tmp_path) == []
+        assert all(p.is_file() for p in others)
+
+    @pytest.mark.parametrize("command", ["refine", "uncertainty", "ensemble", "standardize"])
+    def test_write_under_a_file_fails_its_case(self, runner, tmp_path, command):
+        """Every target under a regular file is an error line naming it; the file is left alone."""
+        invoke(runner, ["phantom", "--seed", "1", "--out", str(tmp_path / "cases")])
+        case = tmp_path / "cases" / "phantom-0001"
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        args, targets = volume_writer_args(command, case, blocker)
+        result = invoke(runner, args, expect=1)
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == len(targets)
+        assert all(f"Not a directory: '{t}'" in e for t, e in zip(targets, errors))
+        assert "Traceback" not in result.stderr
+        assert blocker.read_text() == "kept" and part_files(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["evaluate", "features", "survival-train", "survival-predict",
                                          "survival-cv", "init-config"])

@@ -10,6 +10,7 @@ give what the former float64 read, label and fusion paths gave. Slab fusion,
 in-place certainty and the one-buffer NIfTI writer must give the bits, bytes
 and errors of the full-volume fusion, certainty expression and
 concatenated-payload writer."""
+import functools
 import gzip
 import os
 import struct
@@ -464,30 +465,105 @@ def multi_chunk_volume():
     return Volume3D(rng.random((64, 64, 40)))  # 640 KiB of float32: three chunks
 
 
+def assert_one_gzip_member(blob, payload):
+    """``blob`` is one gzip member, mtime 0, that inflates to ``payload``."""
+    assert gzip.decompress(blob) == payload
+    inflater = zlib.decompressobj(wbits=31)
+    assert inflater.decompress(blob) == payload and inflater.eof
+    assert inflater.unused_data == b"", "more than one member"
+    assert blob[:4] == b"\x1f\x8b\x08\x00" and struct.unpack_from("<I", blob, 4) == (0,)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
-def test_gzip_bytes_do_not_depend_on_cpu_count(tmp_path):
+def test_gzip_bytes_do_not_depend_on_cpu_count(tmp_path, inflater):
     write_nifti(multi_chunk_volume(), tmp_path / "in.nii")
     write_nifti(multi_chunk_volume(), tmp_path / "here.nii.gz")
     code = (
         "import os, sys\n"
         "os.sched_setaffinity(os.getpid(), {min(os.sched_getaffinity(0))})\n"
         "assert len(os.sched_getaffinity(0)) == 1\n"
-        "from uqseg.nifti import read_nifti, write_nifti\n"
-        "write_nifti(read_nifti(sys.argv[1])[0], sys.argv[2])\n"
+        "from uqseg import nifti\n"
+        "if sys.argv[3] == 'zlib':\n"
+        "    nifti._libdeflate = lambda: None\n"
+        "nifti.write_nifti(nifti.read_nifti(sys.argv[1])[0], sys.argv[2])\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code, str(tmp_path / "in.nii"),
-                    str(tmp_path / "pinned.nii.gz")], env=env, check=True, timeout=120)
+                    str(tmp_path / "pinned.nii.gz"), inflater], env=env, check=True, timeout=120)
     assert (tmp_path / "pinned.nii.gz").read_bytes() == (tmp_path / "here.nii.gz").read_bytes()
+    assert_one_gzip_member((tmp_path / "here.nii.gz").read_bytes(), (tmp_path / "in.nii").read_bytes())
 
 
 @pytest.mark.parametrize("cpus", [None, 3])
-def test_gzip_bytes_without_affinity_call(tmp_path, monkeypatch, cpus):
+def test_gzip_bytes_without_affinity_call(tmp_path, monkeypatch, cpus, inflater):
     write_nifti(multi_chunk_volume(), tmp_path / "affinity.nii.gz")
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     write_nifti(multi_chunk_volume(), tmp_path / "count.nii.gz")
     assert (tmp_path / "count.nii.gz").read_bytes() == (tmp_path / "affinity.nii.gz").read_bytes()
+
+
+def sphere_profile(dims, center, width):
+    """A sigmoid falling from 1 to 0 across radius 12 around ``center``, ``width`` voxels wide."""
+    r = np.sqrt(sum((axis - c) ** 2 for axis, c in zip(np.indices(dims, dtype=np.float64), center)))
+    return 1.0 / (1.0 + np.exp((r - 12.0) / width))
+
+
+@functools.cache
+def payload_classes():
+    """Seeded 64×64×40 volumes, one per payload class: {name: (values, dtype, run_heavy)}.
+
+    A run-heavy payload repeats whole stretches of voxels: zero runs, few distinct values or
+    rows that mirror each other. Only noise-dominated float32 payloads may leave zlib.
+    """
+    dims = (64, 64, 40)
+    rng = np.random.default_rng(61)
+    smooth = sphere_profile(dims, (30.37, 33.81, 18.23), 8.0)  # off the grid: no two rows alike
+    p = [np.clip(sphere_profile(dims, (31.5, 32.0, 19.6), 0.25) + rng.normal(0.0, 0.01, dims), 0.0, 1.0)
+         for _ in range(4)]
+    q = np.clip(np.where(smooth > 0.5, 0.05, 0.02) + rng.normal(0.0, 0.01, dims), 0.0, 0.5)
+    intensity = np.where(smooth > 0.1, rng.normal(400.0, 60.0, dims).round(), 0.0)
+    labels = ((smooth > 0.2).astype(np.uint8) + (smooth > 0.5) + 2 * (smooth > 0.8)).astype(np.uint8)
+    return {
+        "noisy sigmoid": (smooth + rng.normal(0.0, 0.01, dims), "float32", False),
+        "fused": (np.mean(p, axis=0), "float32", False),
+        "certainty": (100.0 * (1.0 - 2.0 * q), "float32", False),
+        "smooth sigmoid": (smooth, "float32", False),
+        "raw p (zero-heavy)": (p[0], "float32", True),
+        "mirrored sigmoid": (sphere_profile(dims, (32.0, 32.0, 20.0), 8.0), "float32", True),
+        "rounded to 3 decimals": (smooth.round(3), "float32", True),
+        "rounded to 2 decimals": (smooth.round(2), "float32", True),
+        "standardized": (standardize_nonzero(Volume3D(intensity)).data, "float32", True),
+        "labels": (labels, "uint8", True),
+        "rounded certainty": (np.rint(100.0 * (1.0 - 2.0 * q)), "uint8", True),
+    }
+
+
+@functools.cache
+def payload_class_oracle(name):
+    """The serial chunked level-9 member of a payload class's file: today's zlib bytes."""
+    from uqseg.nifti import _build_header
+
+    values, dtype, _ = payload_classes()[name]
+    header = _build_header(values.shape, (1.0, 1.0, 1.0), NIFTI_CODES[np.dtype(dtype).newbyteorder("<")], None)
+    return concatenated_nifti(values, header, dtype, True)
+
+
+@pytest.mark.parametrize("inflater", ["libdeflate", "zlib"], indirect=True)
+def test_writer_size_per_payload_class(tmp_path, inflater):
+    """No class grows more than 1.5 % over the serial zlib oracle; run-heavy ones, and every one
+    through zlib, are its bytes; through libdeflate the noise-dominated ones are not."""
+    for name, (values, dtype, run_heavy) in payload_classes().items():
+        path = tmp_path / "v.nii.gz"
+        write_nifti(Volume3D(values), path, dtype=dtype)
+        blob, oracle = path.read_bytes(), payload_class_oracle(name)
+        assert np.array_equal(read_nifti(path)[0].data, values.astype(dtype)), name
+        assert gzip.decompress(blob) == gzip.decompress(oracle), name
+        assert len(blob) <= 1.015 * len(oracle), (name, len(blob), len(oracle))
+        if run_heavy or inflater == "zlib":
+            assert blob == oracle, name
+        else:
+            assert blob != oracle, f"{name}: not deflated by libdeflate"
 
 
 # --- volumes in their file dtype ------------------------------------------------
@@ -994,7 +1070,10 @@ def writer_values(rng, source, dims, fault):
     return values
 
 
-def test_writer_equals_concatenated_payload_oracle(tmp_path):
+def test_writer_equals_concatenated_payload_oracle(tmp_path, inflater):
+    """Through zlib every file equals the oracle's bytes. Through libdeflate a float32 .gz file
+    may be libdeflate's member: it must inflate to the oracle's payload, read back and be
+    written the same again."""
     from uqseg.nifti import _build_header
 
     rng = np.random.default_rng(47)
@@ -1022,7 +1101,14 @@ def test_writer_equals_concatenated_payload_oracle(tmp_path):
                     seen.add((source, str(exc).split(" as ")[0].split(" for ")[0]))
                     continue
                 write_nifti(vol, path, dtype=dtype)
-                assert path.read_bytes() == want, (source, dims, fault, dtype, suffix)
+                if inflater == "libdeflate" and dtype == "float32" and suffix == ".nii.gz":
+                    blob = path.read_bytes()
+                    assert_one_gzip_member(blob, concatenated_nifti(vol.data, header, dtype, False))
+                    assert np.array_equal(read_nifti(path)[0].data, vol.data.astype(np.float32))
+                    write_nifti(vol, path, dtype=dtype)
+                    assert path.read_bytes() == blob, (source, dims, fault)
+                else:
+                    assert path.read_bytes() == want, (source, dims, fault, dtype, suffix)
                 seen.add((source, dtype, suffix))
     assert {(s, d, x) for s in WRITER_SOURCES for d in ("uint8", "int16", "float32")
             for x in (".nii", ".nii.gz")} <= seen
