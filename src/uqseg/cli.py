@@ -40,6 +40,8 @@ from .survival import (
     extract_features,
 )
 from .tables import (
+    AUC_FIELDS,
+    METRIC_FIELDS,
     cell,
     read_case_table,
     read_survival_table,
@@ -55,12 +57,16 @@ from .uncertainty import (
     negative_only_uncertainty_raw,
     symmetric_uncertainty_raw,
 )
-from .volumes import Axis, Volume3D, standardize_nonzero
+from .volumes import Axis, standardize_nonzero
 
 REGION_KEYS = tuple(region.value for region in REGION_ORDER)
 CHALLENGE_NAMES = {"wt": "whole", "tc": "core", "et": "enhance"}
 
 _NIFTI_SUFFIXES = (".nii.gz", ".nii")
+
+# Input paths must exist and be of the named kind; click refuses the wrong kind with exit 2.
+_IN_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+_IN_DIR = click.Path(exists=True, file_okay=False, path_type=Path)
 
 
 def _config(config_path) -> PipelineConfig:
@@ -181,8 +187,7 @@ def standardize(in_path: Path, out_path: Path):
 
 
 @main.command()
-@click.option("--pred", "pred_dirs", multiple=True, required=True,
-              type=click.Path(exists=True, file_okay=False, path_type=Path),
+@click.option("--pred", "pred_dirs", multiple=True, required=True, type=_IN_DIR,
               help="Prediction-pair directory; repeat per model/view.")
 @click.option("--flips", default="", help="Comma-separated flip axes already applied upstream (X,Y,Z).")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
@@ -265,16 +270,16 @@ def uncertainty(prob_path, q_path, formula, raw, dtype, out_path: Path):
         else:
             cert = certainty_negative_only(vol)
         if dtype == "uint8":
-            cert = Volume3D(np.rint(cert.data), cert.spacing)
+            np.rint(cert.data, out=cert.data)  # every formula returns a fresh float64 array
         write_nifti(cert, out_path, header_template=header, dtype=dtype)
 
     _run_cases(one_file, [(src,)])
 
 
 @main.command()
-@click.option("--pred-dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--gt-dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--cert-dir", default=None, type=click.Path(exists=True, file_okay=False, path_type=Path))
+@click.option("--pred-dir", required=True, type=_IN_DIR)
+@click.option("--gt-dir", required=True, type=_IN_DIR)
+@click.option("--cert-dir", default=None, type=_IN_DIR)
 @click.option("--out-csv", required=True, type=click.Path(path_type=Path))
 @click.option("--jobs", default=1, type=int, show_default=True)
 @click.option("--config", "config_path", default=None, type=click.Path(path_type=Path))
@@ -298,22 +303,19 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
             pred_mask = pred_seg.mask(region)
             gt_mask = gt_seg.mask(region)
             result = compare_masks(pred_mask, gt_mask, hd95_empty_sentinel=cfg.hd95_empty_sentinel)
-            row[f"dice_{region.value}"] = result.dice
-            row[f"hd95_{region.value}"] = result.hd95
+            row.update({f"{name}_{region.value}": getattr(result, name) for name in METRIC_FIELDS})
             if cert_files is not None:
                 cert, _ = read_nifti(cert_files[region.value], expect_dims=pred_labels.dims)
                 curve = evaluate_uncertainty(pred_mask, gt_mask, cert, cfg.uncertainty_thresholds)
-                row[f"dice_auc_{region.value}"] = curve.dice_auc
-                row[f"ftp_auc_{region.value}"] = curve.ftp_auc
-                row[f"ftn_auc_{region.value}"] = curve.ftn_auc
+                row.update({f"{name}_{region.value}": getattr(curve, name) for name in AUC_FIELDS})
         return row
 
     _run_cases(one_case, plan, jobs, write=lambda rows: _write(out_csv, write_results_table, rows))
 
 
 @main.command()
-@click.option("--labels-dir", required=True, type=click.Path(exists=True, file_okay=False, path_type=Path))
-@click.option("--meta-csv", required=True, type=click.Path(exists=True, path_type=Path))
+@click.option("--labels-dir", required=True, type=_IN_DIR)
+@click.option("--meta-csv", required=True, type=_IN_FILE)
 @click.option("--out-csv", required=True, type=click.Path(path_type=Path))
 @click.option("--config", "config_path", default=None, type=click.Path(path_type=Path))
 def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
@@ -344,7 +346,7 @@ def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
 
 
 @main.command("survival-train")
-@click.option("--features-csv", required=True, type=click.Path(exists=True, path_type=Path))
+@click.option("--features-csv", required=True, type=_IN_FILE)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--model-out", required=True, type=click.Path(path_type=Path))
 @click.option("--config", "config_path", default=None, type=click.Path(path_type=Path))
@@ -360,8 +362,8 @@ def survival_train(features_csv, seed, model_out: Path, config_path):
 
 
 @main.command("survival-predict")
-@click.option("--model", "model_path", required=True, type=click.Path(exists=True, path_type=Path))
-@click.option("--features-csv", required=True, type=click.Path(exists=True, path_type=Path))
+@click.option("--model", "model_path", required=True, type=_IN_FILE)
+@click.option("--features-csv", required=True, type=_IN_FILE)
 @click.option("--out-csv", required=True, type=click.Path(path_type=Path))
 def survival_predict(model_path, features_csv, out_csv: Path):
     """Predict survival days for each case in a features table."""
@@ -375,7 +377,7 @@ def survival_predict(model_path, features_csv, out_csv: Path):
 
 
 @main.command("survival-cv")
-@click.option("--features-csv", required=True, type=click.Path(exists=True, path_type=Path))
+@click.option("--features-csv", required=True, type=_IN_FILE)
 @click.option("--folds", default=5, type=int, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--out-csv", default=None, type=click.Path(path_type=Path))

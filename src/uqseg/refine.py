@@ -3,9 +3,9 @@
 Pipeline per region: threshold at 0.5, drop tiny components, then check the
 mean probability inside the surviving mask. A low mean marks a vaguely
 delineated region, and the channel is re-thresholded at 0.05 to capture the
-diffuse tissue. Cross-region rules afterwards: an empty tumor core inherits
-the whole-tumor mask, and an empty whole tumor triggers a failsafe that keeps
-the highest-probability voxels until a minimum tumor volume is reached.
+diffuse tissue. Cross-region rules afterwards: an empty whole tumor triggers
+a failsafe that keeps the highest-probability voxels until a minimum tumor
+volume is reached, and then an empty tumor core inherits the whole-tumor mask.
 """
 from __future__ import annotations
 
@@ -190,13 +190,13 @@ def refine_segmentation(
 ) -> tuple[SegmentationSet, RefinementReport]:
     """Run per-region refinement plus the cross-region substitution rules.
 
-    After the per-region passes: an empty tumor core becomes the whole-tumor
-    mask (every glioma has a core), and an empty whole tumor is replaced by
-    the failsafe mask of at least ``failsafe_min_voxels`` top-probability
-    voxels, after which the core substitution is re-checked. A failsafe cut
-    of 0, as on an all-zero map, emits :class:`DegenerateVolumeWarning`: the
-    mask then holds every voxel of non-negative probability. Optionally the
-    regions are forced into the nested order ET within TC within WT.
+    After the per-region passes: an empty whole tumor is replaced by the
+    failsafe mask of at least ``failsafe_min_voxels`` top-probability voxels,
+    and then an empty tumor core becomes the whole-tumor mask (every glioma
+    has a core). A failsafe cut of 0, as on an all-zero map, emits
+    :class:`DegenerateVolumeWarning`: the mask then holds every voxel of
+    non-negative probability. Optionally the regions are forced into the
+    nested order ET within TC within WT.
     """
     cfg = cfg or RefinementConfig()
     require_same_grid(p_wt, p_tc, p_et)
@@ -205,18 +205,15 @@ def refine_segmentation(
     tc, tc_rep = refine_region(p_tc, RegionLabel.TUMOR_CORE, cfg)
     et, et_rep = refine_region(p_et, RegionLabel.ENHANCING_TUMOR, cfg)
 
-    if not tc.data.any():
-        tc = Mask3D(wt.data.copy(order="F"), wt.spacing)
-        tc_rep = replace(tc_rep, core_substituted=True)
     if not wt.data.any():
         wt, cut = failsafe_mask(p_wt, cfg.failsafe_min_voxels)
         if cut == 0.0:
             warnings.warn("failsafe cut is 0: the whole-tumor mask takes every voxel",
                           DegenerateVolumeWarning, stacklevel=2)
         wt_rep = replace(wt_rep, failsafe_triggered=True, final_threshold=cut)
-        if not tc.data.any():
-            tc = Mask3D(wt.data.copy(order="F"), wt.spacing)
-            tc_rep = replace(tc_rep, core_substituted=True)
+    if not tc.data.any():
+        tc = Mask3D(wt.data.copy(order="F"), wt.spacing)
+        tc_rep = replace(tc_rep, core_substituted=True)
     if cfg.enforce_nesting:
         tc = Mask3D(tc.data & wt.data, wt.spacing)
         et = Mask3D(et.data & tc.data, wt.spacing)

@@ -13,16 +13,20 @@ from pathlib import Path
 from typing import Iterable
 
 from .atomic import write_atomic
+from .metrics import MetricResult
 from .refine import REPORT_COLUMNS, RegionLabel
 from .survival import SurvivalRecord
+from .uncertainty import UncertaintyEvalCurve
 
 SURVIVAL_COLUMNS = tuple(f.name for f in fields(SurvivalRecord))
 PREDICTION_COLUMNS = ("case_id", "predicted_days")
 
 # The results file lists regions as et, wt, tc, not in REGION_ORDER.
 _RESULT_REGIONS = (RegionLabel.ENHANCING_TUMOR, RegionLabel.WHOLE_TUMOR, RegionLabel.TUMOR_CORE)
-_METRIC_COLUMNS = tuple(f"{metric}_{r.value}" for metric in ("dice", "hd95") for r in _RESULT_REGIONS)
-_AUC_COLUMNS = tuple(f"{kind}_auc_{r.value}" for kind in ("dice", "ftp", "ftn") for r in _RESULT_REGIONS)
+METRIC_FIELDS = tuple(f.name for f in fields(MetricResult))
+AUC_FIELDS = tuple(f.name for f in fields(UncertaintyEvalCurve) if f.name.endswith("_auc"))
+_METRIC_COLUMNS = tuple(f"{name}_{r.value}" for name in METRIC_FIELDS for r in _RESULT_REGIONS)
+_AUC_COLUMNS = tuple(f"{name}_{r.value}" for name in AUC_FIELDS for r in _RESULT_REGIONS)
 CASE_RESULT_COLUMNS = ("case_id",) + _METRIC_COLUMNS + REPORT_COLUMNS + _AUC_COLUMNS
 
 # Summary rows aggregate the metric-like columns only.
@@ -107,15 +111,9 @@ def write_results_table(path, records: list[dict], summary: bool = True) -> None
     records = sorted(records, key=lambda r: str(r.get("case_id", "")))
     rows = [[rec.get(col) for col in CASE_RESULT_COLUMNS] for rec in records]
     if summary and records:
+        values = {col: [rec[col] for rec in records if _is_number(rec.get(col))] for col in SUMMARY_COLUMNS}
         for stat, fn in (("mean", _mean), ("std", _std)):
-            row = [stat]
-            for col in CASE_RESULT_COLUMNS[1:]:
-                if col not in SUMMARY_COLUMNS:
-                    row.append(None)
-                    continue
-                values = [rec[col] for rec in records if _is_number(rec.get(col))]
-                row.append(fn(values) if values else None)
-            rows.append(row)
+            rows.append([stat] + [fn(values[col]) if values.get(col) else None for col in CASE_RESULT_COLUMNS[1:]])
     _write_rows(path, CASE_RESULT_COLUMNS, rows)
 
 

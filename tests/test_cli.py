@@ -266,6 +266,29 @@ class TestFailurePath:
         assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")] == []
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("command, option", [
+        ("features", "--meta-csv"), ("survival-train", "--features-csv"), ("survival-predict", "--model"),
+        ("survival-predict", "--features-csv"), ("survival-cv", "--features-csv"),
+    ])
+    def test_directory_for_input_file_is_usage_error(self, runner, tmp_path, command, option):
+        labels, meta, features, model = (tmp_path / name for name in ("labels", "meta.csv", "features.csv", "m.json"))
+        write_nifti(Volume3D(np.zeros((3, 3, 3))), labels / "c0.nii.gz", dtype="uint8")
+        meta.write_text("case_id,age\nc0,60\n")
+        write_cohort_csv(features, n=6)
+        model.write_text("{}")
+        out = tmp_path / "out"
+        args = {
+            "features": ["--labels-dir", str(labels), "--meta-csv", str(meta), "--out-csv", str(out)],
+            "survival-train": ["--features-csv", str(features), "--model-out", str(out)],
+            "survival-predict": ["--model", str(model), "--features-csv", str(features), "--out-csv", str(out)],
+            "survival-cv": ["--features-csv", str(features), "--out-csv", str(out)],
+        }[command]
+        args[args.index(option) + 1] = str(labels)
+        result = invoke(runner, [command, *args], expect=2)
+        assert f"Invalid value for '{option}': File '{labels}' is a directory." in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("inflater", ["libdeflate", "zlib"], indirect=True)
     @pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
     def test_corrupt_gzip_input_is_error_line(self, runner, tmp_path, inflater, damage):
@@ -816,6 +839,16 @@ def test_cli_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_module_import_loads_only_what_it_uses():
+    """The package root re-exports nothing: a module loads only its own imports, and the CLI skips losses."""
+    code = ("import sys\nimport uqseg.nifti\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'uqseg'))\n"
+            "import uqseg.cli\nprint('uqseg.losses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == ["['uqseg', 'uqseg.atomic', 'uqseg.nifti', 'uqseg.volumes']", "False"]
 
 
 # Runs ``uqseg <argv>`` and reports, at exit, the top-level scipy/yaml packages it loaded.

@@ -197,6 +197,20 @@ class TestRefineSegmentation:
         assert report.regions[RegionLabel.TUMOR_CORE].core_substituted
         np.testing.assert_array_equal(seg.tc.data, seg.wt.data)
 
+    def test_failsafe_keeps_a_detected_core(self):
+        """An empty WT with a found TC: the failsafe replaces WT, and TC stays as refined."""
+        dims = (24, 24, 24)
+        p_wt = Volume3D(np.random.default_rng(3).random(dims) * 0.04)  # below the 0.05 fallback
+        core = np.zeros(dims)
+        core[4:8, 4:8, 4:8] = 0.95
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateVolumeWarning)  # the cut is above 0
+            seg, report = refine_segmentation(p_wt, Volume3D(core), Volume3D(np.zeros(dims)))
+        wt_rep, tc_rep = report.regions[RegionLabel.WHOLE_TUMOR], report.regions[RegionLabel.TUMOR_CORE]
+        assert wt_rep.failsafe_triggered and seg.wt.voxel_count() >= 1000
+        assert not tc_rep.core_substituted and not tc_rep.fallback_used
+        np.testing.assert_array_equal(seg.tc.data, core > 0.5)
+
     def test_wt_and_tc_always_nonempty(self):
         zero = uniform_volume(0.0, dims=(16, 16, 16))
         seg, report = refine_segmentation(zero, zero, zero)
