@@ -286,9 +286,12 @@ def uncertainty(prob_path, q_path, formula, raw, dtype, out_path: Path):
 def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config_path):
     """Per-case Dice/HD95 (and uncertainty AUCs) against ground-truth label maps."""
     cfg = _config(config_path)
-    plan = []
+    plan, seen = [], {}
     for pred_file in _nifti_files(pred_dir):
         case = _case_name(pred_file)
+        if case in seen:
+            raise click.UsageError(f"evaluate: case {case!r} has two label maps: {seen[case]}, {pred_file}")
+        seen[case] = pred_file
         cert_files = None if cert_dir is None else _cert_files(cert_dir, case)
         plan.append((case, pred_file, _find_nifti(gt_dir, case), cert_files))
     _require("evaluate", [f for _, pred, gt, certs in plan for f in (*(certs or {}).values(), pred, gt)])
@@ -392,7 +395,7 @@ def survival_cv(features_csv, folds, seed, out_csv, config_path):
 
     def fit_baseline(train):
         model = fit_ols(train, feature_set=scfg.ols_features, cap_days=scfg.cap_days)
-        return lambda rec: min(max(model.predict(rec), 0.0), scfg.cap_days)
+        return model.predict
 
     try:
         records = read_survival_table(features_csv)

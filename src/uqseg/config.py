@@ -16,37 +16,13 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .phantom import DEFAULT_DIMS
+from .phantom import PhantomConfig
 from .refine import RefinementConfig, RegionLabel
-from .survival import (DEFAULT_CAP_DAYS, DEFAULT_MAX_DEPTH, DEFAULT_N_TREES, DEFAULT_OLS_FEATURES,
-                       DEFAULT_OVERRIDE_DAYS, DEFAULT_OVERRIDE_PROB, FEATURE_NAMES, ClassBins,
-                       SurvivalClass, check_forest_size)
+from .survival import FEATURE_NAMES, ClassBins, SurvivalClass, SurvivalConfig, check_forest_size
 from .uncertainty import DEFAULT_THRESHOLDS
 from .volumes import Connectivity
 
 ENV_CONFIG_PATH = "UQSEG_CONFIG"
-
-
-@dataclass
-class SurvivalConfig:
-    """The keyword arguments of :func:`~uqseg.survival.fit_fusion` but the seed."""
-
-    ols_features: tuple[str, ...] = DEFAULT_OLS_FEATURES
-    forest_features: tuple[str, ...] = FEATURE_NAMES
-    n_trees: int = DEFAULT_N_TREES
-    max_depth: int = DEFAULT_MAX_DEPTH
-    cap_days: float = DEFAULT_CAP_DAYS
-    override_prob: float = DEFAULT_OVERRIDE_PROB
-    override_days: dict[SurvivalClass, float] = field(
-        default_factory=lambda: dict(DEFAULT_OVERRIDE_DAYS)
-    )
-    bins: ClassBins = field(default_factory=ClassBins)
-
-
-@dataclass
-class PhantomConfig:
-    preset: str = "hgg-like"
-    dims: tuple[int, int, int] = DEFAULT_DIMS
 
 
 @dataclass

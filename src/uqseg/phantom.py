@@ -17,9 +17,6 @@ import numpy as np
 from .refine import REGION_ORDER, RegionLabel, SegmentationSet
 from .volumes import Mask3D, Volume3D
 
-DEFAULT_DIMS = (48, 48, 48)
-
-
 @dataclass(frozen=True)
 class SphereSpec:
     """One region's ground-truth sphere and probability profile.
@@ -82,6 +79,12 @@ class PhantomSpec:
 
 
 @dataclass
+class PhantomConfig:
+    preset: str = "hgg-like"
+    dims: tuple[int, int, int] = (48, 48, 48)
+
+
+@dataclass
 class PhantomCase:
     p: dict[RegionLabel, Volume3D]
     q: dict[RegionLabel, Volume3D]
@@ -126,7 +129,7 @@ def _centered(dims, rng, jitter: float) -> tuple[float, float, float]:
     return tuple(d / 2.0 + rng.uniform(-jitter, jitter) for d in dims)
 
 
-def hgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = DEFAULT_DIMS) -> PhantomSpec:
+def hgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = PhantomConfig.dims) -> PhantomSpec:
     """Confidently segmented phantom: all regions high-level, sharp falloff."""
     rng = np.random.default_rng([abs(int(seed)), 11])
     center = _centered(dims, rng, 1.5)
@@ -144,7 +147,7 @@ def hgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = DEFAULT_DIMS) -> P
     )
 
 
-def diffuse_lgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = DEFAULT_DIMS) -> PhantomSpec:
+def diffuse_lgg_like_spec(seed: int = 0, dims: tuple[int, int, int] = PhantomConfig.dims) -> PhantomSpec:
     """Vaguely delineated core: wide falloff, interior level well below the gate.
 
     The flip probability inside the tumor is 0.3: fusion turns p > 0.5 into

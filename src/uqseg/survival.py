@@ -32,19 +32,6 @@ CLASS_ORDER = (SurvivalClass.SHORT, SurvivalClass.MID, SurvivalClass.LONG)
 
 FEATURE_NAMES = ("age", "n_tumors", "n_cores")
 
-# Defaults of the fitters, shared with config.SurvivalConfig.
-DEFAULT_OLS_FEATURES = ("age",)
-DEFAULT_CAP_DAYS = 1000.0
-DEFAULT_N_TREES = 1000
-DEFAULT_MAX_DEPTH = 3
-DEFAULT_OVERRIDE_PROB = 0.5
-# Day value the fused model predicts when the forest overrides into a class.
-DEFAULT_OVERRIDE_DAYS = {
-    SurvivalClass.SHORT: 299.0,
-    SurvivalClass.MID: 375.0,
-    SurvivalClass.LONG: 451.0,
-}
-
 
 @dataclass(frozen=True)
 class ClassBins:
@@ -63,6 +50,28 @@ class ClassBins:
         if days > self.long_min:
             return SurvivalClass.LONG
         return SurvivalClass.MID
+
+
+@dataclass
+class SurvivalConfig:
+    """The keyword arguments of :func:`fit_fusion` but the seed: the one place their defaults are written."""
+
+    ols_features: tuple[str, ...] = ("age",)
+    forest_features: tuple[str, ...] = FEATURE_NAMES
+    n_trees: int = 1000
+    max_depth: int = 3
+    cap_days: float = 1000.0
+    override_prob: float = 0.5
+    override_days: dict[SurvivalClass, float] = field(  # the day value an override predicts
+        default_factory=lambda: {SurvivalClass.SHORT: 299.0, SurvivalClass.MID: 375.0, SurvivalClass.LONG: 451.0}
+    )
+    bins: ClassBins = ClassBins()
+
+    def __post_init__(self):
+        if not self.cap_days > 0:
+            raise ValueError(f"cap_days must be > 0, got {self.cap_days!r}")
+        if not 0.0 <= self.override_prob <= 1.0:
+            raise ValueError(f"override_prob must be in [0, 1], got {self.override_prob!r}")
 
 
 @dataclass
@@ -120,17 +129,18 @@ def _require_labeled(records):
 class OlsModel:
     feature_set: tuple[str, ...]
     coefficients: np.ndarray  # intercept first, then one per feature
-    cap_days: float = DEFAULT_CAP_DAYS
+    cap_days: float = SurvivalConfig.cap_days
 
     def predict(self, rec: SurvivalRecord) -> float:
+        """The fitted days, clipped to [0, ``cap_days``]."""
         x = np.concatenate(([1.0], [rec.feature(name) for name in self.feature_set]))
-        return float(x @ self.coefficients)
+        return min(max(float(x @ self.coefficients), 0.0), self.cap_days)
 
 
 def fit_ols(
     records,
-    feature_set: tuple[str, ...] = DEFAULT_OLS_FEATURES,
-    cap_days: float = DEFAULT_CAP_DAYS,
+    feature_set: tuple[str, ...] = SurvivalConfig.ols_features,
+    cap_days: float = SurvivalConfig.cap_days,
 ) -> OlsModel:
     """Least squares on survival days, capping targets at ``cap_days`` first.
 
@@ -226,11 +236,11 @@ def _best_splits(distinct, y, weight, node, active):
 
 def fit_forest(
     records,
-    feature_set: tuple[str, ...] = FEATURE_NAMES,
-    n_trees: int = DEFAULT_N_TREES,
-    max_depth: int = DEFAULT_MAX_DEPTH,
+    feature_set: tuple[str, ...] = SurvivalConfig.forest_features,
+    n_trees: int = SurvivalConfig.n_trees,
+    max_depth: int = SurvivalConfig.max_depth,
     seed: int = 0,
-    bins: ClassBins | None = None,
+    bins: ClassBins = ClassBins(),
 ) -> ForestModel:
     """Bootstrap-aggregated Gini trees with fully deterministic seeding.
 
@@ -241,7 +251,6 @@ def fit_forest(
     one class, lies at ``max_depth`` or has no usable split.
     """
     check_forest_size(n_trees, max_depth)
-    bins = bins or ClassBins()
     records = sorted(records, key=lambda r: r.case_id)
     _require_labeled(records)
     if not records:
@@ -305,11 +314,9 @@ class FusionModel:
 
     ols: OlsModel
     forest: ForestModel
-    override_prob: float = DEFAULT_OVERRIDE_PROB
-    override_days: dict[SurvivalClass, float] = field(
-        default_factory=lambda: dict(DEFAULT_OVERRIDE_DAYS)
-    )
-    bins: ClassBins = field(default_factory=ClassBins)
+    override_prob: float = SurvivalConfig.override_prob
+    override_days: dict[SurvivalClass, float] = field(default_factory=lambda: SurvivalConfig().override_days)
+    bins: ClassBins = ClassBins()
 
     def __post_init__(self):
         for cls, days in self.override_days.items():
@@ -320,7 +327,7 @@ class FusionModel:
 
 
 def predict_fused(model: FusionModel, rec: SurvivalRecord) -> float:
-    days = min(max(model.ols.predict(rec), 0.0), model.ols.cap_days)
+    days = model.ols.predict(rec)
     linear_class = model.bins.classify(days)
     proba = predict_forest_proba(model.forest, rec)
     rf_idx = int(np.argmax(proba))
@@ -330,30 +337,14 @@ def predict_fused(model: FusionModel, rec: SurvivalRecord) -> float:
     return days
 
 
-def fit_fusion(
-    records,
-    seed: int = 0,
-    ols_features: tuple[str, ...] = DEFAULT_OLS_FEATURES,
-    forest_features: tuple[str, ...] = FEATURE_NAMES,
-    n_trees: int = DEFAULT_N_TREES,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    cap_days: float = DEFAULT_CAP_DAYS,
-    override_prob: float = DEFAULT_OVERRIDE_PROB,
-    override_days: dict[SurvivalClass, float] | None = None,
-    bins: ClassBins | None = None,
-) -> FusionModel:
-    bins = bins or ClassBins()
-    ols = fit_ols(records, feature_set=ols_features, cap_days=cap_days)
-    forest = fit_forest(
-        records,
-        feature_set=forest_features,
-        n_trees=n_trees,
-        max_depth=max_depth,
-        seed=seed,
-        bins=bins,
-    )
-    kwargs = {} if override_days is None else {"override_days": dict(override_days)}
-    return FusionModel(ols=ols, forest=forest, override_prob=override_prob, bins=bins, **kwargs)
+def fit_fusion(records, seed: int = 0, **params) -> FusionModel:
+    """The fused model of ``SurvivalConfig(**params)``: any of its fields, the rest default."""
+    cfg = SurvivalConfig(**params)
+    ols = fit_ols(records, feature_set=cfg.ols_features, cap_days=cfg.cap_days)
+    forest = fit_forest(records, feature_set=cfg.forest_features, n_trees=cfg.n_trees,
+                        max_depth=cfg.max_depth, seed=seed, bins=cfg.bins)
+    return FusionModel(ols=ols, forest=forest, override_prob=cfg.override_prob,
+                       override_days=dict(cfg.override_days), bins=cfg.bins)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -362,14 +353,13 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
-def evaluate_survival(pairs, bins: ClassBins | None = None) -> dict[str, float]:
+def evaluate_survival(pairs, bins: ClassBins = ClassBins()) -> dict[str, float]:
     """Challenge-style summary over (predicted_days, true_days) pairs.
 
     Accuracy is over the three class bins; squared errors are on raw days
     (stdSE uses the population convention); Spearman uses average ranks for
     ties.
     """
-    bins = bins or ClassBins()
     pairs = list(pairs)
     if not pairs:
         raise ValueError("cannot evaluate an empty prediction list")
@@ -401,13 +391,12 @@ def kfold_split(n: int, folds: int, seed: int) -> list[np.ndarray]:
 
 
 def cross_validate(records, fit_predict, folds: int = 5, seed: int = 0,
-                   bins: ClassBins | None = None) -> list[float]:
+                   bins: ClassBins = ClassBins()) -> list[float]:
     """Per-fold class accuracy of ``fit_predict(train) -> (record -> days)``.
 
     Records are canonically sorted by case_id before the seeded split, so the
     fold assignment is reproducible regardless of input order.
     """
-    bins = bins or ClassBins()
     records = sorted(records, key=lambda r: r.case_id)
     _require_labeled(records)
     accuracies = []

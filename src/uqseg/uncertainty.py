@@ -26,13 +26,21 @@ def certainty_from_q(q: Volume3D) -> Volume3D:
     return Volume3D(np.multiply(cert, 100.0, out=cert), q.spacing)
 
 
+def _probabilities(x: Volume3D) -> np.ndarray:
+    """``x`` as float64, refused unless every value is a probability."""
+    p = x.float64()
+    if p.min() < 0.0 or p.max() > 1.0:
+        raise ValueError("p values must lie in [0, 1]")
+    return p
+
+
 def symmetric_uncertainty_raw(x: Volume3D) -> Volume3D:
     """The raw symmetric uncertainty 100 * (1 - 2|0.5 - x|).
 
     Peaks at 100 on the decision boundary (x = 0.5) and falls to 0 at the
     extremes; it scores *uncertainty*, not challenge-scale certainty.
     """
-    return Volume3D(100.0 * (1.0 - 2.0 * np.abs(0.5 - x.float64())), x.spacing)
+    return Volume3D(100.0 * (1.0 - 2.0 * np.abs(0.5 - _probabilities(x))), x.spacing)
 
 
 def certainty_symmetric(x: Volume3D) -> Volume3D:
@@ -41,7 +49,7 @@ def certainty_symmetric(x: Volume3D) -> Volume3D:
     The complement of :func:`symmetric_uncertainty_raw`. For a fused single
     prediction this reduces to the flip-probability score 100 * (1 - 2q).
     """
-    return Volume3D(200.0 * np.abs(0.5 - x.float64()), x.spacing)
+    return Volume3D(200.0 * np.abs(0.5 - _probabilities(x)), x.spacing)
 
 
 def negative_only_uncertainty_raw(x: Volume3D) -> Volume3D:
@@ -51,7 +59,7 @@ def negative_only_uncertainty_raw(x: Volume3D) -> Volume3D:
     predictions get 0. See :func:`certainty_negative_only` for the same
     quantity on the 100-is-certain challenge scale.
     """
-    return Volume3D(200.0 * np.maximum(0.5 - x.float64(), 0.0), x.spacing)
+    return Volume3D(200.0 * np.maximum(0.5 - _probabilities(x), 0.0), x.spacing)
 
 
 def certainty_negative_only(x: Volume3D) -> Volume3D:

@@ -81,9 +81,6 @@ class Mask3D(_Grid):
         self.data = np.asarray(self.data).astype(bool, copy=False)
         super().__post_init__()
 
-    def voxel_count(self) -> int:
-        return int(self.data.sum())
-
 
 def require_same_dims(*vols) -> tuple[int, int, int]:
     dims = vols[0].dims

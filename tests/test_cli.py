@@ -11,9 +11,9 @@ from click.testing import CliRunner
 
 from oracles import gzip_read_bytes
 from uqseg.cli import main
-from uqseg.config import DEFAULT_DIMS
 from uqseg.ensemble import PredictionPair, ensemble_with_flips
 from uqseg.nifti import read_nifti, write_nifti
+from uqseg.phantom import PhantomConfig
 from uqseg.tables import read_case_table, read_predictions_table, read_survival_table
 from uqseg.uncertainty import certainty_from_q
 from uqseg.volumes import Axis, Volume3D
@@ -185,6 +185,20 @@ class TestUncertaintyCommand:
         assert f"error: {q}: q values must lie in [0, 0.5]" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("dtype", ["uint8", "float32"])
+    @pytest.mark.parametrize("raw", [False, True])
+    @pytest.mark.parametrize("formula", ["symmetric", "negative-only"])
+    def test_p_outside_range_names_file(self, runner, tmp_path, formula, raw, dtype):
+        data = np.full((3, 3, 3), 0.4)
+        data[0, 0, 0], data[2, 2, 2] = 1.2, -0.5
+        prob = tmp_path / "p.nii.gz"
+        write_nifti(Volume3D(data), prob)
+        out = tmp_path / "cert.nii.gz"
+        result = invoke(runner, ["uncertainty", "--formula", formula, *(["--raw"] if raw else []),
+                                 "--dtype", dtype, "--prob", str(prob), "--out", str(out)], expect=1)
+        assert result.stderr == f"error: {prob}: p values must lie in [0, 1]\n"
+        assert not out.exists()
+
     def test_wrong_input_kind(self, runner, tmp_path):
         result = runner.invoke(
             main, ["uncertainty", "--formula", "flip", "--prob", "x.nii", "--out", "y.nii"],
@@ -337,7 +351,7 @@ class TestFailurePath:
         assert "Traceback" not in result.stderr
         for case in ("phantom-0001", "phantom-0002"):
             assert f"generated {case}" in result.stderr
-            assert read_nifti(cases / case / "et_q.nii.gz")[0].dims == DEFAULT_DIMS
+            assert read_nifti(cases / case / "et_q.nii.gz")[0].dims == PhantomConfig.dims
             assert (cases / "gt" / f"{case}.nii.gz").is_file()
         assert not (cases / "gt" / "phantom-0000.nii.gz").exists()
         assert [p for p in tmp_path.rglob("*") if p.name.endswith(".part")] == []
@@ -388,6 +402,136 @@ class TestFailurePath:
         assert f"{labels / 'case09.nii.gz'} (+3 more)" in result.stderr
         assert "case10" not in result.stderr
         assert not (tmp_path / "f.csv").exists()
+
+
+def fault_rows(root):
+    """Inputs under ``root``, then (id, argv, exit code, what the error names, healthy outputs) per fault.
+
+    ``pair`` and ``labels`` are healthy; each ``pair-*`` and ``labels-*`` copy
+    breaks its tc or c1 file. Every output goes under ``root / "out"``.
+    """
+    label_map = np.zeros((6, 6, 6), dtype=np.uint8)
+    label_map[1:4, 1:4, 1:4] = 2
+    for name in ("pair", "pair-missing", "pair-directory", "pair-grid"):
+        for region in ("wt", "tc", "et"):
+            write_nifti(Volume3D(np.full((6, 6, 6), 0.7)), root / name / f"{region}_p.nii.gz")
+            write_nifti(Volume3D(np.full((6, 6, 6), 0.1)), root / name / f"{region}_q.nii.gz")
+    for name in ("labels", "labels-missing", "labels-directory", "labels-grid"):
+        for case in ("c0", "c1"):
+            write_nifti(Volume3D(label_map), root / name / f"{case}.nii.gz", dtype="uint8")
+    for broken in ("pair-missing/tc_p", "pair-directory/tc_p", "labels-missing/c1", "labels-directory/c1"):
+        (root / f"{broken}.nii.gz").unlink()
+    (root / "pair-directory" / "tc_p.nii.gz").mkdir()
+    (root / "labels-directory" / "c1.nii.gz").mkdir()
+    small = root / "small.nii.gz"
+    for path in (small, root / "pair-grid" / "tc_q.nii.gz"):
+        write_nifti(Volume3D(np.full((5, 5, 5), 0.1)), path)
+    write_nifti(Volume3D(label_map[:5, :5, :5]), root / "labels-grid" / "c1.nii.gz", dtype="uint8")
+    (root / "meta.csv").write_text("case_id,age\nc0,60\nc1,61\n")
+    write_cohort_csv(root / "features.csv", n=6)
+    configs = {"small": SMALL_FOREST_CONFIG, "cap": "survival:\n  cap_days: -5\n",
+               "prob": "survival:\n  override_prob: 7\n"}
+    for name, text in configs.items():
+        (root / f"{name}.yaml").write_text(text)
+    small_forest = ["--config", str(root / "small.yaml")]
+    invoke(CliRunner(), ["survival-train", "--features-csv", str(root / "features.csv"), *small_forest,
+                         "--model-out", str(root / "model.json")])
+    (root / "blocker").write_text("kept")
+    (root / "directory").mkdir()
+    out, none, directory, blocked = root / "out", root / "none.nii.gz", root / "directory", root / "blocker" / "x"
+    cap = "cap_days must be > 0, got -5.0"
+    prob = "override_prob must be in [0, 1], got 7.0"
+
+    def refine(tc, *extra):
+        return ["refine", "--prob-wt", str(root / "pair" / "wt_p.nii.gz"), "--prob-tc", str(tc),
+                "--prob-et", str(root / "pair" / "et_p.nii.gz"), *extra, "--out-labels", str(out / "l.nii.gz")]
+
+    def ensemble(pair):
+        return ["ensemble", "--pred", str(root / pair), "--out", str(out)]
+
+    def evaluate(pred="labels", gt="labels", target=out / "r.csv", *extra):
+        return ["evaluate", "--pred-dir", str(root / pred), "--gt-dir", str(root / gt), *extra,
+                "--out-csv", str(target)]
+
+    def features(labels="labels", meta=root / "meta.csv", target=out / "f.csv"):
+        return ["features", "--labels-dir", str(root / labels), "--meta-csv", str(meta), "--out-csv", str(target)]
+
+    def survival(command, features=root / "features.csv", *extra):
+        return [command, "--features-csv", str(features), *extra]
+
+    untouched_regions = [out / "wt_prob.nii.gz", out / "et_prob.nii.gz"]
+    return [
+        ("standardize-missing", ["standardize", "--in", str(none), "--out", str(out / "s.nii.gz")], 2, none, []),
+        ("ensemble-missing-directory", ensemble("none"), 2, root / "none", []),
+        ("ensemble-missing", ensemble("pair-missing"), 2, root / "pair-missing" / "tc_p.nii.gz", []),
+        ("ensemble-directory", ensemble("pair-directory"), 1, root / "pair-directory" / "tc_p.nii.gz",
+         untouched_regions),
+        ("ensemble-grid", ensemble("pair-grid"), 1, root / "pair-grid" / "tc_q.nii.gz", untouched_regions),
+        ("refine-missing", refine(none), 2, none, []),
+        ("refine-directory", refine(directory), 1, directory, []),
+        ("refine-grid", refine(small), 1, small, []),
+        ("refine-config", refine(root / "pair" / "tc_p.nii.gz", "--config", str(root / "cap.yaml")), 2, cap, []),
+        ("uncertainty-missing", ["uncertainty", "--formula", "flip", "--q", str(none), "--out", str(out / "u.nii")],
+         2, none, []),
+        ("uncertainty-directory", ["uncertainty", "--formula", "symmetric", "--prob", str(directory),
+                                   "--out", str(out / "u.nii")], 1, directory, []),
+        ("evaluate-missing-directory", evaluate(gt="none"), 2, root / "none", []),
+        ("evaluate-missing", evaluate(gt="labels-missing"), 2, root / "labels-missing" / "c1.nii.gz", []),
+        ("evaluate-directory", evaluate(pred="labels-directory"), 1, root / "labels-directory" / "c1.nii.gz",
+         [out / "r.csv"]),
+        ("evaluate-grid", evaluate(gt="labels-grid"), 1, root / "labels-grid" / "c1.nii.gz", [out / "r.csv"]),
+        ("evaluate-under-file", evaluate(target=blocked), 1, blocked, []),
+        ("evaluate-config", evaluate("labels", "labels", out / "r.csv", "--config", str(root / "prob.yaml")),
+         2, prob, []),
+        ("features-missing", features(meta=none), 2, none, []),
+        ("features-directory", features(meta=directory), 2, directory, []),
+        ("features-missing-label", features("labels-missing"), 2, root / "labels-missing" / "c1.nii.gz", []),
+        ("features-label-directory", features("labels-directory"), 1, root / "labels-directory" / "c1.nii.gz",
+         [out / "f.csv"]),
+        ("features-under-file", features(target=blocked), 1, blocked, []),
+        ("train-missing", survival("survival-train", none, "--model-out", str(out / "m.json")), 2, none, []),
+        ("train-directory", survival("survival-train", directory, "--model-out", str(out / "m.json")),
+         2, directory, []),
+        ("train-under-file", survival("survival-train", root / "features.csv", *small_forest,
+                                      "--model-out", str(blocked)), 1, blocked, []),
+        ("train-cap", survival("survival-train", root / "features.csv", "--config", str(root / "cap.yaml"),
+                               "--model-out", str(out / "m.json")), 2, cap, []),
+        ("train-prob", survival("survival-train", root / "features.csv", "--config", str(root / "prob.yaml"),
+                                "--model-out", str(out / "m.json")), 2, prob, []),
+        ("predict-missing", survival("survival-predict", root / "features.csv", "--model", str(none),
+                                     "--out-csv", str(out / "p.csv")), 2, none, []),
+        ("predict-directory", survival("survival-predict", root / "features.csv", "--model", str(directory),
+                                       "--out-csv", str(out / "p.csv")), 2, directory, []),
+        ("predict-under-file", survival("survival-predict", root / "features.csv", "--model",
+                                        str(root / "model.json"), "--out-csv", str(blocked)), 1, blocked, []),
+        ("cv-missing", survival("survival-cv", none, "--out-csv", str(out / "cv.csv")), 2, none, []),
+        ("cv-under-file", survival("survival-cv", root / "features.csv", *small_forest, "--folds", "3",
+                                   "--out-csv", str(blocked)), 1, blocked, []),
+        ("cv-config", survival("survival-cv", root / "features.csv", "--config", str(root / "cap.yaml")),
+         2, cap, []),
+        ("phantom-config-missing", ["phantom", "--out", str(out), "--config", str(none)], 2, none, []),
+        ("phantom-config-directory", ["phantom", "--out", str(out), "--config", str(directory)], 2, directory, []),
+        ("phantom-config", ["phantom", "--out", str(out), "--config", str(root / "prob.yaml")], 2, prob, []),
+        ("init-config-under-file", ["init-config", "--out", str(blocked)], 1, blocked, []),
+    ]
+
+
+def test_fault_table(runner, tmp_path):
+    """Each command's faults exit 1 or 2 on a line naming the fault, write only the healthy cases, leave no part file."""
+    rows = fault_rows(tmp_path)
+    assert {argv[0] for _, argv, *_ in rows} == set(main.commands)
+    for row, argv, code, named, outputs in rows:
+        result = runner.invoke(main, argv, catch_exceptions=False)
+        assert result.exit_code == code, f"{row}: exit {result.exit_code}: {result.stderr}"
+        lines = [line for line in result.stderr.splitlines() if str(named) in line]
+        assert lines and all(line.startswith(("error: ", "Error: ")) for line in lines), f"{row}: {result.stderr}"
+        assert "Traceback" not in result.output + result.stderr, row
+        assert part_files(tmp_path) == [], row
+        out = tmp_path / "out"
+        assert sorted(p for p in out.rglob("*") if p.is_file()) == sorted(outputs), row
+        assert (tmp_path / "blocker").read_text() == "kept", row
+        for path in sorted(out.rglob("*"), reverse=True) if out.exists() else ():
+            path.unlink() if path.is_file() else path.rmdir()
 
 
 RESULTS_HEADER = (
@@ -560,6 +704,17 @@ class TestPipeline:
         rows = read_case_table(out)
         assert [r["case_id"] for r in rows] == ["good", "mean", "std"]
         assert float(rows[0]["dice_et"]) == 1.0
+
+    def test_case_with_two_label_maps_is_usage_error(self, runner, tmp_path):
+        pred = tmp_path / "pred"
+        for name in ("c0.nii.gz", "c1.nii", "c1.nii.gz"):
+            write_nifti(Volume3D(np.zeros((3, 3, 3))), pred / name, dtype="uint8")
+        out = tmp_path / "r.csv"
+        result = invoke(runner, ["evaluate", "--pred-dir", str(pred), "--gt-dir", str(pred),
+                                 "--out-csv", str(out)], expect=2)
+        assert result.stderr.splitlines()[-1] == (
+            f"Error: evaluate: case 'c1' has two label maps: {pred / 'c1.nii'}, {pred / 'c1.nii.gz'}")
+        assert not out.exists()
 
     def test_missing_gt_named(self, runner, tmp_path):
         pred = tmp_path / "pred"
@@ -857,7 +1012,6 @@ import atexit, sys
 atexit.register(lambda: print("loaded:", sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'yaml'}),
                               file=sys.stderr))
 from uqseg.cli import main
-from uqseg.config import DEFAULT_DIMS
 main(sys.argv[1:], prog_name="uqseg")
 """
 

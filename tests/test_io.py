@@ -477,12 +477,17 @@ class TestConfig:
             ({"phantom": {"dims": [40, 40]}}, r"dims must be three positive integers, got \[40, 40\]"),
             ({"refine": {"confidence_gate": {"wt": "0.5"}}}, "wt must be a number, got '0.5'"),
             ({"survival": {"override_days": {"short": True}}}, "short must be a number, got True"),
+            ({"survival": {"cap_days": -5}}, r"^cap_days must be > 0, got -5.0$"),
+            ({"survival": {"cap_days": 0}}, r"^cap_days must be > 0, got 0.0$"),
+            ({"survival": {"override_prob": 7}}, r"^override_prob must be in \[0, 1\], got 7.0$"),
+            ({"survival": {"override_prob": -0.5}}, r"^override_prob must be in \[0, 1\], got -0.5$"),
         ],
         ids=["uncertainty", "metrics", "survival", "phantom",
              "ols-feature", "forest-feature", "gate-region", "override-class",
              "zero-trees", "fractional-trees", "text-trees", "negative-depth", "deep", "float-depth",
              "text-nesting", "fractional-size", "text-size", "scalar-thresholds", "scalar-dims", "two-dims",
-             "text-gate", "boolean-override-days"],
+             "text-gate", "boolean-override-days", "negative-cap", "zero-cap", "override-prob-above-1",
+             "override-prob-below-0"],
     )
     def test_other_rejections(self, doc, message):
         with pytest.raises(ValueError, match=message):

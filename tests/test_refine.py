@@ -82,7 +82,7 @@ class TestRefineRegion:
         base = remove_small_components(
             threshold_mask(p, cfg.base_threshold), cfg.min_component_size, cfg.connectivity
         )
-        assert mask.voxel_count() > base.voxel_count()
+        assert mask.data.sum() > base.data.sum()
 
     def test_all_zero_probability(self):
         mask, report = refine_region(uniform_volume(0.0), RegionLabel.TUMOR_CORE)
@@ -116,23 +116,23 @@ class TestFailsafe:
     def test_minimum_size_met_with_ties(self):
         p = uniform_volume(0.3, dims=(20, 20, 20))
         mask, cut = failsafe_mask(p, 1000)
-        assert mask.voxel_count() >= 1000
+        assert mask.data.sum() >= 1000
         assert cut == pytest.approx(0.3)
         # uniform volume: every voxel ties the cut
-        assert mask.voxel_count() == 8000
+        assert mask.data.sum() == 8000
 
     def test_exact_order_statistic(self):
         rng = np.random.default_rng(4)
         p = Volume3D(rng.random((12, 12, 12)))
         mask, cut = failsafe_mask(p, 1000)
-        assert mask.voxel_count() >= 1000
+        assert mask.data.sum() >= 1000
         # removing the cut voxels drops below the minimum: minimality
         assert (p.data > cut).sum() < 1000
 
     def test_small_volume_takes_everything(self):
         p = uniform_volume(0.2, dims=(5, 5, 5))
         mask, _ = failsafe_mask(p, 1000)
-        assert mask.voxel_count() == 125
+        assert mask.data.sum() == 125
 
 
 class TestRefineSegmentation:
@@ -176,7 +176,7 @@ class TestRefineSegmentation:
         seg, report = refine_segmentation(p_wt, zero, zero)
         wt_rep = report.regions[RegionLabel.WHOLE_TUMOR]
         assert wt_rep.fallback_used and not wt_rep.failsafe_triggered
-        assert seg.wt.voxel_count() > 0
+        assert seg.wt.data.sum() > 0
 
     def test_failsafe_on_undetected_tumor(self):
         # max p = 0.3 but only on a single spike; the rest stays below the
@@ -193,7 +193,7 @@ class TestRefineSegmentation:
             warnings.simplefilter("error", DegenerateVolumeWarning)  # the cut is above 0
             seg, report = refine_segmentation(p_wt, zero, zero)
         assert report.regions[RegionLabel.WHOLE_TUMOR].failsafe_triggered
-        assert seg.wt.voxel_count() >= 1000
+        assert seg.wt.data.sum() >= 1000
         assert report.regions[RegionLabel.TUMOR_CORE].core_substituted
         np.testing.assert_array_equal(seg.tc.data, seg.wt.data)
 
@@ -207,15 +207,15 @@ class TestRefineSegmentation:
             warnings.simplefilter("error", DegenerateVolumeWarning)  # the cut is above 0
             seg, report = refine_segmentation(p_wt, Volume3D(core), Volume3D(np.zeros(dims)))
         wt_rep, tc_rep = report.regions[RegionLabel.WHOLE_TUMOR], report.regions[RegionLabel.TUMOR_CORE]
-        assert wt_rep.failsafe_triggered and seg.wt.voxel_count() >= 1000
+        assert wt_rep.failsafe_triggered and seg.wt.data.sum() >= 1000
         assert not tc_rep.core_substituted and not tc_rep.fallback_used
         np.testing.assert_array_equal(seg.tc.data, core > 0.5)
 
     def test_wt_and_tc_always_nonempty(self):
         zero = uniform_volume(0.0, dims=(16, 16, 16))
         seg, report = refine_segmentation(zero, zero, zero)
-        assert seg.wt.voxel_count() >= 1000
-        assert seg.tc.voxel_count() >= 1000
+        assert seg.wt.data.sum() >= 1000
+        assert seg.tc.data.sum() >= 1000
         assert report.regions[RegionLabel.WHOLE_TUMOR].failsafe_triggered
 
     def test_zero_failsafe_cut_warns(self):
@@ -223,7 +223,7 @@ class TestRefineSegmentation:
         with pytest.warns(DegenerateVolumeWarning, match="failsafe cut is 0"):
             seg, report = refine_segmentation(zero, zero, zero)
         assert report.regions[RegionLabel.WHOLE_TUMOR].final_threshold == 0.0
-        assert seg.wt.voxel_count() == seg.tc.voxel_count() == 60 * 60 * 40
+        assert seg.wt.data.sum() == seg.tc.data.sum() == 60 * 60 * 40
 
     def test_enforce_nesting_exact(self):
         rng = np.random.default_rng(6)

@@ -12,6 +12,7 @@ from uqseg.survival import (
     FusionModel,
     OlsModel,
     SurvivalClass,
+    SurvivalConfig,
     SurvivalRecord,
     cross_validate,
     evaluate_survival,
@@ -136,6 +137,12 @@ class TestFitOls:
     def test_unlabeled_record_rejected(self):
         with pytest.raises(ValueError, match="survival_days"):
             fit_ols([rec("a", 50.0, survival=100.0), rec("b", 60.0)], feature_set=("age",))
+
+    def test_prediction_clipped_to_zero_and_cap(self):
+        for fitted, clipped in ((-50.0, 0.0), (400.0, 400.0), (5000.0, 1000.0)):
+            assert constant_ols(fitted).predict(rec("x", 60.0)) == clipped
+        model = OlsModel(feature_set=(), coefficients=np.array([5000.0]), cap_days=700.0)
+        assert model.predict(rec("x", 60.0)) == 700.0
 
 
 def separable_records(n_per_class=8):
@@ -265,6 +272,31 @@ class TestFusion:
                     SurvivalClass.LONG: 451.0,
                 },
             )
+
+
+class TestSurvivalConfig:
+    def test_fit_fusion_takes_the_config_fields(self):
+        cfg = SurvivalConfig(n_trees=21, cap_days=800.0, override_prob=0.7)
+        by_config = model_to_json(fit_fusion(separable_records(), seed=4, **vars(cfg)))
+        assert by_config == model_to_json(fit_fusion(separable_records(), seed=4, n_trees=21, cap_days=800.0,
+                                                     override_prob=0.7))
+        assert json.loads(by_config)["ols"]["cap_days"] == 800.0
+
+    @pytest.mark.parametrize("params, message", [
+        ({"cap_days": -5.0}, r"^cap_days must be > 0, got -5.0$"),
+        ({"cap_days": 0}, r"^cap_days must be > 0, got 0$"),
+        ({"override_prob": 7.0}, r"^override_prob must be in \[0, 1\], got 7.0$"),
+        ({"override_prob": -0.1}, r"^override_prob must be in \[0, 1\], got -0.1$"),
+    ])
+    def test_unusable_values_refused(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            SurvivalConfig(**params)
+        with pytest.raises(ValueError, match=message):
+            fit_fusion(separable_records(), n_trees=3, **params)
+
+    def test_unknown_parameter_refused(self):
+        with pytest.raises(TypeError, match="n_tree"):
+            fit_fusion(separable_records(), n_tree=3)
 
 
 class TestEvaluateSurvival:
