@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
 Layout, named only by the functions below: prediction-pair directories hold
-``{region}_p`` and ``{region}_q`` per region (wt, tc, et), and ``phantom``
-writes one per case plus ``gt/{case}``; fused probabilities are
-``{region}_prob``; label maps are ``{case}``; certainty maps are
-``{case}_unc_{whole,core,enhance}``; each is ``.nii.gz`` or ``.nii``.
+``{region}_p`` and ``{region}_q`` per region (wt, tc, et), ``phantom`` writes
+one per case plus ``gt/{case}``; fused probabilities are ``{region}_prob``;
+label maps are ``{case}``; certainty maps are ``{case}_unc_{whole,core,enhance}``.
+An input is found as ``.nii.gz`` or ``.nii``; an output a command names is ``.nii.gz``.
 
 Exit codes: 0 success, 1 when a case failed (``error: <name>: <exc>``), 2
 configuration or usage error, a missing input file included. Progress and
@@ -90,22 +90,22 @@ def _nifti_files(directory: Path) -> list[Path]:
     return files
 
 
+def _gz_file(directory: Path, stem: str) -> Path:
+    return directory / f"{stem}.nii.gz"
+
+
 def _find_nifti(directory: Path, stem: str) -> Path:
     """The existing ``{stem}.nii.gz`` or ``{stem}.nii`` in ``directory``, else the ``.nii.gz`` path."""
     for suffix in _NIFTI_SUFFIXES:
         candidate = directory / f"{stem}{suffix}"
         if candidate.exists():
             return candidate
-    return directory / f"{stem}.nii.gz"
+    return _gz_file(directory, stem)
 
 
-def _pair_files(pred_dir: Path, region: str) -> tuple[Path, Path]:
-    """The p and q files of one region in a prediction-pair directory."""
-    return _find_nifti(pred_dir, f"{region}_p"), _find_nifti(pred_dir, f"{region}_q")
-
-
-def _fused_file(out_dir: Path, region: str) -> Path:
-    return out_dir / f"{region}_prob.nii.gz"
+def _pair_files(pred_dir: Path, region: str, name=_find_nifti) -> tuple[Path, Path]:
+    """The p and q files of one region in a prediction-pair directory, as ``name`` finds them."""
+    return name(pred_dir, f"{region}_p"), name(pred_dir, f"{region}_q")
 
 
 def _cert_files(cert_dir: Path, case: str) -> dict[str, Path]:
@@ -206,7 +206,7 @@ def ensemble(pred_dirs, flips, out_dir: Path):
                 pairs.append(PredictionPair(p=p, q=q))
             except ValueError as exc:
                 raise ValueError(f"{p_path}, {q_path}: {exc}") from exc
-        write_nifti(ensemble_with_flips(pairs, axes), _fused_file(out_dir, region), header_template=header)
+        write_nifti(ensemble_with_flips(pairs, axes), _gz_file(out_dir, f"{region}_prob"), header_template=header)
 
     _run_cases(one_region, plan)
 
@@ -424,17 +424,15 @@ def phantom(preset, seed, count, out_dir: Path, config_path):
     """Generate synthetic phantom cases (probability, q and ground-truth volumes)."""
     cfg = _config(config_path)
     preset = preset or cfg.phantom.preset
-    if preset not in PRESETS:
-        raise click.UsageError(f"unknown phantom preset {preset!r}; choose from {sorted(PRESETS)}")
 
     def one_case(case, case_seed):
         data = generate_phantom(PRESETS[preset](case_seed, dims=cfg.phantom.dims))
         (out_dir / case).mkdir(parents=True, exist_ok=True)  # a file in its place is named as the case's error
         for region in REGION_ORDER:
-            p_file, q_file = _pair_files(out_dir / case, region.value)
+            p_file, q_file = _pair_files(out_dir / case, region.value, _gz_file)
             write_nifti(data.p[region], p_file)
             write_nifti(data.q[region], q_file)
-        write_nifti(masks_to_brats_labels(data.gt), _find_nifti(out_dir / "gt", case), dtype="uint8")
+        write_nifti(masks_to_brats_labels(data.gt), _gz_file(out_dir / "gt", case), dtype="uint8")
         click.echo(f"generated {case}", err=True)
 
     _run_cases(one_case, [(f"phantom-{s:04d}", s) for s in range(seed, seed + count)])

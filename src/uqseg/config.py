@@ -2,27 +2,28 @@
 
 The default configuration reproduces the reference thresholds: detection at
 0.5 with 0.05 fallback, confidence gates WT 0.90 / TC 0.75 / ET 0.80, 10-voxel
-component filter, 1000-voxel failsafe, survival caps and class bins. The
-dataclasses own every default and :func:`_to_doc` owns every key: a document
-is parsed by laying it over the defaults' document, so a key the defaults do
-not have is rejected. The loss constants are not configured here; they are
-the :class:`~uqseg.losses.LossConfig` library defaults. The CLI resolves the
-config from --config, then the UQSEG_CONFIG environment variable, then these
-defaults.
+component filter, 1000-voxel failsafe, survival caps and class bins. A
+section's keys are its dataclass's fields in field order (``ClassBins`` as
+``short_max_days`` and ``long_min_days``); the class owns every default and
+checks its own values. A document is laid over the defaults' document, so a
+key they lack or a value of another type is refused before any class sees it.
+The loss constants are :class:`~uqseg.losses.LossConfig` library defaults. The
+CLI resolves the config from --config, then $UQSEG_CONFIG, then the defaults.
 """
 from __future__ import annotations
 
+import enum
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .phantom import PhantomConfig
 from .refine import RefinementConfig, RegionLabel
-from .survival import FEATURE_NAMES, ClassBins, SurvivalClass, SurvivalConfig, check_forest_size
+from .survival import ClassBins, SurvivalClass, SurvivalConfig, check_forest_size
 from .uncertainty import DEFAULT_THRESHOLDS
-from .volumes import Connectivity
 
 ENV_CONFIG_PATH = "UQSEG_CONFIG"
+_MEMBER_NOUNS = {RegionLabel: "region", SurvivalClass: "survival class"}  # for unknown map keys
 
 
 @dataclass
@@ -41,34 +42,49 @@ def default_config_yaml() -> str:
 
 def _to_doc(cfg: PipelineConfig) -> dict:
     return {
-        "refine": {
-            "base_threshold": cfg.refine.base_threshold,
-            "fallback_threshold": cfg.refine.fallback_threshold,
-            "confidence_gate": {
-                r.value: cfg.refine.confidence_gate[r] for r in RegionLabel
-            },
-            "min_component_size": cfg.refine.min_component_size,
-            "failsafe_min_voxels": cfg.refine.failsafe_min_voxels,
-            "connectivity": cfg.refine.connectivity.name.lower(),
-            "enforce_nesting": cfg.refine.enforce_nesting,
-        },
+        "refine": _section_doc(cfg.refine),
         "uncertainty": {"thresholds": list(cfg.uncertainty_thresholds)},
         "metrics": {"hd95_empty_sentinel": cfg.hd95_empty_sentinel},
-        "survival": {
-            "ols_features": list(cfg.survival.ols_features),
-            "forest_features": list(cfg.survival.forest_features),
-            "n_trees": cfg.survival.n_trees,
-            "max_depth": cfg.survival.max_depth,
-            "cap_days": cfg.survival.cap_days,
-            "override_prob": cfg.survival.override_prob,
-            "override_days": {
-                cls.value: cfg.survival.override_days[cls] for cls in SurvivalClass
-            },
-            "short_max_days": cfg.survival.bins.short_max,
-            "long_min_days": cfg.survival.bins.long_min,
-        },
-        "phantom": {"preset": cfg.phantom.preset, "dims": list(cfg.phantom.dims)},
+        "survival": _section_doc(cfg.survival),
+        "phantom": _section_doc(cfg.phantom),
     }
+
+
+def _section_doc(section) -> dict:
+    """One key per field of ``section``, in field order, as YAML writes it."""
+    doc = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, ClassBins):
+            doc.update(short_max_days=value.short_max, long_min_days=value.long_min)
+        elif isinstance(value, enum.Enum):
+            doc[f.name] = value.name.lower()
+        elif isinstance(value, dict):  # keyed by enum members
+            doc[f.name] = {member.value: v for member, v in value.items()}
+        else:
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def _section_config(cls, doc: dict):
+    """The ``cls`` that :func:`_section_doc` writes as ``doc``, whose values have their defaults' types."""
+    defaults, kwargs = cls(), {}
+    for f in fields(cls):
+        default, value = getattr(defaults, f.name), doc.get(f.name)
+        if isinstance(default, ClassBins):
+            value = ClassBins(float(doc["short_max_days"]), float(doc["long_min_days"]))
+        elif isinstance(default, enum.Enum):
+            kind, name = type(default), str(value).upper()
+            if name not in kind.__members__:
+                names = sorted(m.name.lower() for m in kind)
+                raise ValueError(f"unknown {f.name} {name.lower()!r}; choose from {names}")
+            value = kind[name]
+        elif isinstance(default, dict):
+            value = _enum_keyed(f.name, default, value)
+        elif isinstance(default, (tuple, float)):
+            value = type(default)(value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 def _overlay(defaults: dict, doc, section: str) -> dict:
@@ -106,16 +122,16 @@ def _kind(default, plural: bool = False) -> str:
     return ("an " if noun == "integer" else "a ") + noun + (" or null" if default is None else "")
 
 
-def _enum_keyed(kind, what: str, section: str, defaults: dict, doc) -> dict:
-    """The number map ``doc`` laid over ``defaults``, keyed by members of ``kind``."""
-    out = {}
-    for key, value in {**defaults, **(doc or {})}.items():
+def _enum_keyed(section: str, defaults: dict, doc) -> dict:
+    """The number map ``doc``, keyed by member values, laid over the member-keyed ``defaults``."""
+    kind, out = type(next(iter(defaults))), dict(defaults)
+    for key, value in (doc or {}).items():
         try:
             member = kind(key)
         except ValueError:
-            raise ValueError(f"unknown {what} {key!r} in {section}") from None
-        if not _fits(value, defaults[member.value]):
-            raise ValueError(f"{key} must be {_kind(defaults[member.value])}, got {value!r}")
+            raise ValueError(f"unknown {_MEMBER_NOUNS[kind]} {key!r} in {section}") from None
+        if not _fits(value, defaults[member]):
+            raise ValueError(f"{key} must be {_kind(defaults[member])}, got {value!r}")
         out[member] = float(value)
     return out
 
@@ -124,51 +140,19 @@ def parse_config(doc: dict | None) -> PipelineConfig:
     defaults = _to_doc(PipelineConfig())
     doc = _overlay(defaults, doc, "top-level")
     sections = {name: _overlay(defaults[name], doc[name], name) for name in defaults}
-    ref, surv, pha = sections["refine"], sections["survival"], sections["phantom"]
+    surv = sections["survival"]
     check_forest_size(surv["n_trees"], surv["max_depth"])  # first: its messages give the range
     for name, section in sections.items():
         for key, value in section.items():
             if not _fits(value, defaults[name][key]):
                 raise ValueError(f"{key} must be {_kind(defaults[name][key])}, got {value!r}")
-    if len(pha["dims"]) != 3 or min(pha["dims"]) < 1:
-        raise ValueError(f"dims must be three positive integers, got {pha['dims']!r}")
-    conn = str(ref["connectivity"]).upper()
-    if conn not in Connectivity.__members__:
-        names = sorted(c.name.lower() for c in Connectivity)
-        raise ValueError(f"unknown connectivity {conn.lower()!r}; choose from {names}")
-    for key in ("ols_features", "forest_features"):
-        for name in surv[key]:
-            if name not in FEATURE_NAMES:
-                raise ValueError(f"unknown survival feature {name!r} in {key}")
     sentinel = sections["metrics"]["hd95_empty_sentinel"]
     return PipelineConfig(
-        refine=RefinementConfig(
-            base_threshold=float(ref["base_threshold"]),
-            fallback_threshold=float(ref["fallback_threshold"]),
-            confidence_gate=_enum_keyed(RegionLabel, "region", "confidence_gate",
-                                        defaults["refine"]["confidence_gate"],
-                                        ref["confidence_gate"]),
-            min_component_size=ref["min_component_size"],
-            failsafe_min_voxels=ref["failsafe_min_voxels"],
-            connectivity=Connectivity[conn],
-            enforce_nesting=ref["enforce_nesting"],
-        ),
+        refine=_section_config(RefinementConfig, sections["refine"]),
         uncertainty_thresholds=tuple(float(t) for t in sections["uncertainty"]["thresholds"]),
         hd95_empty_sentinel=None if sentinel is None else float(sentinel),
-        survival=SurvivalConfig(
-            ols_features=tuple(surv["ols_features"]),
-            forest_features=tuple(surv["forest_features"]),
-            n_trees=surv["n_trees"],
-            max_depth=surv["max_depth"],
-            cap_days=float(surv["cap_days"]),
-            override_prob=float(surv["override_prob"]),
-            override_days=_enum_keyed(SurvivalClass, "survival class", "override_days",
-                                      defaults["survival"]["override_days"],
-                                      surv["override_days"]),
-            bins=ClassBins(short_max=float(surv["short_max_days"]),
-                           long_min=float(surv["long_min_days"])),
-        ),
-        phantom=PhantomConfig(preset=pha["preset"], dims=tuple(pha["dims"])),
+        survival=_section_config(SurvivalConfig, surv),
+        phantom=_section_config(PhantomConfig, sections["phantom"]),
     )
 
 

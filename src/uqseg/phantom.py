@@ -83,6 +83,12 @@ class PhantomConfig:
     preset: str = "hgg-like"
     dims: tuple[int, int, int] = (48, 48, 48)
 
+    def __post_init__(self):
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise ValueError(f"dims must be three positive integers, got {list(self.dims)!r}")
+        if self.preset not in PRESETS:
+            raise ValueError(f"unknown phantom preset {self.preset!r}; choose from {sorted(PRESETS)}")
+
 
 @dataclass
 class PhantomCase:

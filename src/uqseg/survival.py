@@ -44,6 +44,10 @@ class ClassBins:
     short_max: float = 300.0
     long_min: float = 450.0
 
+    def __post_init__(self):
+        if not self.short_max <= self.long_min:  # NaN too
+            raise ValueError(f"short_max_days {self.short_max} must not exceed long_min_days {self.long_min}")
+
     def classify(self, days: float) -> SurvivalClass:
         if days < self.short_max:
             return SurvivalClass.SHORT
@@ -72,6 +76,10 @@ class SurvivalConfig:
             raise ValueError(f"cap_days must be > 0, got {self.cap_days!r}")
         if not 0.0 <= self.override_prob <= 1.0:
             raise ValueError(f"override_prob must be in [0, 1], got {self.override_prob!r}")
+        for key in ("ols_features", "forest_features"):
+            for name in getattr(self, key):
+                if name not in FEATURE_NAMES:
+                    raise ValueError(f"unknown survival feature {name!r} in {key}")
 
 
 @dataclass

@@ -356,6 +356,20 @@ class TestFailurePath:
         assert not (cases / "gt" / "phantom-0000.nii.gz").exists()
         assert [p for p in tmp_path.rglob("*") if p.name.endswith(".part")] == []
 
+    def test_phantom_writes_nii_gz_past_leftover_plain_files(self, runner, tmp_path):
+        cases, clean = tmp_path / "cases", tmp_path / "clean"
+        leftovers = [cases / "phantom-0001" / "wt_p.nii", cases / "gt" / "phantom-0001.nii"]
+        for path in leftovers:
+            path.parent.mkdir(parents=True)
+            path.write_bytes(b"leftover")
+        invoke(runner, ["phantom", "--seed", "1", "--out", str(cases)])
+        invoke(runner, ["phantom", "--seed", "1", "--out", str(clean)])
+        assert [path.read_bytes() for path in leftovers] == [b"leftover", b"leftover"]
+        written = sorted(str(p.relative_to(clean)) for p in clean.rglob("*") if p.is_file())
+        assert len(written) == 7 and all(name.endswith(".nii.gz") for name in written)
+        for name in written:
+            assert (cases / name).read_bytes() == (clean / name).read_bytes(), name
+
     def test_unwritable_target_error_names_only_the_target(self, runner, tmp_path):
         target = tmp_path / "d.csv"
         target.mkdir()
@@ -842,6 +856,9 @@ class TestSurvivalCommands:
         ("uncertainty:\n  thresholds: 5", "thresholds must be a list of numbers, got 5"),
         ("phantom:\n  dims: 48", "dims must be a list of integers, got 48"),
         ("phantom:\n  dims: [40, 40]", "dims must be three positive integers, got [40, 40]"),
+        ("survival:\n  short_max_days: 500\n  long_min_days: 100",
+         "short_max_days 500.0 must not exceed long_min_days 100.0"),
+        ("phantom:\n  preset: bogus", "unknown phantom preset 'bogus'; choose from ['diffuse-lgg-like', 'hgg-like']"),
     ])
     def test_mistyped_config_value_is_usage_error(self, runner, tmp_path, setting, message):
         config = tmp_path / "conf.yaml"
@@ -850,6 +867,27 @@ class TestSurvivalCommands:
         assert f"bad configuration: {message}" in result.stderr
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "cases").exists()
+
+    @pytest.mark.parametrize("command", ["refine", "evaluate", "features", "survival-train", "survival-cv",
+                                         "phantom"])
+    def test_bad_preset_refused_by_every_config_reader(self, runner, tmp_path, command):
+        config = tmp_path / "conf.yaml"
+        config.write_text("phantom:\n  preset: bogus\n")
+        d, f, out = tmp_path / "d", tmp_path / "f.csv", tmp_path / "out"
+        d.mkdir()
+        f.write_text("case_id,age\n")
+        args = {
+            "refine": ["--prob-wt", str(f), "--prob-tc", str(f), "--prob-et", str(f), "--out-labels", str(out)],
+            "evaluate": ["--pred-dir", str(d), "--gt-dir", str(d), "--out-csv", str(out)],
+            "features": ["--labels-dir", str(d), "--meta-csv", str(f), "--out-csv", str(out)],
+            "survival-train": ["--features-csv", str(f), "--model-out", str(out)],
+            "survival-cv": ["--features-csv", str(f), "--out-csv", str(out)],
+            "phantom": ["--out", str(out)],
+        }[command]
+        result = invoke(runner, [command, *args, "--config", str(config)], expect=2)
+        assert "bad configuration: unknown phantom preset 'bogus'" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -8,22 +8,31 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqseg import nifti
 from uqseg.config import (
     ENV_CONFIG_PATH,
     PipelineConfig,
+    _to_doc,
     default_config_yaml,
     load_config,
     parse_config,
 )
 from uqseg.losses import LossConfig
 from uqseg.nifti import read_label_volume, read_nifti, write_nifti
-from uqseg.refine import RegionLabel
+from uqseg.phantom import PRESETS, PhantomConfig
+from uqseg.refine import RefinementConfig, RegionLabel
 from uqseg.survival import (
+    FEATURE_NAMES,
+    MAX_DEPTH,
+    ClassBins,
     ForestModel,
     FusionModel,
     OlsModel,
+    SurvivalClass,
+    SurvivalConfig,
     SurvivalRecord,
     save_model,
 )
@@ -412,6 +421,48 @@ class TestResultsTable:
             read_case_table(path)
 
 
+@st.composite
+def non_default_configs(draw):
+    """Valid configs drawn over every key: gates, thresholds, features, ordered bins with days inside them."""
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    fallback, base = sorted(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                          min_size=2, max_size=2, unique=True)))
+    refine = RefinementConfig(
+        base_threshold=base,
+        fallback_threshold=fallback,
+        confidence_gate={region: draw(unit) for region in RegionLabel},
+        min_component_size=draw(st.integers(0, 10**6)),
+        failsafe_min_voxels=draw(st.integers(0, 10**9)),
+        connectivity=draw(st.sampled_from(Connectivity)),
+        enforce_nesting=draw(st.booleans()),
+    )
+    short_max = draw(st.floats(1.0, 1000.0))
+    long_min = draw(st.floats(short_max, 3000.0))
+    features = st.lists(st.sampled_from(FEATURE_NAMES), max_size=3, unique=True).map(tuple)
+    survival = SurvivalConfig(
+        ols_features=draw(features),
+        forest_features=draw(features),
+        n_trees=draw(st.integers(1, 10**6)),
+        max_depth=draw(st.integers(0, MAX_DEPTH)),
+        cap_days=draw(st.floats(0.0, 1e6, exclude_min=True)),
+        override_prob=draw(st.floats(0.0, 1.0)),
+        override_days={
+            SurvivalClass.SHORT: draw(st.floats(0.0, short_max, exclude_max=True)),
+            SurvivalClass.MID: draw(st.floats(short_max, long_min)),
+            SurvivalClass.LONG: draw(st.floats(long_min, long_min + 1000.0, exclude_min=True)),
+        },
+        bins=ClassBins(short_max, long_min),
+    )
+    return PipelineConfig(
+        refine=refine,
+        uncertainty_thresholds=tuple(draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8))),
+        hd95_empty_sentinel=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
+        survival=survival,
+        phantom=PhantomConfig(preset=draw(st.sampled_from(sorted(PRESETS))),
+                              dims=tuple(draw(st.lists(st.integers(1, 512), min_size=3, max_size=3)))),
+    )
+
+
 class TestConfig:
     def test_defaults_roundtrip(self):
         assert parse_config(yaml.safe_load(default_config_yaml())) == PipelineConfig()
@@ -481,13 +532,22 @@ class TestConfig:
             ({"survival": {"cap_days": 0}}, r"^cap_days must be > 0, got 0.0$"),
             ({"survival": {"override_prob": 7}}, r"^override_prob must be in \[0, 1\], got 7.0$"),
             ({"survival": {"override_prob": -0.5}}, r"^override_prob must be in \[0, 1\], got -0.5$"),
+            ({"survival": {"short_max_days": 500, "long_min_days": 100}},
+             r"^short_max_days 500.0 must not exceed long_min_days 100.0$"),
+            ({"survival": {"short_max_days": float("nan")}},
+             r"^short_max_days nan must not exceed long_min_days 450.0$"),
+            ({"phantom": {"preset": "bogus"}},
+             r"^unknown phantom preset 'bogus'; choose from \['diffuse-lgg-like', 'hgg-like'\]$"),
+            ({"phantom": {"dims": [40, 0, 40]}}, r"dims must be three positive integers, got \[40, 0, 40\]"),
+            ({"refine": {"connectivity": "face4"}},
+             r"^unknown connectivity 'face4'; choose from \['corner26', 'edge18', 'face6'\]$"),
         ],
         ids=["uncertainty", "metrics", "survival", "phantom",
              "ols-feature", "forest-feature", "gate-region", "override-class",
              "zero-trees", "fractional-trees", "text-trees", "negative-depth", "deep", "float-depth",
              "text-nesting", "fractional-size", "text-size", "scalar-thresholds", "scalar-dims", "two-dims",
              "text-gate", "boolean-override-days", "negative-cap", "zero-cap", "override-prob-above-1",
-             "override-prob-below-0"],
+             "override-prob-below-0", "inverted-bins", "nan-bin", "unknown-preset", "zero-dim", "unknown-connectivity"],
     )
     def test_other_rejections(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -526,3 +586,59 @@ class TestConfig:
     def test_bad_connectivity_named(self):
         with pytest.raises(ValueError, match="unknown connectivity"):
             parse_config({"refine": {"connectivity": "neighbors8"}})
+
+    def test_default_yaml_is_pinned(self):
+        assert default_config_yaml() == DEFAULT_CONFIG_YAML
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=non_default_configs())
+    def test_non_default_config_round_trips(self, cfg):
+        assert parse_config(yaml.safe_load(yaml.safe_dump(_to_doc(cfg)))) == cfg
+
+
+# default_config_yaml() as written by init-config, key by key.
+DEFAULT_CONFIG_YAML = """\
+refine:
+  base_threshold: 0.5
+  fallback_threshold: 0.05
+  confidence_gate:
+    wt: 0.9
+    tc: 0.75
+    et: 0.8
+  min_component_size: 10
+  failsafe_min_voxels: 1000
+  connectivity: corner26
+  enforce_nesting: false
+uncertainty:
+  thresholds:
+  - 0.0
+  - 25.0
+  - 50.0
+  - 75.0
+  - 100.0
+metrics:
+  hd95_empty_sentinel: null
+survival:
+  ols_features:
+  - age
+  forest_features:
+  - age
+  - n_tumors
+  - n_cores
+  n_trees: 1000
+  max_depth: 3
+  cap_days: 1000.0
+  override_prob: 0.5
+  override_days:
+    short: 299.0
+    mid: 375.0
+    long: 451.0
+  short_max_days: 300.0
+  long_min_days: 450.0
+phantom:
+  preset: hgg-like
+  dims:
+  - 48
+  - 48
+  - 48
+"""
