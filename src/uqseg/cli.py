@@ -57,7 +57,7 @@ from .uncertainty import (
     negative_only_uncertainty_raw,
     symmetric_uncertainty_raw,
 )
-from .volumes import Axis, standardize_nonzero
+from .volumes import Axis, require_within, standardize_nonzero
 
 REGION_KEYS = tuple(region.value for region in REGION_ORDER)
 CHALLENGE_NAMES = {"wt": "whole", "tc": "core", "et": "enhance"}
@@ -228,6 +228,8 @@ def refine(prob_wt, prob_tc, prob_et, config_path, out_labels: Path, out_report,
         p_wt, header = read_nifti(prob_wt)
         p_tc, _ = read_nifti(prob_tc, expect_dims=p_wt.dims)
         p_et, _ = read_nifti(prob_et, expect_dims=p_wt.dims)
+        for p, path in ((p_wt, prob_wt), (p_tc, prob_tc), (p_et, prob_et)):
+            require_within(p, 0.0, 1.0, f"{path}: p")
         seg, report = refine_segmentation(p_wt, p_tc, p_et, cfg.refine)
         write_nifti(masks_to_brats_labels(seg), out_labels, header_template=header, dtype="uint8")
         for line in report.summary_lines():
@@ -309,6 +311,7 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
             row.update({f"{name}_{region.value}": getattr(result, name) for name in METRIC_FIELDS})
             if cert_files is not None:
                 cert, _ = read_nifti(cert_files[region.value], expect_dims=pred_labels.dims)
+                require_within(cert, 0.0, 100.0, f"{cert_files[region.value]}: certainty")
                 curve = evaluate_uncertainty(pred_mask, gt_mask, cert, cfg.uncertainty_thresholds)
                 row.update({f"{name}_{region.value}": getattr(curve, name) for name in AUC_FIELDS})
         return row
@@ -423,10 +426,14 @@ def survival_cv(features_csv, folds, seed, out_csv, config_path):
 def phantom(preset, seed, count, out_dir: Path, config_path):
     """Generate synthetic phantom cases (probability, q and ground-truth volumes)."""
     cfg = _config(config_path)
-    preset = preset or cfg.phantom.preset
+    make = PRESETS[preset or cfg.phantom.preset]
+    try:  # dims too small for a preset's spheres are a configuration error, found before anything is written
+        plan = [(f"phantom-{s:04d}", make(s, dims=cfg.phantom.dims)) for s in range(seed, seed + count)]
+    except ValueError as exc:
+        raise click.UsageError(f"bad configuration: {exc}") from exc
 
-    def one_case(case, case_seed):
-        data = generate_phantom(PRESETS[preset](case_seed, dims=cfg.phantom.dims))
+    def one_case(case, spec):
+        data = generate_phantom(spec)
         (out_dir / case).mkdir(parents=True, exist_ok=True)  # a file in its place is named as the case's error
         for region in REGION_ORDER:
             p_file, q_file = _pair_files(out_dir / case, region.value, _gz_file)
@@ -435,7 +442,7 @@ def phantom(preset, seed, count, out_dir: Path, config_path):
         write_nifti(masks_to_brats_labels(data.gt), _gz_file(out_dir / "gt", case), dtype="uint8")
         click.echo(f"generated {case}", err=True)
 
-    _run_cases(one_case, [(f"phantom-{s:04d}", s) for s in range(seed, seed + count)])
+    _run_cases(one_case, plan)
 
 
 @main.command("init-config")

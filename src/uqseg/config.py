@@ -13,6 +13,7 @@ CLI resolves the config from --config, then $UQSEG_CONFIG, then the defaults.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -99,13 +100,13 @@ def _overlay(defaults: dict, doc, section: str) -> dict:
 
 
 def _fits(value, default) -> bool:
-    """Whether ``value`` has ``default``'s type; an int fits a float, a bool fits neither."""
+    """Whether ``value`` has ``default``'s type; an int fits a float, a bool or a non-finite float neither."""
     if isinstance(default, dict):  # null keeps the defaults; _enum_keyed reads the entries
         return value is None or isinstance(value, dict)
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
     if default is None or isinstance(default, float):
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
         return number or (value is None and default is None)
     return type(value) is type(default)
 

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .volumes import Axis, Volume3D, require_same_grid
+from .volumes import Axis, Volume3D, require_same_grid, require_within
 
 FUSE_SLAB = 1 << 16  # voxels per fusion slab, rounded down to whole planes (at least one)
 
@@ -26,10 +26,8 @@ class PredictionPair:
 
     def __post_init__(self):
         require_same_grid(self.p, self.q)
-        if self.p.data.min() < 0.0 or self.p.data.max() > 1.0:
-            raise ValueError("p values must lie in [0, 1]")
-        if self.q.data.min() < 0.0 or self.q.data.max() > 0.5:
-            raise ValueError("q values must lie in [0, 0.5]")
+        require_within(self.p, 0.0, 1.0, "p")
+        require_within(self.q, 0.0, 0.5, "q")
 
 
 def fuse_single(p, q):

@@ -298,10 +298,8 @@ def read_label_volume(
     allowed_labels=(0, 1, 2, 4),
     expect_dims: tuple[int, int, int] | None = None,
 ) -> tuple[Volume3D, NiftiHeaderView]:
-    """Read a label map in its file's dtype, verifying the declared label set."""
+    """Read a label map in its file's dtype; every value must equal a declared label exactly."""
     vol, view = read_nifti(path, expect_dims)
-    if view.datatype == DT_FLOAT32 and not np.all(vol.data == np.round(vol.data)):
-        raise ValueError(f"{path}: label map contains non-integer values")
     extra = labels_outside(vol.data, [int(v) for v in allowed_labels])
     if extra:
         raise ValueError(

@@ -456,10 +456,12 @@ _NUMBER = (int, float)
 
 
 def _field(doc: dict, key: str, kind):
-    """``doc[key]``, which must be a ``kind``; JSON booleans are not numbers."""
+    """``doc[key]``, which must be a ``kind``; JSON booleans are not numbers, NaN and Infinity not values."""
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, kind):
         raise TypeError(f"{key!r} is a {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key!r} is {value}")
     return value
 
 

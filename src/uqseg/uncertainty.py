@@ -12,15 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volumes import Mask3D, Volume3D, require_same_dims
+from .volumes import Mask3D, Volume3D, require_same_dims, require_within
 
 DEFAULT_THRESHOLDS = (0.0, 25.0, 50.0, 75.0, 100.0)
 
 
 def certainty_from_q(q: Volume3D) -> Volume3D:
     """100 * (1 - 2q): flip-probability 0 is fully certain, 0.5 fully uncertain."""
-    if q.data.min() < 0.0 or q.data.max() > 0.5:
-        raise ValueError("q values must lie in [0, 0.5]")
+    require_within(q, 0.0, 0.5, "q")
     cert = np.multiply(q.data, 2.0, dtype=np.float64)  # the one full-size array, then in place
     np.subtract(1.0, cert, out=cert)
     return Volume3D(np.multiply(cert, 100.0, out=cert), q.spacing)
@@ -28,10 +27,8 @@ def certainty_from_q(q: Volume3D) -> Volume3D:
 
 def _probabilities(x: Volume3D) -> np.ndarray:
     """``x`` as float64, refused unless every value is a probability."""
-    p = x.float64()
-    if p.min() < 0.0 or p.max() > 1.0:
-        raise ValueError("p values must lie in [0, 1]")
-    return p
+    require_within(x, 0.0, 1.0, "p")
+    return x.float64()
 
 
 def symmetric_uncertainty_raw(x: Volume3D) -> Volume3D:

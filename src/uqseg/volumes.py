@@ -124,15 +124,21 @@ def standardize_nonzero(v: Volume3D) -> Volume3D:
     return Volume3D(out, v.spacing)
 
 
+def require_within(v: Volume3D, lo: float, hi: float, name: str) -> None:
+    """Refuse a volume with a value outside [lo, hi], as ``<name> values must lie in [lo, hi]``."""
+    if v.data.min() < lo or v.data.max() > hi:
+        raise ValueError(f"{name} values must lie in [{lo:g}, {hi:g}]")
+
+
 def labels_outside(data: np.ndarray, allowed) -> list:
-    """Sorted values of a label map outside ``allowed``, each truncated to an int.
+    """Sorted values of a label map not exactly in ``allowed``, integral ones as ints.
 
     One count per allowed value settles a valid map; only an invalid one is sorted.
     """
     allowed = set(allowed)
     if sum(np.count_nonzero(data == v) for v in allowed) == data.size:
         return []
-    return sorted(set(np.unique(data).astype(int)) - allowed)
+    return [int(v) if v == int(v) else float(v) for v in np.unique(data) if v not in allowed]
 
 
 def foreground_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:

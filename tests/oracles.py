@@ -344,7 +344,7 @@ def float64_label_read(path, allowed=(0, 1, 2, 4)):
     values, datatype = float64_read(path)
     if datatype == 16 and not np.all(values == np.round(values)):
         raise ValueError(f"{path}: label map contains non-integer values")
-    extra = set(np.unique(values).astype(int)) - set(int(v) for v in allowed)
+    extra = set(np.unique(values).astype(int).tolist()) - set(int(v) for v in allowed)
     if extra:
         raise ValueError(f"{path}: label values {sorted(extra)} outside declared set {sorted(allowed)}")
     return values
@@ -352,7 +352,7 @@ def float64_label_read(path, allowed=(0, 1, 2, 4)):
 
 def isin_masks(values):
     """The former ``brats_labels_to_masks``: (wt, tc, et) by ``np.isin`` on the values."""
-    extra = set(np.unique(values).astype(int)) - {0, 1, 2, 4}
+    extra = set(np.unique(values).astype(int).tolist()) - {0, 1, 2, 4}
     if extra:
         raise ValueError(f"unexpected label values {sorted(extra)}; expected subset of {{0,1,2,4}}")
     return np.isin(values, (1, 2, 4)), np.isin(values, (1, 4)), values == 4

@@ -422,7 +422,8 @@ def fault_rows(root):
     """Inputs under ``root``, then (id, argv, exit code, what the error names, healthy outputs) per fault.
 
     ``pair`` and ``labels`` are healthy; each ``pair-*`` and ``labels-*`` copy
-    breaks its tc or c1 file. Every output goes under ``root / "out"``.
+    breaks its tc or c1 file, as ``cert`` its c1 whole-tumour map. Every output
+    goes under ``root / "out"``.
     """
     label_map = np.zeros((6, 6, 6), dtype=np.uint8)
     label_map[1:4, 1:4, 1:4] = 2
@@ -430,11 +431,23 @@ def fault_rows(root):
         for region in ("wt", "tc", "et"):
             write_nifti(Volume3D(np.full((6, 6, 6), 0.7)), root / name / f"{region}_p.nii.gz")
             write_nifti(Volume3D(np.full((6, 6, 6), 0.1)), root / name / f"{region}_q.nii.gz")
-    for name in ("labels", "labels-missing", "labels-directory", "labels-grid"):
+    for name in ("labels", "labels-missing", "labels-directory", "labels-grid", "labels-scaled"):
         for case in ("c0", "c1"):
             write_nifti(Volume3D(label_map), root / name / f"{case}.nii.gz", dtype="uint8")
-    for broken in ("pair-missing/tc_p", "pair-directory/tc_p", "labels-missing/c1", "labels-directory/c1"):
+    for broken in ("pair-missing/tc_p", "pair-directory/tc_p", "labels-missing/c1", "labels-directory/c1",
+                   "labels-scaled/c1"):
         (root / f"{broken}.nii.gz").unlink()
+    scaled = root / "labels-scaled" / "c1.nii"  # stored 4 and 3 at slope 0.5: labels 2 and 1.5
+    write_nifti(Volume3D(np.where(label_map == 2, 4, 0) + (np.arange(216).reshape(6, 6, 6) == 0) * 3),
+                scaled, dtype="uint8")
+    blob = bytearray(scaled.read_bytes())
+    struct.pack_into("<f", blob, 112, 0.5)
+    scaled.write_bytes(bytes(blob))
+    for case in ("c0", "c1"):
+        for c in ("whole", "core", "enhance"):
+            write_nifti(Volume3D(np.full((6, 6, 6), 80.0)), root / "cert" / f"{case}_unc_{c}.nii.gz", dtype="uint8")
+    write_nifti(Volume3D(np.full((6, 6, 6), 250.0)), root / "cert" / "c1_unc_whole.nii.gz", dtype="uint8")
+    write_nifti(Volume3D(np.full((6, 6, 6), 5.0)), root / "p-range.nii.gz")
     (root / "pair-directory" / "tc_p.nii.gz").mkdir()
     (root / "labels-directory" / "c1.nii.gz").mkdir()
     small = root / "small.nii.gz"
@@ -485,6 +498,8 @@ def fault_rows(root):
         ("refine-directory", refine(directory), 1, directory, []),
         ("refine-grid", refine(small), 1, small, []),
         ("refine-config", refine(root / "pair" / "tc_p.nii.gz", "--config", str(root / "cap.yaml")), 2, cap, []),
+        ("refine-range", refine(root / "p-range.nii.gz", "--out-report", str(out / "rep.csv")), 1,
+         f"{root / 'p-range.nii.gz'}: p values must lie in [0, 1]", []),
         ("uncertainty-missing", ["uncertainty", "--formula", "flip", "--q", str(none), "--out", str(out / "u.nii")],
          2, none, []),
         ("uncertainty-directory", ["uncertainty", "--formula", "symmetric", "--prob", str(directory),
@@ -495,6 +510,10 @@ def fault_rows(root):
          [out / "r.csv"]),
         ("evaluate-grid", evaluate(gt="labels-grid"), 1, root / "labels-grid" / "c1.nii.gz", [out / "r.csv"]),
         ("evaluate-under-file", evaluate(target=blocked), 1, blocked, []),
+        ("evaluate-certainty-range", evaluate("labels", "labels", out / "r.csv", "--cert-dir", str(root / "cert")),
+         1, f"{root / 'cert' / 'c1_unc_whole.nii.gz'}: certainty values must lie in [0, 100]", [out / "r.csv"]),
+        ("evaluate-scaled-labels", evaluate(pred="labels-scaled"), 1,
+         f"{scaled}: label values [1.5] outside declared set [0, 1, 2, 4]", [out / "r.csv"]),
         ("evaluate-config", evaluate("labels", "labels", out / "r.csv", "--config", str(root / "prob.yaml")),
          2, prob, []),
         ("features-missing", features(meta=none), 2, none, []),
@@ -859,6 +878,9 @@ class TestSurvivalCommands:
         ("survival:\n  short_max_days: 500\n  long_min_days: 100",
          "short_max_days 500.0 must not exceed long_min_days 100.0"),
         ("phantom:\n  preset: bogus", "unknown phantom preset 'bogus'; choose from ['diffuse-lgg-like', 'hgg-like']"),
+        ("phantom:\n  dims: [20, 20, 20]", "wt sphere (center (10.059694294683837, 9.030866988847567, "
+         "9.617958807010778), radius 15.278552460746191) exceeds volume bounds (20, 20, 20)"),
+        ("survival:\n  cap_days: .inf", "cap_days must be a number, got inf"),
     ])
     def test_mistyped_config_value_is_usage_error(self, runner, tmp_path, setting, message):
         config = tmp_path / "conf.yaml"

@@ -318,6 +318,22 @@ class TestNifti:
         with pytest.raises(ValueError, match="outside declared set"):
             read_label_volume(path)
 
+    @pytest.mark.parametrize("dtype, slope, message", [
+        ("uint8", 1.0, r": label values \[3, 8\] outside declared set \[0, 1, 2, 4\]$"),
+        ("uint8", 0.5, r": label values \[0.5, 1.5\] outside declared set \[0, 1, 2, 4\]$"),
+        ("int16", 0.5, r": label values \[0.5, 1.5\] outside declared set \[0, 1, 2, 4\]$"),
+        ("float32", 0.5, r": label values \[0.5, 1.5\] outside declared set \[0, 1, 2, 4\]$"),
+    ], ids=["unscaled-uint8", "scaled-uint8", "scaled-int16", "scaled-float32"])
+    def test_label_values_compared_exactly(self, tmp_path, dtype, slope, message):
+        """Stored 1 and 3 at slope 0.5 read 0.5 and 1.5: no label, in any dtype, not truncated to 0 and 1."""
+        path = tmp_path / "labels.nii"
+        write_nifti(Volume3D(np.array([0, 1, 2, 3, 4, 8, 0, 0], dtype=np.uint8).reshape(2, 2, 2)), path, dtype=dtype)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 112, slope)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=message):
+            read_label_volume(path)
+
     def test_non_integer_payload_rejected_for_int_dtype(self, tmp_path):
         with pytest.raises(ValueError, match="non-integer"):
             write_nifti(Volume3D(np.full((2, 2, 2), 0.5)), tmp_path / "x.nii", dtype="uint8")
@@ -534,20 +550,26 @@ class TestConfig:
             ({"survival": {"override_prob": -0.5}}, r"^override_prob must be in \[0, 1\], got -0.5$"),
             ({"survival": {"short_max_days": 500, "long_min_days": 100}},
              r"^short_max_days 500.0 must not exceed long_min_days 100.0$"),
-            ({"survival": {"short_max_days": float("nan")}},
-             r"^short_max_days nan must not exceed long_min_days 450.0$"),
+            ({"survival": {"short_max_days": float("nan")}}, r"^short_max_days must be a number, got nan$"),
             ({"phantom": {"preset": "bogus"}},
              r"^unknown phantom preset 'bogus'; choose from \['diffuse-lgg-like', 'hgg-like'\]$"),
             ({"phantom": {"dims": [40, 0, 40]}}, r"dims must be three positive integers, got \[40, 0, 40\]"),
             ({"refine": {"connectivity": "face4"}},
              r"^unknown connectivity 'face4'; choose from \['corner26', 'edge18', 'face6'\]$"),
+            ({"uncertainty": {"thresholds": [0.0, float("nan"), 100.0]}},
+             r"^thresholds must be a list of numbers, got \[0.0, nan, 100.0\]$"),
+            ({"metrics": {"hd95_empty_sentinel": float("nan")}},
+             r"^hd95_empty_sentinel must be a number or null, got nan$"),
+            ({"survival": {"override_days": {"mid": float("nan")}}}, r"^mid must be a number, got nan$"),
+            ({"survival": {"cap_days": float("inf")}}, r"^cap_days must be a number, got inf$"),
         ],
         ids=["uncertainty", "metrics", "survival", "phantom",
              "ols-feature", "forest-feature", "gate-region", "override-class",
              "zero-trees", "fractional-trees", "text-trees", "negative-depth", "deep", "float-depth",
              "text-nesting", "fractional-size", "text-size", "scalar-thresholds", "scalar-dims", "two-dims",
              "text-gate", "boolean-override-days", "negative-cap", "zero-cap", "override-prob-above-1",
-             "override-prob-below-0", "inverted-bins", "nan-bin", "unknown-preset", "zero-dim", "unknown-connectivity"],
+             "override-prob-below-0", "inverted-bins", "nan-bin", "unknown-preset", "zero-dim", "unknown-connectivity",
+             "nan-threshold", "nan-sentinel", "nan-override-days", "infinite-cap"],
     )
     def test_other_rejections(self, doc, message):
         with pytest.raises(ValueError, match=message):

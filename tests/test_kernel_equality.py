@@ -812,6 +812,11 @@ def test_labels_equal_float64_oracle(tmp_path):
         kind, paths, _ = write_case(tmp_path, i)
         if not kind.endswith("labels"):
             continue
+        values, _ = float64_read(paths[0])
+        if not np.all(values == np.round(values)):  # a fraction is no label, whatever the file dtype
+            with pytest.raises(ValueError, match="outside declared set"):
+                read_label_volume(paths[0])
+            continue
         try:
             want = isin_masks(float64_label_read(paths[0]))
         except ValueError as exc:
@@ -825,11 +830,10 @@ def test_labels_equal_float64_oracle(tmp_path):
             assert np.array_equal(got.data, expected), f"case {i}"
         # the label map the refined masks encode to, and back
         assert np.array_equal(brats_labels_to_masks(masks_to_brats_labels(seg)).wt.data, want[0])
-        # fractions pass the truncating label check but belong to no region
+        # fractions are outside the label set, not truncated into it
         fractional = vol.data + np.where(np.arange(vol.data.size).reshape(vol.dims) % 5 == 0, 0.25, 0.0)
-        seg = brats_labels_to_masks(Volume3D(fractional))
-        for got, expected in zip((seg.wt, seg.tc, seg.et), isin_masks(fractional)):
-            assert np.array_equal(got.data, expected), f"case {i}"
+        with pytest.raises(ValueError, match=r"unexpected label values \[.*\.25"):
+            brats_labels_to_masks(Volume3D(fractional))
 
 
 # --- survival forest ----------------------------------------------------------

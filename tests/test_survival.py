@@ -460,6 +460,8 @@ class TestPersistence:
             (lambda d: first_leaves(d).__setitem__(0, [0, 0, 0]), "at least one record per leaf"),
             (lambda d: d["ols"]["coefficients"].append(1.0), "3 OLS coefficients for 1 features"),
             (lambda d: d["ols"]["coefficients"].pop(), "1 OLS coefficients for 1 features"),
+            pytest.param(lambda d: d["override_days"].update(mid=float("nan")), "'mid' is nan", id="nan-override-days"),
+            pytest.param(lambda d: d["ols"].update(cap_days=float("inf")), "'cap_days' is inf", id="infinite-cap"),
         ],
     )
     def test_malformed_model_names_path(self, tmp_path, edit, message):

@@ -11,6 +11,7 @@ from uqseg.volumes import (
     count_components,
     flip_axis,
     remove_small_components,
+    require_within,
     standardize_nonzero,
 )
 
@@ -178,3 +179,14 @@ class TestValidation:
     def test_bad_spacing_rejected(self):
         with pytest.raises(ValueError, match="spacing"):
             Volume3D(np.zeros((2, 2, 2)), spacing=(1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("lo, hi, name, values, message", [
+        (0.0, 1.0, "p", [-1e-9, 1.0], r"^p values must lie in \[0, 1\]$"),
+        (0.0, 0.5, "q", [0.0, 0.5000001], r"^q values must lie in \[0, 0.5\]$"),
+        (0.0, 100.0, "c.nii: certainty", [0.0, 250.0], r"^c.nii: certainty values must lie in \[0, 100\]$"),
+    ], ids=["p-below", "q-above", "certainty-above"])
+    def test_range_refused_on_either_side(self, lo, hi, name, values, message):
+        require_within(Volume3D(np.full((2, 2, 2), lo)), lo, hi, name)
+        require_within(Volume3D(np.full((2, 2, 2), hi)), lo, hi, name)
+        with pytest.raises(ValueError, match=message):
+            require_within(Volume3D(np.resize(np.asarray(values), (2, 2, 2))), lo, hi, name)
