@@ -13,8 +13,8 @@ CLI resolves the config from --config, then $UQSEG_CONFIG, then the defaults.
 from __future__ import annotations
 
 import enum
-import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -100,13 +100,16 @@ def _overlay(defaults: dict, doc, section: str) -> dict:
 
 
 def _fits(value, default) -> bool:
-    """Whether ``value`` has ``default``'s type; an int fits a float, a bool or a non-finite float neither."""
+    """Whether ``value`` has ``default``'s type.
+
+    An int fits a float; a bool, a non-finite float and an int past float's range fit neither.
+    """
     if isinstance(default, dict):  # null keeps the defaults; _enum_keyed reads the entries
         return value is None or isinstance(value, dict)
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
     if default is None or isinstance(default, float):
-        number = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
         return number or (value is None and default is None)
     return type(value) is type(default)
 

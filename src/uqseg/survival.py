@@ -519,16 +519,21 @@ def load_model(path) -> FusionModel:
             raise ValueError(f"{len(coefficients)} OLS coefficients for {len(ols_features)} "
                              "features; expected an intercept plus one per feature")
         days = _field(doc, "override_days", dict)
-        return FusionModel(
-            ols=OlsModel(
-                feature_set=ols_features,
-                coefficients=np.asarray(coefficients, dtype=np.float64),
-                cap_days=_field(ols, "cap_days", _NUMBER),
-            ),
-            forest=ForestModel(forest_features, max_depth, *trees, seed=_field(forest, "seed", int)),
+        cfg = SurvivalConfig(  # the file's values pass the checks a config's values pass
+            ols_features=ols_features,
+            forest_features=forest_features,
+            max_depth=max_depth,
+            cap_days=_field(ols, "cap_days", _NUMBER),
             override_prob=_field(doc, "override_prob", _NUMBER),
             override_days={cls: _field(days, cls.value, _NUMBER) for cls in CLASS_ORDER},
             bins=ClassBins(_field(bins, "short_max", _NUMBER), _field(bins, "long_min", _NUMBER)),
+        )
+        return FusionModel(
+            ols=OlsModel(cfg.ols_features, np.asarray(coefficients, dtype=np.float64), cfg.cap_days),
+            forest=ForestModel(cfg.forest_features, cfg.max_depth, *trees, seed=_field(forest, "seed", int)),
+            override_prob=cfg.override_prob,
+            override_days=cfg.override_days,
+            bins=cfg.bins,
         )
     except KeyError as exc:
         raise ValueError(f"{path}: survival model lacks key {exc}") from exc

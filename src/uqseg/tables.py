@@ -1,4 +1,4 @@
-"""CSV input/output: survival features, predictions, per-case result rows.
+"""CSV input/output: survival features, predictions, per-case result and report rows.
 
 All writers produce deterministic bytes: rows sorted by case_id, RFC 4180
 quoting, floats via repr.
@@ -27,10 +27,8 @@ METRIC_FIELDS = tuple(f.name for f in fields(MetricResult))
 AUC_FIELDS = tuple(f.name for f in fields(UncertaintyEvalCurve) if f.name.endswith("_auc"))
 _METRIC_COLUMNS = tuple(f"{name}_{r.value}" for name in METRIC_FIELDS for r in _RESULT_REGIONS)
 _AUC_COLUMNS = tuple(f"{name}_{r.value}" for name in AUC_FIELDS for r in _RESULT_REGIONS)
+# The order of every per-case table's columns; each table writes those its rows hold.
 CASE_RESULT_COLUMNS = ("case_id",) + _METRIC_COLUMNS + REPORT_COLUMNS + _AUC_COLUMNS
-
-# Summary rows aggregate the metric-like columns only.
-SUMMARY_COLUMNS = _METRIC_COLUMNS + _AUC_COLUMNS
 
 
 def _format_cell(value) -> str:
@@ -101,20 +99,17 @@ def write_predictions_table(path, rows: Iterable[tuple[str, float]]) -> None:
     _write_rows(path, PREDICTION_COLUMNS, sorted(rows, key=lambda r: r[0]))
 
 
-def read_predictions_table(path) -> list[tuple[str, float]]:
-    rows = read_case_table(path, PREDICTION_COLUMNS)
-    return [(row["case_id"], cell(path, row, "predicted_days", float)) for row in rows]
-
-
 def write_results_table(path, records: list[dict], summary: bool = True) -> None:
-    """Per-case result rows in fixed column order, plus mean/std summary rows."""
+    """Per-case rows under case_id and the CASE_RESULT_COLUMNS they hold, plus mean/std summary rows."""
     records = sorted(records, key=lambda r: str(r.get("case_id", "")))
-    rows = [[rec.get(col) for col in CASE_RESULT_COLUMNS] for rec in records]
+    held = set().union(*records)
+    header = tuple(col for col in CASE_RESULT_COLUMNS if col == "case_id" or col in held)
+    rows = [[rec.get(col) for col in header] for rec in records]
     if summary and records:
-        values = {col: [rec[col] for rec in records if _is_number(rec.get(col))] for col in SUMMARY_COLUMNS}
+        values = [[rec[col] for rec in records if _is_number(rec.get(col))] for col in header[1:]]
         for stat, fn in (("mean", _mean), ("std", _std)):
-            rows.append([stat] + [fn(values[col]) if values.get(col) else None for col in CASE_RESULT_COLUMNS[1:]])
-    _write_rows(path, CASE_RESULT_COLUMNS, rows)
+            rows.append([stat] + [fn(v) if v else None for v in values])
+    _write_rows(path, header, rows)
 
 
 def _is_number(v) -> bool:

@@ -1,4 +1,4 @@
-"""Dense 3D volumes: standardization, connected components, axis flips.
+"""Dense 3D volumes: standardization, connected components, flip axes.
 
 Arrays are indexed ``[x, y, z]``; the canonical linear voxel order is
 x-fastest (Fortran ravel), which also matches the on-disk NIfTI layout.
@@ -175,9 +175,3 @@ def remove_small_components(
     out = np.zeros(m.dims, dtype=bool, order="F")  # x-fastest, as every mask and label map
     out[box] = keep[labels]
     return Mask3D(out, m.spacing)
-
-
-def flip_axis(v, axis: Axis):
-    """Mirror a volume or mask along one axis. Applying twice restores the input."""
-    flipped = np.flip(v.data, axis=axis.value).copy()
-    return type(v)(flipped, v.spacing)

@@ -14,7 +14,7 @@ from uqseg.cli import main
 from uqseg.ensemble import PredictionPair, ensemble_with_flips
 from uqseg.nifti import read_nifti, write_nifti
 from uqseg.phantom import PhantomConfig
-from uqseg.tables import read_case_table, read_predictions_table, read_survival_table
+from uqseg.tables import read_case_table, read_survival_table
 from uqseg.uncertainty import certainty_from_q
 from uqseg.volumes import Axis, Volume3D
 
@@ -457,12 +457,15 @@ def fault_rows(root):
     (root / "meta.csv").write_text("case_id,age\nc0,60\nc1,61\n")
     write_cohort_csv(root / "features.csv", n=6)
     configs = {"small": SMALL_FOREST_CONFIG, "cap": "survival:\n  cap_days: -5\n",
-               "prob": "survival:\n  override_prob: 7\n"}
+               "prob": "survival:\n  override_prob: 7\n", "huge": f"survival:\n  cap_days: {'9' * 400}\n"}
     for name, text in configs.items():
         (root / f"{name}.yaml").write_text(text)
     small_forest = ["--config", str(root / "small.yaml")]
     invoke(CliRunner(), ["survival-train", "--features-csv", str(root / "features.csv"), *small_forest,
                          "--model-out", str(root / "model.json")])
+    model = json.loads((root / "model.json").read_text())
+    model["ols"]["cap_days"] = -5
+    (root / "model-cap.json").write_text(json.dumps(model))
     (root / "blocker").write_text("kept")
     (root / "directory").mkdir()
     out, none, directory, blocked = root / "out", root / "none.nii.gz", root / "directory", root / "blocker" / "x"
@@ -535,6 +538,9 @@ def fault_rows(root):
                                      "--out-csv", str(out / "p.csv")), 2, none, []),
         ("predict-directory", survival("survival-predict", root / "features.csv", "--model", str(directory),
                                        "--out-csv", str(out / "p.csv")), 2, directory, []),
+        ("predict-model-cap", survival("survival-predict", root / "features.csv", "--model",
+                                       str(root / "model-cap.json"), "--out-csv", str(out / "p.csv")),
+         2, f"{root / 'model-cap.json'}: bad survival model: cap_days must be > 0, got -5", []),
         ("predict-under-file", survival("survival-predict", root / "features.csv", "--model",
                                         str(root / "model.json"), "--out-csv", str(blocked)), 1, blocked, []),
         ("cv-missing", survival("survival-cv", none, "--out-csv", str(out / "cv.csv")), 2, none, []),
@@ -542,6 +548,8 @@ def fault_rows(root):
                                    "--out-csv", str(blocked)), 1, blocked, []),
         ("cv-config", survival("survival-cv", root / "features.csv", "--config", str(root / "cap.yaml")),
          2, cap, []),
+        ("cv-config-huge", survival("survival-cv", root / "features.csv", "--config", str(root / "huge.yaml")),
+         2, "bad configuration: cap_days must be a number, got 999", []),
         ("phantom-config-missing", ["phantom", "--out", str(out), "--config", str(none)], 2, none, []),
         ("phantom-config-directory", ["phantom", "--out", str(out), "--config", str(directory)], 2, directory, []),
         ("phantom-config", ["phantom", "--out", str(out), "--config", str(root / "prob.yaml")], 2, prob, []),
@@ -567,11 +575,15 @@ def test_fault_table(runner, tmp_path):
             path.unlink() if path.is_file() else path.rmdir()
 
 
-RESULTS_HEADER = (
-    "case_id,dice_et,dice_wt,dice_tc,hd95_et,hd95_wt,hd95_tc,"
+REPORT_HEADER = (
+    "case_id,"
     "wt_mean_confidence,wt_fallback_used,wt_core_substituted,wt_failsafe_triggered,wt_final_threshold,"
     "tc_mean_confidence,tc_fallback_used,tc_core_substituted,tc_failsafe_triggered,tc_final_threshold,"
-    "et_mean_confidence,et_fallback_used,et_core_substituted,et_failsafe_triggered,et_final_threshold,"
+    "et_mean_confidence,et_fallback_used,et_core_substituted,et_failsafe_triggered,et_final_threshold"
+)
+METRICS_HEADER = "case_id,dice_et,dice_wt,dice_tc,hd95_et,hd95_wt,hd95_tc"
+RESULTS_HEADER = (
+    METRICS_HEADER + ","
     "dice_auc_et,dice_auc_wt,dice_auc_tc,ftp_auc_et,ftp_auc_wt,ftp_auc_tc,ftn_auc_et,ftn_auc_wt,ftn_auc_tc"
 )
 
@@ -604,9 +616,20 @@ class TestPipeline:
                         "--out-csv", str(features)])
         header = lambda path: path.read_text().splitlines()[0]
         assert header(results) == RESULTS_HEADER
-        assert len(RESULTS_HEADER.split(",")) == 31
-        assert header(tmp_path / "phantom-0003_report.csv") == RESULTS_HEADER
+        assert len(RESULTS_HEADER.split(",")) == 16
+        assert header(tmp_path / "phantom-0003_report.csv") == REPORT_HEADER
+        assert len(REPORT_HEADER.split(",")) == 16
         assert header(features) == "case_id,age,n_tumors,n_cores,survival_days"
+        evaluate = ["evaluate", "--pred-dir", str(tmp_path / "pred")]
+        no_cert = tmp_path / "no-cert.csv"
+        invoke(runner, [*evaluate, "--gt-dir", str(tmp_path / "cases" / "gt"), "--out-csv", str(no_cert)])
+        assert header(no_cert) == METRICS_HEADER
+        assert len(METRICS_HEADER.split(",")) == 7
+        small_gt = tmp_path / "small-gt"  # every case fails on the grid: no row fills a column
+        write_nifti(Volume3D(np.zeros((2, 2, 2))), small_gt / "phantom-0003.nii.gz", dtype="uint8")
+        failed = tmp_path / "failed.csv"
+        invoke(runner, [*evaluate, "--gt-dir", str(small_gt), "--out-csv", str(failed)], expect=1)
+        assert failed.read_text().splitlines() == ["case_id"]
 
     def test_phantom_refine_evaluate(self, runner, tmp_path):
         out_csv = run_pipeline(runner, tmp_path)
@@ -803,9 +826,9 @@ class TestSurvivalCommands:
         preds = tmp_path / "preds.csv"
         invoke(runner, ["survival-predict", "--model", str(model_a),
                         "--features-csv", str(features), "--out-csv", str(preds)])
-        rows = read_predictions_table(preds)
+        rows = read_case_table(preds, ("case_id", "predicted_days"))
         assert len(rows) == 30
-        assert all(0.0 <= days <= 1000.0 for _, days in rows)
+        assert all(0.0 <= float(row["predicted_days"]) <= 1000.0 for row in rows)
 
         cv_csv = tmp_path / "cv.csv"
         invoke(runner, ["survival-cv", "--features-csv", str(features), "--folds", "5",

@@ -37,9 +37,8 @@ from uqseg.survival import (
     save_model,
 )
 from uqseg.tables import (
-    CASE_RESULT_COLUMNS,
+    cell,
     read_case_table,
-    read_predictions_table,
     read_survival_table,
     write_predictions_table,
     write_results_table,
@@ -385,12 +384,13 @@ class TestSurvivalTables:
         path = tmp_path / "preds.csv"
         path.write_text("case_id,predicted_days\na,299.0\nb,n/a\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: case 'b': bad predicted_days 'n/a'"):
-            read_predictions_table(path)
+            [cell(path, row, "predicted_days", float) for row in read_case_table(path)]
 
     def test_predictions_roundtrip(self, tmp_path):
         path = tmp_path / "preds.csv"
         write_predictions_table(path, [("b", 300.5), ("a", 299.0)])
-        assert read_predictions_table(path) == [("a", 299.0), ("b", 300.5)]
+        rows = read_case_table(path, ("case_id", "predicted_days"))
+        assert [(row["case_id"], float(row["predicted_days"])) for row in rows] == [("a", 299.0), ("b", 300.5)]
 
     def test_empty_table_roundtrip(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -414,7 +414,7 @@ class TestResultsTable:
         std_row = got[3]
         assert float(std_row["dice_wt"]) == pytest.approx(0.1)
         header = path.read_text().splitlines()[0]
-        assert header == ",".join(CASE_RESULT_COLUMNS)
+        assert header == "case_id,dice_wt,hd95_wt"
 
     def test_quoting_per_rfc4180(self, tmp_path):
         rows = [{"case_id": 'we,ird"name'}]
@@ -562,6 +562,7 @@ class TestConfig:
              r"^hd95_empty_sentinel must be a number or null, got nan$"),
             ({"survival": {"override_days": {"mid": float("nan")}}}, r"^mid must be a number, got nan$"),
             ({"survival": {"cap_days": float("inf")}}, r"^cap_days must be a number, got inf$"),
+            ({"survival": {"cap_days": int("9" * 400)}}, r"^cap_days must be a number, got 9{400}$"),
         ],
         ids=["uncertainty", "metrics", "survival", "phantom",
              "ols-feature", "forest-feature", "gate-region", "override-class",
@@ -569,7 +570,7 @@ class TestConfig:
              "text-nesting", "fractional-size", "text-size", "scalar-thresholds", "scalar-dims", "two-dims",
              "text-gate", "boolean-override-days", "negative-cap", "zero-cap", "override-prob-above-1",
              "override-prob-below-0", "inverted-bins", "nan-bin", "unknown-preset", "zero-dim", "unknown-connectivity",
-             "nan-threshold", "nan-sentinel", "nan-override-days", "infinite-cap"],
+             "nan-threshold", "nan-sentinel", "nan-override-days", "infinite-cap", "huge-cap"],
     )
     def test_other_rejections(self, doc, message):
         with pytest.raises(ValueError, match=message):

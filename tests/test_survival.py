@@ -462,6 +462,10 @@ class TestPersistence:
             (lambda d: d["ols"]["coefficients"].pop(), "1 OLS coefficients for 1 features"),
             pytest.param(lambda d: d["override_days"].update(mid=float("nan")), "'mid' is nan", id="nan-override-days"),
             pytest.param(lambda d: d["ols"].update(cap_days=float("inf")), "'cap_days' is inf", id="infinite-cap"),
+            pytest.param(lambda d: d["ols"].update(cap_days=-5), "bad survival model: cap_days must be > 0, got -5$",
+                         id="negative-cap"),
+            pytest.param(lambda d: d.update(override_prob=7),
+                         r"bad survival model: override_prob must be in \[0, 1\], got 7$", id="override-prob-above-1"),
         ],
     )
     def test_malformed_model_names_path(self, tmp_path, edit, message):

@@ -3,13 +3,11 @@ import pytest
 
 from oracles import CORNER26, EDGE18, FACE6, flood_fill_labels
 from uqseg.volumes import (
-    Axis,
     Connectivity,
     DegenerateVolumeWarning,
     Mask3D,
     Volume3D,
     count_components,
-    flip_axis,
     remove_small_components,
     require_within,
     standardize_nonzero,
@@ -140,33 +138,6 @@ class TestRemoveSmallComponents:
             once = remove_small_components(m, 5)
             twice = remove_small_components(once, 5)
             np.testing.assert_array_equal(once.data, twice.data)
-
-
-class TestFlipAxis:
-    def test_two_voxel_flip(self):
-        v = Volume3D(np.array([1.0, 2.0]).reshape(2, 1, 1))
-        out = flip_axis(v, Axis.X)
-        assert out.data[0, 0, 0] == 2.0
-        assert out.data[1, 0, 0] == 1.0
-
-    def test_symmetric_volume_unchanged(self):
-        data = np.zeros((4, 3, 3))
-        data[1, 1, 1] = data[2, 1, 1] = 7.0
-        out = flip_axis(Volume3D(data), Axis.X)
-        np.testing.assert_array_equal(out.data, data)
-
-    @pytest.mark.parametrize("axis", list(Axis))
-    def test_involution_and_multiset(self, axis):
-        rng = np.random.default_rng(3)
-        v = Volume3D(rng.random((4, 5, 6)))
-        once = flip_axis(v, axis)
-        twice = flip_axis(once, axis)
-        np.testing.assert_array_equal(twice.data, v.data)
-        assert sorted(once.data.ravel()) == sorted(v.data.ravel())
-
-    def test_mask_flip_preserves_type(self):
-        m = Mask3D(np.ones((2, 2, 2), dtype=bool))
-        assert isinstance(flip_axis(m, Axis.Z), Mask3D)
 
 
 class TestValidation:
