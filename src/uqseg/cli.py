@@ -145,7 +145,7 @@ def _run_cases(fn, plan: list[tuple], jobs: int = 1, write=None) -> None:
         except (ValueError, OSError) as exc:
             return exc
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
         outcomes = list(pool.map(attempt, plan))
     for (name, *_), outcome in zip(plan, outcomes):
         if isinstance(outcome, Exception):
@@ -283,7 +283,7 @@ def uncertainty(prob_path, q_path, formula, raw, dtype, out_path: Path):
 @click.option("--gt-dir", required=True, type=_IN_DIR)
 @click.option("--cert-dir", default=None, type=_IN_DIR)
 @click.option("--out-csv", required=True, type=click.Path(path_type=Path))
-@click.option("--jobs", default=1, type=int, show_default=True)
+@click.option("--jobs", default=1, type=click.IntRange(min=1), show_default=True)
 @click.option("--config", "config_path", default=None, type=click.Path(path_type=Path))
 def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config_path):
     """Per-case Dice/HD95 (and uncertainty AUCs) against ground-truth label maps."""
@@ -353,7 +353,7 @@ def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
 
 @main.command("survival-train")
 @click.option("--features-csv", required=True, type=_IN_FILE)
-@click.option("--seed", default=0, type=int, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option("--model-out", required=True, type=click.Path(path_type=Path))
 @click.option("--config", "config_path", default=None, type=click.Path(path_type=Path))
 def survival_train(features_csv, seed, model_out: Path, config_path):
@@ -385,7 +385,7 @@ def survival_predict(model_path, features_csv, out_csv: Path):
 @main.command("survival-cv")
 @click.option("--features-csv", required=True, type=_IN_FILE)
 @click.option("--folds", default=5, type=int, show_default=True)
-@click.option("--seed", default=0, type=int, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
 @click.option("--out-csv", default=None, type=click.Path(path_type=Path))
 @click.option("--config", "config_path", default=None, type=click.Path(path_type=Path))
 def survival_cv(features_csv, folds, seed, out_csv, config_path):
@@ -419,8 +419,8 @@ def survival_cv(features_csv, folds, seed, out_csv, config_path):
 
 @main.command()
 @click.option("--preset", default=None, type=click.Choice(sorted(PRESETS)))
-@click.option("--seed", default=0, type=int, show_default=True)
-@click.option("--count", default=1, type=int, show_default=True)
+@click.option("--seed", default=0, type=click.IntRange(min=0), show_default=True)
+@click.option("--count", default=1, type=click.IntRange(min=1), show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
 @click.option("--config", "config_path", default=None, type=click.Path(path_type=Path))
 def phantom(preset, seed, count, out_dir: Path, config_path):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .volumes import Mask3D, Volume3D, labels_outside
+from .volumes import Mask3D, Volume3D
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352  # header + 4-byte empty extension flag
@@ -293,18 +293,15 @@ def read_nifti(path, expect_dims: tuple[int, int, int] | None = None) -> tuple[V
         raise ValueError(f"{file}: {exc}") from exc
 
 
-def read_label_volume(
-    path,
-    allowed_labels=(0, 1, 2, 4),
-    expect_dims: tuple[int, int, int] | None = None,
-) -> tuple[Volume3D, NiftiHeaderView]:
-    """Read a label map in its file's dtype; every value must equal a declared label exactly."""
+def read_label_volume(path, expect_dims: tuple[int, int, int] | None = None) -> tuple[Volume3D, NiftiHeaderView]:
+    """Read a label map in its file's dtype; a map refine's label rule refuses is refused, naming the file."""
+    from .refine import brats_labels_to_masks  # here: `import uqseg.nifti` loads only atomic and volumes
+
     vol, view = read_nifti(path, expect_dims)
-    extra = labels_outside(vol.data, [int(v) for v in allowed_labels])
-    if extra:
-        raise ValueError(
-            f"{path}: label values {extra} outside declared set {sorted(allowed_labels)}"
-        )
+    try:
+        brats_labels_to_masks(vol)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return vol, view
 
 

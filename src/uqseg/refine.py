@@ -20,7 +20,6 @@ from .volumes import (
     DegenerateVolumeWarning,
     Mask3D,
     Volume3D,
-    labels_outside,
     remove_small_components,
     require_same_dims,
     require_same_grid,
@@ -236,13 +235,18 @@ def masks_to_brats_labels(s: SegmentationSet) -> Volume3D:
 
 
 def brats_labels_to_masks(labels: Volume3D) -> SegmentationSet:
-    """Reconstruct the nested masks: WT = {1,2,4}, TC = {1,4}, ET = {4}."""
+    """Reconstruct the nested masks: WT = {1,2,4}, TC = {1,4}, ET = {4}.
+
+    Every value must equal a BraTS label exactly: the three label comparisons must count every
+    nonzero voxel, and only a map that fails is sorted to name its other values.
+    """
     data = labels.data
-    values = labels_outside(data, (0, BRATS_CORE, BRATS_EDEMA, BRATS_ET))
-    if values:
-        raise ValueError(f"unexpected label values {values}; expected subset of {{0,1,2,4}}")
-    et = data == BRATS_ET
-    tc = et | (data == BRATS_CORE)
-    wt = tc | (data == BRATS_EDEMA)
+    et, tc, wt = data == BRATS_ET, data == BRATS_CORE, data == BRATS_EDEMA
+    if sum(map(np.count_nonzero, (et, tc, wt))) != np.count_nonzero(data):
+        declared = [0, BRATS_CORE, BRATS_EDEMA, BRATS_ET]
+        extra = [int(v) if v == int(v) else float(v) for v in np.unique(data) if v not in declared]
+        raise ValueError(f"label values {extra} outside declared set {declared}")
+    tc |= et  # in place: three arrays per map, not five
+    wt |= tc
     sp = labels.spacing
     return SegmentationSet(wt=Mask3D(wt, sp), tc=Mask3D(tc, sp), et=Mask3D(et, sp))

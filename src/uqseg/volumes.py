@@ -130,17 +130,6 @@ def require_within(v: Volume3D, lo: float, hi: float, name: str) -> None:
         raise ValueError(f"{name} values must lie in [{lo:g}, {hi:g}]")
 
 
-def labels_outside(data: np.ndarray, allowed) -> list:
-    """Sorted values of a label map not exactly in ``allowed``, integral ones as ints.
-
-    One count per allowed value settles a valid map; only an invalid one is sorted.
-    """
-    allowed = set(allowed)
-    if sum(np.count_nonzero(data == v) for v in allowed) == data.size:
-        return []
-    return [int(v) if v == int(v) else float(v) for v in np.unique(data) if v not in allowed]
-
-
 def foreground_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
     """Smallest box holding every True voxel (x, y from ``any`` along z, then z); None if none."""
     xy = data.any(axis=2)

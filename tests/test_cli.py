@@ -517,6 +517,7 @@ def fault_rows(root):
          1, f"{root / 'cert' / 'c1_unc_whole.nii.gz'}: certainty values must lie in [0, 100]", [out / "r.csv"]),
         ("evaluate-scaled-labels", evaluate(pred="labels-scaled"), 1,
          f"{scaled}: label values [1.5] outside declared set [0, 1, 2, 4]", [out / "r.csv"]),
+        ("evaluate-jobs", evaluate("labels", "labels", out / "r.csv", "--jobs", "0"), 2, "--jobs", []),
         ("evaluate-config", evaluate("labels", "labels", out / "r.csv", "--config", str(root / "prob.yaml")),
          2, prob, []),
         ("features-missing", features(meta=none), 2, none, []),
@@ -532,6 +533,8 @@ def fault_rows(root):
                                       "--model-out", str(blocked)), 1, blocked, []),
         ("train-cap", survival("survival-train", root / "features.csv", "--config", str(root / "cap.yaml"),
                                "--model-out", str(out / "m.json")), 2, cap, []),
+        ("train-seed", survival("survival-train", root / "features.csv", "--seed", "-1",
+                                "--model-out", str(out / "m.json")), 2, "--seed", []),
         ("train-prob", survival("survival-train", root / "features.csv", "--config", str(root / "prob.yaml"),
                                 "--model-out", str(out / "m.json")), 2, prob, []),
         ("predict-missing", survival("survival-predict", root / "features.csv", "--model", str(none),
@@ -548,11 +551,14 @@ def fault_rows(root):
                                    "--out-csv", str(blocked)), 1, blocked, []),
         ("cv-config", survival("survival-cv", root / "features.csv", "--config", str(root / "cap.yaml")),
          2, cap, []),
+        ("cv-seed", survival("survival-cv", root / "features.csv", "--seed", "-1"), 2, "--seed", []),
         ("cv-config-huge", survival("survival-cv", root / "features.csv", "--config", str(root / "huge.yaml")),
          2, "bad configuration: cap_days must be a number, got 999", []),
         ("phantom-config-missing", ["phantom", "--out", str(out), "--config", str(none)], 2, none, []),
         ("phantom-config-directory", ["phantom", "--out", str(out), "--config", str(directory)], 2, directory, []),
         ("phantom-config", ["phantom", "--out", str(out), "--config", str(root / "prob.yaml")], 2, prob, []),
+        ("phantom-count", ["phantom", "--count", "0", "--out", str(out)], 2, "--count", []),
+        ("phantom-seed", ["phantom", "--seed", "-1", "--out", str(out)], 2, "--seed", []),
         ("init-config-under-file", ["init-config", "--out", str(blocked)], 1, blocked, []),
     ]
 

@@ -23,7 +23,7 @@ from uqseg.config import (
 from uqseg.losses import LossConfig
 from uqseg.nifti import read_label_volume, read_nifti, write_nifti
 from uqseg.phantom import PRESETS, PhantomConfig
-from uqseg.refine import RefinementConfig, RegionLabel
+from uqseg.refine import RefinementConfig, RegionLabel, brats_labels_to_masks
 from uqseg.survival import (
     FEATURE_NAMES,
     MAX_DEPTH,
@@ -125,7 +125,7 @@ class TestNifti:
         mask = Mask3D(rng.random((4, 5, 6)) < 0.5)
         path = tmp_path / "mask.nii"
         write_nifti(mask, path)
-        back, _ = read_label_volume(path, allowed_labels=(0, 1))
+        back, _ = read_label_volume(path)
         assert back.data.dtype == np.uint8
         np.testing.assert_array_equal(back.data, mask.data)
 
@@ -340,6 +340,34 @@ class TestNifti:
     def test_out_of_range_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="out of range"):
             write_nifti(Volume3D(np.full((2, 2, 2), 300.0)), tmp_path / "x.nii", dtype="uint8")
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "int16", "float32"])
+@pytest.mark.parametrize("slope", [1.0, 0.5], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("stored", [
+    [0, 1, 2, 3, 4, 8, 0, 0],  # refused either way
+    [0, 1, 2, 4, 0, 0, 1, 4],  # labels unscaled, fractions at slope 0.5
+    [0, 2, 4, 8, 0, 0, 2, 4],  # labels at slope 0.5 only
+], ids=["bad", "labels", "doubled"])
+def test_label_rule_has_one_owner(tmp_path, dtype, slope, stored):
+    """``read_label_volume`` refuses exactly the maps ``brats_labels_to_masks`` refuses, in its words.
+
+    Outside ``TestNifti``: plain ``.nii`` files never reach an inflater, so a zlib rerun would add nothing.
+    """
+    path = tmp_path / "labels.nii"
+    write_nifti(Volume3D(np.array(stored, dtype=np.uint8).reshape(2, 2, 2)), path, dtype=dtype)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<f", blob, 112, slope)
+    path.write_bytes(bytes(blob))
+    vol, _ = read_nifti(path)
+    try:
+        brats_labels_to_masks(vol)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            read_label_volume(path)
+        assert str(info.value) == f"{path}: {exc}"
+    else:
+        assert np.array_equal(read_label_volume(path)[0].data, vol.data)
 
 
 class TestSurvivalTables:

@@ -832,7 +832,7 @@ def test_labels_equal_float64_oracle(tmp_path):
         assert np.array_equal(brats_labels_to_masks(masks_to_brats_labels(seg)).wt.data, want[0])
         # fractions are outside the label set, not truncated into it
         fractional = vol.data + np.where(np.arange(vol.data.size).reshape(vol.dims) % 5 == 0, 0.25, 0.0)
-        with pytest.raises(ValueError, match=r"unexpected label values \[.*\.25"):
+        with pytest.raises(ValueError, match=r"^label values \[.*\.25.*\] outside declared set \[0, 1, 2, 4\]$"):
             brats_labels_to_masks(Volume3D(fractional))
 
 

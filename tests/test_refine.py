@@ -297,7 +297,7 @@ class TestBratsLabels:
             assert masks_to_brats_labels(seg).data.flags.f_contiguous
 
     def test_unexpected_label_rejected(self):
-        with pytest.raises(ValueError, match="unexpected label"):
+        with pytest.raises(ValueError, match=r"^label values \[3\] outside declared set \[0, 1, 2, 4\]$"):
             brats_labels_to_masks(Volume3D(np.full((2, 2, 2), 3.0)))
 
 
