@@ -231,11 +231,11 @@ def refine(prob_wt, prob_tc, prob_et, config_path, out_labels: Path, out_report,
         for p, path in ((p_wt, prob_wt), (p_tc, prob_tc), (p_et, prob_et)):
             require_within(p, 0.0, 1.0, f"{path}: p")
         seg, report = refine_segmentation(p_wt, p_tc, p_et, cfg.refine)
+        if out_report is not None:  # first: a failed report write leaves no label map for evaluate
+            write_results_table(out_report, [{"case_id": case, **report.flat_record()}], summary=False)
         write_nifti(masks_to_brats_labels(seg), out_labels, header_template=header, dtype="uint8")
         for line in report.summary_lines():
             click.echo(line, err=True)
-        if out_report is not None:
-            write_results_table(out_report, [{"case_id": case, **report.flat_record()}], summary=False)
 
     _run_cases(one_case, [(case_id or _case_name(out_labels),)])
 
@@ -435,11 +435,12 @@ def phantom(preset, seed, count, out_dir: Path, config_path):
     def one_case(case, spec):
         data = generate_phantom(spec)
         (out_dir / case).mkdir(parents=True, exist_ok=True)  # a file in its place is named as the case's error
+        # the ground truth first: a failed write leaves no prediction pairs for ensemble
+        write_nifti(masks_to_brats_labels(data.gt), _gz_file(out_dir / "gt", case), dtype="uint8")
         for region in REGION_ORDER:
             p_file, q_file = _pair_files(out_dir / case, region.value, _gz_file)
             write_nifti(data.p[region], p_file)
             write_nifti(data.q[region], q_file)
-        write_nifti(masks_to_brats_labels(data.gt), _gz_file(out_dir / "gt", case), dtype="uint8")
         click.echo(f"generated {case}", err=True)
 
     _run_cases(one_case, plan)

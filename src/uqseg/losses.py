@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volumes import Mask3D, Volume3D, require_same_dims
+from .volumes import Mask3D, Volume3D, require_same_grid
 
 EPS = 1e-7
 
@@ -181,7 +181,7 @@ def combined_loss_2020(inputs: LossInputs, cfg: LossConfig | None = None):
 
 def batch_loss(p: Volume3D, q: Volume3D, gt: Mask3D, cfg: LossConfig | None = None) -> float:
     """Mean combined loss over all voxels of a volume, computed in float64."""
-    require_same_dims(p, q, gt)
+    require_same_grid(p, q, gt)
     inputs = LossInputs(p=p.float64(), q=q.float64(), x=gt.float64())
     value, _, _ = combined_loss_2020(inputs, cfg)
     return float(np.mean(value))

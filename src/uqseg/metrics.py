@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volumes import Connectivity, foreground_box, require_same_dims, require_same_grid
+from .volumes import Connectivity, foreground_box, require_same_grid
 
 
 @dataclass
@@ -16,7 +16,7 @@ class MetricResult:
 
 def dice(a, b) -> float:
     """2|A n B| / (|A| + |B|); two empty masks agree perfectly (1.0)."""
-    require_same_dims(a, b)
+    require_same_grid(a, b)
     na = int(a.data.sum())
     nb = int(b.data.sum())
     if na + nb == 0:
@@ -36,24 +36,20 @@ def surface(mask: np.ndarray) -> np.ndarray:
     return mask & ~eroded
 
 
-def hausdorff95(a, b, empty_sentinel: float | None = None) -> float:
+def hausdorff95(a, b) -> float:
     """95th-percentile symmetric surface distance in millimetres.
 
     Each direction takes the 95th percentile (linear interpolation) of the
     Euclidean distances from one mask's surface voxels to the nearest surface
     voxel of the other; the result is the larger of the two. Two empty masks
-    give 0. One empty mask raises unless ``empty_sentinel`` is set, in which
-    case that sentinel is returned (challenge-compatibility mode).
+    give 0; exactly one empty mask raises.
     """
     require_same_grid(a, b)
-    a_empty = not a.data.any()
-    b_empty = not b.data.any()
-    if a_empty and b_empty:
+    a_any, b_any = a.data.any(), b.data.any()
+    if a_any != b_any:
+        raise ValueError("hausdorff95 undefined: exactly one mask is empty")
+    if not a_any:
         return 0.0
-    if a_empty or b_empty:
-        if empty_sentinel is None:
-            raise ValueError("hausdorff95 undefined: exactly one mask is empty")
-        return float(empty_sentinel)
 
     from scipy import ndimage
     # Outside the bounding box of a | b both masks are background and no surface voxel
@@ -69,10 +65,8 @@ def hausdorff95(a, b, empty_sentinel: float | None = None) -> float:
 
 
 def compare_masks(a, b, hd95_empty_sentinel: float | None = None) -> MetricResult:
-    """Dice plus HD95: 0.0 for two empty masks, the sentinel for one, neither checking spacing."""
+    """Dice plus HD95, or ``hd95_empty_sentinel`` as HD95 when exactly one mask is empty."""
     d = dice(a, b)
-    a_empty = not a.data.any()
-    b_empty = not b.data.any()
-    if a_empty or b_empty:
-        return MetricResult(dice=d, hd95=0.0 if a_empty and b_empty else hd95_empty_sentinel)
+    if a.data.any() != b.data.any():
+        return MetricResult(dice=d, hd95=hd95_empty_sentinel)
     return MetricResult(dice=d, hd95=hausdorff95(a, b))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .volumes import Mask3D, Volume3D
+from .volumes import Mask3D, Volume3D, require_same_grid
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352  # header + 4-byte empty extension flag
@@ -353,7 +353,7 @@ def write_nifti(
     """Write a volume or mask; masks and label maps go out as uint8.
 
     float32 round-trips losslessly. Integer dtypes require integral values in
-    range. A header template must match the volume's dims; its uninterpreted
+    range. A header template must be on the volume's grid; its uninterpreted
     fields are carried over verbatim. A ``.gz`` path gets one gzip member: a
     noise-dominated float32 payload (``_few_repeats``) goes to libdeflate at
     LIBDEFLATE_LEVEL when the system has it; every other payload, and any
@@ -362,10 +362,8 @@ def write_nifti(
     not at all: it is written beside the target and renamed over it.
     """
     path = Path(path)
-    if header_template is not None and header_template.dims != vol.dims:
-        raise ValueError(
-            f"header template dims {header_template.dims} incompatible with volume {vol.dims}"
-        )
+    if header_template is not None:
+        require_same_grid(header_template, vol)
     if dtype is None:
         dtype = "uint8" if isinstance(vol, Mask3D) else "float32"
     if dtype not in _CODE_FOR:

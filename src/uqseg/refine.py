@@ -21,7 +21,6 @@ from .volumes import (
     Mask3D,
     Volume3D,
     remove_small_components,
-    require_same_dims,
     require_same_grid,
 )
 
@@ -49,7 +48,7 @@ class SegmentationSet:
     et: Mask3D
 
     def __post_init__(self):
-        require_same_dims(self.wt, self.tc, self.et)
+        require_same_grid(self.wt, self.tc, self.et)
 
     def mask(self, region: RegionLabel) -> Mask3D:
         return getattr(self, region.value)
@@ -145,7 +144,7 @@ def threshold_mask(p: Volume3D, t: float) -> Mask3D:
 
 def mean_region_confidence(p: Volume3D, m: Mask3D) -> float | None:
     """Mean probability inside the mask; None when the mask is empty."""
-    require_same_dims(p, m)
+    require_same_grid(p, m)
     values = p.float64(m.data)
     return float(values.mean()) if values.size else None
 

@@ -80,6 +80,9 @@ class SurvivalConfig:
             for name in getattr(self, key):
                 if name not in FEATURE_NAMES:
                     raise ValueError(f"unknown survival feature {name!r} in {key}")
+        for cls, days in self.override_days.items():
+            if self.bins.classify(days) is not cls:
+                raise ValueError(f"override value {days} for {cls.value} falls outside its own class bin")
 
 
 @dataclass
@@ -325,13 +328,6 @@ class FusionModel:
     override_prob: float = SurvivalConfig.override_prob
     override_days: dict[SurvivalClass, float] = field(default_factory=lambda: SurvivalConfig().override_days)
     bins: ClassBins = ClassBins()
-
-    def __post_init__(self):
-        for cls, days in self.override_days.items():
-            if self.bins.classify(days) is not cls:
-                raise ValueError(
-                    f"override value {days} for {cls.value} falls outside its own class bin"
-                )
 
 
 def predict_fused(model: FusionModel, rec: SurvivalRecord) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volumes import Mask3D, Volume3D, require_same_dims, require_within
+from .volumes import Mask3D, Volume3D, require_same_grid, require_within
 
 DEFAULT_THRESHOLDS = (0.0, 25.0, 50.0, 75.0, 100.0)
 
@@ -89,7 +89,7 @@ def evaluate_uncertainty(
     negatives that were filtered out. AUCs use the trapezoidal rule over
     tau/100.
     """
-    require_same_dims(seg, gt, cert)
+    require_same_grid(seg, gt, cert)
     taus = tuple(float(t) for t in thresholds)
     if not taus or any(t < 0.0 or t > 100.0 for t in taus):
         raise ValueError(f"thresholds must be non-empty and within [0, 100], got {taus}")

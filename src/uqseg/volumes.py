@@ -82,21 +82,15 @@ class Mask3D(_Grid):
         super().__post_init__()
 
 
-def require_same_dims(*vols) -> tuple[int, int, int]:
-    dims = vols[0].dims
+def require_same_grid(*vols) -> None:
+    """The one rule for volumes that meet voxel by voxel: equal dims, then equal spacings."""
+    first = vols[0]
     for v in vols[1:]:
-        if v.dims != dims:
-            raise ValueError(f"dimension mismatch: {dims} vs {v.dims}")
-    return dims
-
-
-def require_same_grid(*vols) -> tuple[int, int, int]:
-    """Dims as :func:`require_same_dims`; the spacings must be equal too."""
-    dims = require_same_dims(*vols)
+        if v.dims != first.dims:
+            raise ValueError(f"dimension mismatch: {first.dims} vs {v.dims}")
     for v in vols[1:]:
-        if v.spacing != vols[0].spacing:
-            raise ValueError(f"spacing mismatch: {vols[0].spacing} vs {v.spacing}")
-    return dims
+        if v.spacing != first.spacing:
+            raise ValueError(f"spacing mismatch: {first.spacing} vs {v.spacing}")
 
 
 def standardize_nonzero(v: Volume3D) -> Volume3D:

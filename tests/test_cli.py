@@ -422,8 +422,9 @@ def fault_rows(root):
     """Inputs under ``root``, then (id, argv, exit code, what the error names, healthy outputs) per fault.
 
     ``pair`` and ``labels`` are healthy; each ``pair-*`` and ``labels-*`` copy
-    breaks its tc or c1 file, as ``cert`` its c1 whole-tumour map. Every output
-    goes under ``root / "out"``.
+    breaks its tc or c1 file, as ``cert`` its c1 whole-tumour map and
+    ``cert-spacing`` c1's three maps. Every healthy output goes under
+    ``root / "out"``; ``phantom-out`` holds a regular file named ``gt``.
     """
     label_map = np.zeros((6, 6, 6), dtype=np.uint8)
     label_map[1:4, 1:4, 1:4] = 2
@@ -431,7 +432,7 @@ def fault_rows(root):
         for region in ("wt", "tc", "et"):
             write_nifti(Volume3D(np.full((6, 6, 6), 0.7)), root / name / f"{region}_p.nii.gz")
             write_nifti(Volume3D(np.full((6, 6, 6), 0.1)), root / name / f"{region}_q.nii.gz")
-    for name in ("labels", "labels-missing", "labels-directory", "labels-grid", "labels-scaled"):
+    for name in ("labels", "labels-missing", "labels-directory", "labels-grid", "labels-scaled", "labels-spacing"):
         for case in ("c0", "c1"):
             write_nifti(Volume3D(label_map), root / name / f"{case}.nii.gz", dtype="uint8")
     for broken in ("pair-missing/tc_p", "pair-directory/tc_p", "labels-missing/c1", "labels-directory/c1",
@@ -443,9 +444,12 @@ def fault_rows(root):
     blob = bytearray(scaled.read_bytes())
     struct.pack_into("<f", blob, 112, 0.5)
     scaled.write_bytes(bytes(blob))
+    write_nifti(Volume3D(np.zeros((6, 6, 6)), (2.0, 2.0, 2.0)), root / "labels-spacing" / "c1.nii.gz", dtype="uint8")
     for case in ("c0", "c1"):
         for c in ("whole", "core", "enhance"):
             write_nifti(Volume3D(np.full((6, 6, 6), 80.0)), root / "cert" / f"{case}_unc_{c}.nii.gz", dtype="uint8")
+            write_nifti(Volume3D(np.full((6, 6, 6), 80.0), (3.0 if case == "c1" else 1.0,) * 3),
+                        root / "cert-spacing" / f"{case}_unc_{c}.nii.gz", dtype="uint8")
     write_nifti(Volume3D(np.full((6, 6, 6), 250.0)), root / "cert" / "c1_unc_whole.nii.gz", dtype="uint8")
     write_nifti(Volume3D(np.full((6, 6, 6), 5.0)), root / "p-range.nii.gz")
     (root / "pair-directory" / "tc_p.nii.gz").mkdir()
@@ -457,7 +461,8 @@ def fault_rows(root):
     (root / "meta.csv").write_text("case_id,age\nc0,60\nc1,61\n")
     write_cohort_csv(root / "features.csv", n=6)
     configs = {"small": SMALL_FOREST_CONFIG, "cap": "survival:\n  cap_days: -5\n",
-               "prob": "survival:\n  override_prob: 7\n", "huge": f"survival:\n  cap_days: {'9' * 400}\n"}
+               "prob": "survival:\n  override_prob: 7\n", "huge": f"survival:\n  cap_days: {'9' * 400}\n",
+               "bin": "survival:\n  override_days:\n    short: 400\n"}
     for name, text in configs.items():
         (root / f"{name}.yaml").write_text(text)
     small_forest = ["--config", str(root / "small.yaml")]
@@ -468,6 +473,8 @@ def fault_rows(root):
     (root / "model-cap.json").write_text(json.dumps(model))
     (root / "blocker").write_text("kept")
     (root / "directory").mkdir()
+    (root / "phantom-out").mkdir()
+    (root / "phantom-out" / "gt").write_text("a file where the ground-truth directory goes")
     out, none, directory, blocked = root / "out", root / "none.nii.gz", root / "directory", root / "blocker" / "x"
     cap = "cap_days must be > 0, got -5.0"
     prob = "override_prob must be in [0, 1], got 7.0"
@@ -501,6 +508,10 @@ def fault_rows(root):
         ("refine-directory", refine(directory), 1, directory, []),
         ("refine-grid", refine(small), 1, small, []),
         ("refine-config", refine(root / "pair" / "tc_p.nii.gz", "--config", str(root / "cap.yaml")), 2, cap, []),
+        ("refine-report-under-file", refine(root / "pair" / "tc_p.nii.gz", "--out-report", str(blocked)),
+         1, blocked, []),
+        ("refine-config-override-bin", refine(root / "pair" / "tc_p.nii.gz", "--config", str(root / "bin.yaml")),
+         2, "bad configuration: override value 400.0 for short falls outside its own class bin", []),
         ("refine-range", refine(root / "p-range.nii.gz", "--out-report", str(out / "rep.csv")), 1,
          f"{root / 'p-range.nii.gz'}: p values must lie in [0, 1]", []),
         ("uncertainty-missing", ["uncertainty", "--formula", "flip", "--q", str(none), "--out", str(out / "u.nii")],
@@ -517,6 +528,10 @@ def fault_rows(root):
          1, f"{root / 'cert' / 'c1_unc_whole.nii.gz'}: certainty values must lie in [0, 100]", [out / "r.csv"]),
         ("evaluate-scaled-labels", evaluate(pred="labels-scaled"), 1,
          f"{scaled}: label values [1.5] outside declared set [0, 1, 2, 4]", [out / "r.csv"]),
+        ("evaluate-spacing-empty", evaluate(pred="labels-spacing"), 1,
+         "error: c1: spacing mismatch: (2.0, 2.0, 2.0) vs (1.0, 1.0, 1.0)", [out / "r.csv"]),
+        ("evaluate-cert-spacing", evaluate("labels", "labels", out / "r.csv", "--cert-dir", str(root / "cert-spacing")),
+         1, "error: c1: spacing mismatch: (1.0, 1.0, 1.0) vs (3.0, 3.0, 3.0)", [out / "r.csv"]),
         ("evaluate-jobs", evaluate("labels", "labels", out / "r.csv", "--jobs", "0"), 2, "--jobs", []),
         ("evaluate-config", evaluate("labels", "labels", out / "r.csv", "--config", str(root / "prob.yaml")),
          2, prob, []),
@@ -559,6 +574,8 @@ def fault_rows(root):
         ("phantom-config", ["phantom", "--out", str(out), "--config", str(root / "prob.yaml")], 2, prob, []),
         ("phantom-count", ["phantom", "--count", "0", "--out", str(out)], 2, "--count", []),
         ("phantom-seed", ["phantom", "--seed", "-1", "--out", str(out)], 2, "--seed", []),
+        ("phantom-gt-under-file", ["phantom", "--count", "2", "--out", str(root / "phantom-out")], 1,
+         root / "phantom-out" / "gt", []),
         ("init-config-under-file", ["init-config", "--out", str(blocked)], 1, blocked, []),
     ]
 
@@ -566,6 +583,7 @@ def fault_rows(root):
 def test_fault_table(runner, tmp_path):
     """Each command's faults exit 1 or 2 on a line naming the fault, write only the healthy cases, leave no part file."""
     rows = fault_rows(tmp_path)
+    inputs = set(tmp_path.rglob("*"))
     assert {argv[0] for _, argv, *_ in rows} == set(main.commands)
     for row, argv, code, named, outputs in rows:
         result = runner.invoke(main, argv, catch_exceptions=False)
@@ -574,10 +592,10 @@ def test_fault_table(runner, tmp_path):
         assert lines and all(line.startswith(("error: ", "Error: ")) for line in lines), f"{row}: {result.stderr}"
         assert "Traceback" not in result.output + result.stderr, row
         assert part_files(tmp_path) == [], row
-        out = tmp_path / "out"
-        assert sorted(p for p in out.rglob("*") if p.is_file()) == sorted(outputs), row
+        made = sorted(set(tmp_path.rglob("*")) - inputs, reverse=True)  # a directory after its entries
+        assert sorted(p for p in made if p.is_file()) == sorted(outputs), row
         assert (tmp_path / "blocker").read_text() == "kept", row
-        for path in sorted(out.rglob("*"), reverse=True) if out.exists() else ():
+        for path in made:
             path.unlink() if path.is_file() else path.rmdir()
 
 

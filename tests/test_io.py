@@ -148,7 +148,7 @@ class TestNifti:
         path = tmp_path / "a.nii"
         write_nifti(vol, path)
         _, view = read_nifti(path)
-        with pytest.raises(ValueError, match="incompatible"):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             write_nifti(Volume3D(np.ones((2, 2, 2))), tmp_path / "b.nii", header_template=view)
 
     def test_unsupported_datatype(self, tmp_path):
@@ -591,6 +591,8 @@ class TestConfig:
             ({"survival": {"override_days": {"mid": float("nan")}}}, r"^mid must be a number, got nan$"),
             ({"survival": {"cap_days": float("inf")}}, r"^cap_days must be a number, got inf$"),
             ({"survival": {"cap_days": int("9" * 400)}}, r"^cap_days must be a number, got 9{400}$"),
+            ({"survival": {"override_days": {"short": 400}}},
+             r"^override value 400.0 for short falls outside its own class bin$"),
         ],
         ids=["uncertainty", "metrics", "survival", "phantom",
              "ols-feature", "forest-feature", "gate-region", "override-class",
@@ -598,7 +600,8 @@ class TestConfig:
              "text-nesting", "fractional-size", "text-size", "scalar-thresholds", "scalar-dims", "two-dims",
              "text-gate", "boolean-override-days", "negative-cap", "zero-cap", "override-prob-above-1",
              "override-prob-below-0", "inverted-bins", "nan-bin", "unknown-preset", "zero-dim", "unknown-connectivity",
-             "nan-threshold", "nan-sentinel", "nan-override-days", "infinite-cap", "huge-cap"],
+             "nan-threshold", "nan-sentinel", "nan-override-days", "infinite-cap", "huge-cap",
+             "override-days-bin"],
     )
     def test_other_rejections(self, doc, message):
         with pytest.raises(ValueError, match=message):

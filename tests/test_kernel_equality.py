@@ -741,7 +741,7 @@ def test_probability_kernels_equal_float64_oracle(tmp_path):
                 mask = threshold_mask(vol, t)
                 assert np.array_equal(mask.data, ref.data > t), f"case {i}, cut {t}"
                 assert mean_region_confidence(vol, mask) == mean_region_confidence(ref, mask)
-            everywhere = Mask3D(np.ones(vol.dims, dtype=bool))  # values of every magnitude
+            everywhere = Mask3D(np.ones(vol.dims, dtype=bool), vol.spacing)  # values of every magnitude
             assert mean_region_confidence(vol, everywhere) == mean_region_confidence(ref, everywhere)
             probabilities = 0.0 <= ref.data.min() and ref.data.max() <= 1.0  # a scaling can leave [0, 1]
             for formula in (certainty_symmetric, certainty_negative_only,
@@ -783,8 +783,8 @@ def test_fusion_equals_float64_oracle(tmp_path):
         assert batch_loss(p, q, gt) == batch_loss(wide[0], wide[1], gt), f"case {i}"
         # the curve on a uint8 and a float32 certainty map, against float64
         seg = threshold_mask(p, 0.5)
-        for cert in (Volume3D(np.rint(certainty_from_q(q).data).astype(np.uint8)),
-                     Volume3D((100.0 * vols[2].data).astype(np.float32))):
+        for cert in (Volume3D(np.rint(certainty_from_q(q).data).astype(np.uint8), p.spacing),
+                     Volume3D((100.0 * vols[2].data).astype(np.float32), p.spacing)):
             values = np.unique(cert.data.astype(np.float64))
             taus = tuple(sorted({0.0, 100.0, *values[:3].tolist(), *(values[:3] + 1e-9).tolist()}))
             curve = evaluate_uncertainty(seg, gt, cert, taus)

@@ -73,11 +73,6 @@ class TestHausdorff95:
         with pytest.raises(ValueError, match="one mask is empty"):
             hausdorff95(m, e)
 
-    def test_one_empty_sentinel_mode(self):
-        e = Mask3D(np.zeros((4, 4, 4), dtype=bool))
-        m = mask_at([(1, 1, 1)], dims=(4, 4, 4))
-        assert hausdorff95(m, e, empty_sentinel=373.13) == 373.13
-
     def test_spacing_scales_distance(self):
         a = mask_at([(0, 0, 0)], spacing=(2.0, 2.0, 2.0))
         b = mask_at([(3, 0, 0)], spacing=(2.0, 2.0, 2.0))

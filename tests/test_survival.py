@@ -261,18 +261,6 @@ class TestFusion:
         model = FusionModel(ols=constant_ols(-50.0), forest=leaf_forest((1, 0, 0)))
         assert predict_fused(model, rec("x", 60.0)) == 0.0
 
-    def test_override_days_must_sit_in_their_bin(self):
-        with pytest.raises(ValueError, match="outside its own class bin"):
-            FusionModel(
-                ols=constant_ols(100.0),
-                forest=leaf_forest((1, 0, 0)),
-                override_days={
-                    SurvivalClass.SHORT: 350.0,  # not a short-class value
-                    SurvivalClass.MID: 375.0,
-                    SurvivalClass.LONG: 451.0,
-                },
-            )
-
 
 class TestSurvivalConfig:
     def test_fit_fusion_takes_the_config_fields(self):
@@ -287,6 +275,8 @@ class TestSurvivalConfig:
         ({"cap_days": 0}, r"^cap_days must be > 0, got 0$"),
         ({"override_prob": 7.0}, r"^override_prob must be in \[0, 1\], got 7.0$"),
         ({"override_prob": -0.1}, r"^override_prob must be in \[0, 1\], got -0.1$"),
+        ({"override_days": {SurvivalClass.SHORT: 350.0, SurvivalClass.MID: 375.0, SurvivalClass.LONG: 451.0}},
+         r"^override value 350.0 for short falls outside its own class bin$"),  # not a short-class value
     ])
     def test_unusable_values_refused(self, params, message):
         with pytest.raises(ValueError, match=message):

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import CORNER26, EDGE18, FACE6, flood_fill_labels
+from uqseg.losses import batch_loss
+from uqseg.metrics import dice
+from uqseg.nifti import read_nifti, write_nifti
+from uqseg.refine import SegmentationSet, mean_region_confidence
+from uqseg.uncertainty import evaluate_uncertainty
 from uqseg.volumes import (
     Connectivity,
     DegenerateVolumeWarning,
@@ -9,6 +14,7 @@ from uqseg.volumes import (
     Volume3D,
     count_components,
     remove_small_components,
+    require_same_grid,
     require_within,
     standardize_nonzero,
 )
@@ -161,3 +167,39 @@ class TestValidation:
         require_within(Volume3D(np.full((2, 2, 2), hi)), lo, hi, name)
         with pytest.raises(ValueError, match=message):
             require_within(Volume3D(np.resize(np.asarray(values), (2, 2, 2))), lo, hi, name)
+
+
+ONE_MM, TWO_MM = (1.0, 1.0, 1.0), (2.0, 2.0, 2.0)
+
+
+def grid_pairing_calls(tmp_path):
+    """Each call that pairs volumes, with its first volume at 1 mm and a later one at 2 mm."""
+    def vol(value, spacing):
+        return Volume3D(np.full((4, 4, 4), value), spacing)
+
+    def mask(spacing):
+        return Mask3D(np.arange(64).reshape(4, 4, 4) % 3 == 0, spacing)
+
+    write_nifti(vol(0.5, ONE_MM), tmp_path / "template.nii")
+    template = read_nifti(tmp_path / "template.nii")[1]
+    return {
+        "dice": lambda: dice(mask(ONE_MM), mask(TWO_MM)),
+        "SegmentationSet": lambda: SegmentationSet(mask(ONE_MM), mask(ONE_MM), mask(TWO_MM)),
+        "mean_region_confidence": lambda: mean_region_confidence(vol(0.5, ONE_MM), mask(TWO_MM)),
+        "evaluate_uncertainty": lambda: evaluate_uncertainty(mask(ONE_MM), mask(ONE_MM), vol(80.0, TWO_MM)),
+        "batch_loss": lambda: batch_loss(vol(0.7, ONE_MM), vol(0.1, ONE_MM), mask(TWO_MM)),
+        "write_nifti": lambda: write_nifti(vol(0.5, TWO_MM), tmp_path / "out.nii", header_template=template),
+    }
+
+
+@pytest.mark.parametrize("call", ["dice", "SegmentationSet", "mean_region_confidence", "evaluate_uncertainty",
+                                  "batch_loss", "write_nifti"])
+def test_one_grid_rule_refuses_spacing_mismatch(tmp_path, call):
+    with pytest.raises(ValueError, match=r"^spacing mismatch: \(1.0, 1.0, 1.0\) vs \(2.0, 2.0, 2.0\)$"):
+        grid_pairing_calls(tmp_path)[call]()
+    assert not (tmp_path / "out.nii").exists()
+
+
+def test_grid_rule_checks_dims_before_spacing():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: \(2, 2, 2\) vs \(3, 3, 3\)$"):
+        require_same_grid(Volume3D(np.ones((2, 2, 2))), Volume3D(np.ones((3, 3, 3)), TWO_MM))
