@@ -57,7 +57,7 @@ from .uncertainty import (
     negative_only_uncertainty_raw,
     symmetric_uncertainty_raw,
 )
-from .volumes import Axis, require_within, standardize_nonzero
+from .volumes import Axis, require_same_grid, require_within, standardize_nonzero
 
 REGION_KEYS = tuple(region.value for region in REGION_ORDER)
 CHALLENGE_NAMES = {"wt": "whole", "tc": "core", "et": "enhance"}
@@ -229,6 +229,7 @@ def refine(prob_wt, prob_tc, prob_et, config_path, out_labels: Path, out_report,
         p_tc, _ = read_nifti(prob_tc, expect_dims=p_wt.dims)
         p_et, _ = read_nifti(prob_et, expect_dims=p_wt.dims)
         for p, path in ((p_wt, prob_wt), (p_tc, prob_tc), (p_et, prob_et)):
+            require_same_grid(p_wt, p, name=path)
             require_within(p, 0.0, 1.0, f"{path}: p")
         seg, report = refine_segmentation(p_wt, p_tc, p_et, cfg.refine)
         if out_report is not None:  # first: a failed report write leaves no label map for evaluate
@@ -301,6 +302,7 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
     def one_case(case, pred_file, gt_file, cert_files):
         pred_labels, _ = read_label_volume(pred_file)
         gt_labels, _ = read_label_volume(gt_file, expect_dims=pred_labels.dims)
+        require_same_grid(pred_labels, gt_labels, name=gt_file)
         pred_seg = brats_labels_to_masks(pred_labels)
         gt_seg = brats_labels_to_masks(gt_labels)
         row: dict[str, object] = {"case_id": case}
@@ -311,6 +313,7 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
             row.update({f"{name}_{region.value}": getattr(result, name) for name in METRIC_FIELDS})
             if cert_files is not None:
                 cert, _ = read_nifti(cert_files[region.value], expect_dims=pred_labels.dims)
+                require_same_grid(pred_labels, cert, name=cert_files[region.value])
                 require_within(cert, 0.0, 100.0, f"{cert_files[region.value]}: certainty")
                 curve = evaluate_uncertainty(pred_mask, gt_mask, cert, cfg.uncertainty_thresholds)
                 row.update({f"{name}_{region.value}": getattr(curve, name) for name in AUC_FIELDS})

@@ -12,7 +12,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -417,7 +416,17 @@ def cross_validate(records, fit_predict, folds: int = 5, seed: int = 0,
 # --- persistence ---------------------------------------------------------
 
 MODEL_FORMAT = "uqseg-survival-fusion"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
+
+
+def _preorder(feature, threshold, counts, k=0):
+    """The pre-order nodes of a stacked tree from slot ``k``; a subtree of padding is written as its one leaf."""
+    if k >= len(feature):
+        return [counts[k - len(feature)]]
+    left, right = (_preorder(feature, threshold, counts, child) for child in (2 * k + 1, 2 * k + 2))
+    if len(left) == 1 and left == right and (feature[k], threshold[k]) == (0, 0.0):
+        return left  # padding: split slots (0, 0.0) over leaf slots of one leaf's counts
+    return [[feature[k], threshold[k]], *left, *right]
 
 
 def model_to_json(model: FusionModel) -> str:
@@ -437,8 +446,8 @@ def model_to_json(model: FusionModel) -> str:
             "feature_set": list(forest.feature_set),
             "max_depth": forest.max_depth,
             "seed": forest.seed,
-            # one [feature, threshold, counts] row per tree
-            "trees": list(zip(*(a.tolist() for a in (forest.feature, forest.threshold, forest.counts)))),
+            "trees": [_preorder(*tree) for tree in
+                      zip(*(a.tolist() for a in (forest.feature, forest.threshold, forest.counts)))],
         },
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -469,30 +478,42 @@ def _feature_set(doc: dict) -> tuple[str, ...]:
     return names
 
 
-def _forest_arrays(rows, n_features: int, max_depth: int):
-    """The stacked (feature, threshold, counts) arrays of version-2 tree rows, checked."""
-    check_forest_size(len(rows), max_depth)
-    if not all(isinstance(row, list) and len(row) == 3 for row in rows):
-        raise ValueError("each tree must be a [feature, threshold, counts] row")
-    try:
-        feature, threshold, counts = (np.array(column) for column in zip(*rows))
-    except ValueError as exc:
-        raise ValueError(f"tree rows differ in shape: {exc}") from None
-    width = feature.shape[-1]
-    if (feature.ndim != 2 or threshold.shape != feature.shape or width & (width + 1)
-            or counts.shape != (len(rows), width + 1, 3) or width >= 2**max_depth):
-        raise ValueError(f"tree rows of {width} splits and leaf counts {counts.shape[1:]} are not "
-                         f"2**d - 1 splits and 2**d leaves of 3 counts with d <= max_depth {max_depth}")
-    if (width and (feature.dtype.kind != "i" or threshold.dtype.kind not in "if") or counts.dtype.kind != "i"
-            or not np.isfinite(threshold).all()  # below: numpy would read a JSON true or false as 1 or 0
-            or any(type(v) is bool for row in rows for v in chain(row[0], row[1], *row[2]))):
-        raise ValueError("split features and leaf counts must be integers, thresholds finite numbers")
+def _forest_arrays(trees, n_features: int, max_depth: int):
+    """The stacked arrays of version-3 pre-order trees, checked, at the depth of their deepest leaf."""
+    check_forest_size(len(trees), max_depth)
+    splits, leaves = [], []  # (tree, level-order index, depth, node), in file order
+    for t, nodes in enumerate(trees):
+        owed = [(0, 0)]  # the (level-order index, depth) of each node still to read, the next last
+        for node in nodes:
+            if not owed:
+                raise ValueError(f"tree {t} has nodes after its last leaf")
+            k, depth = owed.pop()
+            if depth > max_depth:
+                raise ValueError(f"tree {t} reaches depth {depth}, deeper than max_depth {max_depth}")
+            if not isinstance(node, list) or len(node) not in (2, 3):
+                raise ValueError("each node must be a [feature, threshold] split or a [short, mid, long] leaf")
+            (splits if len(node) == 2 else leaves).append((t, k, depth, node))
+            owed += [(2 * k + 2, depth + 1), (2 * k + 1, depth + 1)] if len(node) == 2 else []
+        if owed:
+            raise ValueError(f"tree {t} ends before its last leaf")
+    kinds = "split features and leaf counts must be integers, thresholds finite numbers"
+    if not {type(v) for *_, node in splits + leaves for v in node} <= {int, float}:
+        raise ValueError(kinds)  # a JSON true or false included: numpy would read it as 1 or 0
+    feature, threshold = (np.array([node[i] for *_, node in splits]) for i in (0, 1))
+    depth, counts = (np.array([leaf[i] for leaf in leaves]) for i in (2, 3))
+    if (splits and (feature.dtype.kind != "i" or threshold.dtype.kind not in "if") or counts.dtype.kind != "i"
+            or not np.isfinite(threshold).all()):
+        raise ValueError(kinds)
     outside = feature[(feature < 0) | (feature >= n_features)]
     if outside.size:
         raise ValueError(f"split feature {outside[0]} is outside a set of {n_features}")
-    if (counts < 0).any() or not counts.sum(axis=2).all():
+    if (counts < 0).any() or not counts.sum(axis=1).all():
         raise ValueError("leaf counts must be >= 0 with at least one record per leaf")
-    return feature.astype(np.int64), threshold.astype(np.float64), counts.astype(np.int64)
+    d, t, k = depth.max(), *np.array([split[:2] for split in splits], dtype=np.int64).reshape(-1, 2).T
+    feature_slots, threshold_slots = np.zeros((2, len(trees), 2**d - 1))
+    feature_slots[t, k], threshold_slots[t, k] = feature, threshold
+    leaf_slots = np.repeat(counts, 1 << (d - depth), axis=0)  # pre-order meets the leaves left to right
+    return feature_slots.astype(np.int64), threshold_slots, leaf_slots.reshape(len(trees), 2**d, 3)
 
 
 def load_model(path) -> FusionModel:

@@ -82,15 +82,15 @@ class Mask3D(_Grid):
         super().__post_init__()
 
 
-def require_same_grid(*vols) -> None:
-    """The one rule for volumes that meet voxel by voxel: equal dims, then equal spacings."""
-    first = vols[0]
+def require_same_grid(*vols, name="") -> None:
+    """The one rule for volumes that meet voxel by voxel: equal dims, then spacings; ``name`` leads the message."""
+    first, lead = vols[0], f"{name}: " if name else ""
     for v in vols[1:]:
         if v.dims != first.dims:
-            raise ValueError(f"dimension mismatch: {first.dims} vs {v.dims}")
+            raise ValueError(f"{lead}dimension mismatch: {first.dims} vs {v.dims}")
     for v in vols[1:]:
         if v.spacing != first.spacing:
-            raise ValueError(f"spacing mismatch: {first.spacing} vs {v.spacing}")
+            raise ValueError(f"{lead}spacing mismatch: {first.spacing} vs {v.spacing}")
 
 
 def standardize_nonzero(v: Volume3D) -> Volume3D:

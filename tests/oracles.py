@@ -6,13 +6,14 @@ and losses by scalar math-module arithmetic. The superseded full-volume
 kernels, the first-appearance component relabel, the ``find_objects`` box and
 full-grid gather, the one-call gzip codec, the float64 read, label and
 fusion paths, the full-volume fusion, certainty and concatenated-payload
-writer and the recursive survival forest kept below are the references their
-rewrites must equal.
+writer, the recursive survival forest and the version-2 model file's tree rows
+kept below are the references their rewrites must equal.
 """
 import gzip
 import math
 import struct
 import zlib
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -477,3 +478,35 @@ def tree_arrays(trees):
     for t, tree in enumerate(trees):
         fill(t, tree, 0, 0)
     return feature, threshold, counts
+
+
+def v2_tree_rows(feature, threshold, counts):
+    """The former model file's ``forest.trees``: one ``[feature, threshold, counts]`` row per stacked tree."""
+    return [list(row) for row in zip(*(a.tolist() for a in (feature, threshold, counts)))]
+
+
+def v2_tree_arrays(rows, n_features, max_depth):
+    """The former model file's reader: the stacked (feature, threshold, counts) arrays of its tree rows, checked."""
+    if not rows or not 0 <= max_depth <= 10:
+        raise ValueError(f"{len(rows)} trees of max_depth {max_depth} cannot be stacked")
+    if not all(isinstance(row, list) and len(row) == 3 for row in rows):
+        raise ValueError("each tree must be a [feature, threshold, counts] row")
+    try:
+        feature, threshold, counts = (np.array(column) for column in zip(*rows))
+    except ValueError as exc:
+        raise ValueError(f"tree rows differ in shape: {exc}") from None
+    width = feature.shape[-1]
+    if (feature.ndim != 2 or threshold.shape != feature.shape or width & (width + 1)
+            or counts.shape != (len(rows), width + 1, 3) or width >= 2**max_depth):
+        raise ValueError(f"tree rows of {width} splits and leaf counts {counts.shape[1:]} are not "
+                         f"2**d - 1 splits and 2**d leaves of 3 counts with d <= max_depth {max_depth}")
+    if (width and (feature.dtype.kind != "i" or threshold.dtype.kind not in "if") or counts.dtype.kind != "i"
+            or not np.isfinite(threshold).all()  # below: numpy would read a JSON true or false as 1 or 0
+            or any(type(v) is bool for row in rows for v in chain(row[0], row[1], *row[2]))):
+        raise ValueError("split features and leaf counts must be integers, thresholds finite numbers")
+    outside = feature[(feature < 0) | (feature >= n_features)]
+    if outside.size:
+        raise ValueError(f"split feature {outside[0]} is outside a set of {n_features}")
+    if (counts < 0).any() or not counts.sum(axis=2).all():
+        raise ValueError("leaf counts must be >= 0 with at least one record per leaf")
+    return feature.astype(np.int64), threshold.astype(np.float64), counts.astype(np.int64)

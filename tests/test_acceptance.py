@@ -4,6 +4,7 @@ Each test prints a PASS line once its criterion holds (visible with -s or in
 captured output). Tolerances are pinned here and nowhere else.
 """
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,7 @@ from uqseg.uncertainty import (
 )
 from uqseg.volumes import (
     Connectivity,
+    DegenerateVolumeWarning,
     Mask3D,
     Volume3D,
     count_components,
@@ -252,11 +254,16 @@ def test_pipeline_guarantees_fuzz():
     failsafes = 0
     for i in range(200):
         p_wt, p_tc, p_et = fuzz_case(i)
-        seg, rep = refine_segmentation(p_wt, p_tc, p_et, cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            seg, rep = refine_segmentation(p_wt, p_tc, p_et, cfg)
+        wt_rep = rep.regions[RegionLabel.WHOLE_TUMOR]
+        zero_cut = wt_rep.failsafe_triggered and wt_rep.final_threshold == 0.0
+        assert [w.category for w in caught] == [DegenerateVolumeWarning] * zero_cut, f"case {i}"
         assert seg.wt.data.sum() > 0, f"case {i}: empty WT"
         assert seg.tc.data.sum() > 0, f"case {i}: empty TC"
         total = int(np.prod(p_wt.dims))
-        if rep.regions[RegionLabel.WHOLE_TUMOR].failsafe_triggered:
+        if wt_rep.failsafe_triggered:
             failsafes += 1
             assert seg.wt.data.sum() >= min(cfg.failsafe_min_voxels, total), f"case {i}"
         for mask in (seg.wt, seg.tc, seg.et):

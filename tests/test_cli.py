@@ -423,8 +423,9 @@ def fault_rows(root):
 
     ``pair`` and ``labels`` are healthy; each ``pair-*`` and ``labels-*`` copy
     breaks its tc or c1 file, as ``cert`` its c1 whole-tumour map and
-    ``cert-spacing`` c1's three maps. Every healthy output goes under
-    ``root / "out"``; ``phantom-out`` holds a regular file named ``gt``.
+    ``cert-spacing`` c1's three maps; ``p-spacing`` is a p map at 2 mm. Every
+    healthy output goes under ``root / "out"``; ``phantom-out`` holds a
+    regular file named ``gt``.
     """
     label_map = np.zeros((6, 6, 6), dtype=np.uint8)
     label_map[1:4, 1:4, 1:4] = 2
@@ -452,6 +453,7 @@ def fault_rows(root):
                         root / "cert-spacing" / f"{case}_unc_{c}.nii.gz", dtype="uint8")
     write_nifti(Volume3D(np.full((6, 6, 6), 250.0)), root / "cert" / "c1_unc_whole.nii.gz", dtype="uint8")
     write_nifti(Volume3D(np.full((6, 6, 6), 5.0)), root / "p-range.nii.gz")
+    write_nifti(Volume3D(np.full((6, 6, 6), 0.7), (2.0, 2.0, 2.0)), root / "p-spacing.nii.gz")
     (root / "pair-directory" / "tc_p.nii.gz").mkdir()
     (root / "labels-directory" / "c1.nii.gz").mkdir()
     small = root / "small.nii.gz"
@@ -512,6 +514,8 @@ def fault_rows(root):
          1, blocked, []),
         ("refine-config-override-bin", refine(root / "pair" / "tc_p.nii.gz", "--config", str(root / "bin.yaml")),
          2, "bad configuration: override value 400.0 for short falls outside its own class bin", []),
+        ("refine-spacing", refine(root / "p-spacing.nii.gz"), 1,
+         f"error: l: {root / 'p-spacing.nii.gz'}: spacing mismatch: (1.0, 1.0, 1.0) vs (2.0, 2.0, 2.0)", []),
         ("refine-range", refine(root / "p-range.nii.gz", "--out-report", str(out / "rep.csv")), 1,
          f"{root / 'p-range.nii.gz'}: p values must lie in [0, 1]", []),
         ("uncertainty-missing", ["uncertainty", "--formula", "flip", "--q", str(none), "--out", str(out / "u.nii")],
@@ -529,9 +533,11 @@ def fault_rows(root):
         ("evaluate-scaled-labels", evaluate(pred="labels-scaled"), 1,
          f"{scaled}: label values [1.5] outside declared set [0, 1, 2, 4]", [out / "r.csv"]),
         ("evaluate-spacing-empty", evaluate(pred="labels-spacing"), 1,
-         "error: c1: spacing mismatch: (2.0, 2.0, 2.0) vs (1.0, 1.0, 1.0)", [out / "r.csv"]),
+         f"error: c1: {root / 'labels' / 'c1.nii.gz'}: spacing mismatch: (2.0, 2.0, 2.0) vs (1.0, 1.0, 1.0)",
+         [out / "r.csv"]),
         ("evaluate-cert-spacing", evaluate("labels", "labels", out / "r.csv", "--cert-dir", str(root / "cert-spacing")),
-         1, "error: c1: spacing mismatch: (1.0, 1.0, 1.0) vs (3.0, 3.0, 3.0)", [out / "r.csv"]),
+         1, f"error: c1: {root / 'cert-spacing' / 'c1_unc_whole.nii.gz'}: spacing mismatch: (1.0, 1.0, 1.0) vs "
+            "(3.0, 3.0, 3.0)", [out / "r.csv"]),
         ("evaluate-jobs", evaluate("labels", "labels", out / "r.csv", "--jobs", "0"), 2, "--jobs", []),
         ("evaluate-config", evaluate("labels", "labels", out / "r.csv", "--config", str(root / "prob.yaml")),
          2, prob, []),
@@ -830,6 +836,17 @@ def write_cohort_csv(path, n=30, seed=0):
 
 SMALL_FOREST_CONFIG = "survival:\n  n_trees: 25\n"
 ROW_TYPES = "split features and leaf counts must be integers, thresholds finite numbers"
+NODE_SHAPES = "each node must be a [feature, threshold] split or a [short, mid, long] leaf"
+
+
+def split_node(doc):
+    """The first ``[feature, threshold]`` node of a model JSON document."""
+    return next(node for nodes in doc["forest"]["trees"] for node in nodes if len(node) == 2)
+
+
+def leaf_node(doc):
+    """The first ``[short, mid, long]`` node of a model JSON document."""
+    return next(node for node in doc["forest"]["trees"][0] if len(node) == 3)
 
 
 class TestSurvivalCommands:
@@ -961,20 +978,23 @@ class TestSurvivalCommands:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda d: d.update(version=1), "format version 1 is not 2; retrain the model"),
-            (lambda d: d["forest"]["trees"][0][0].append(0), "tree rows differ in shape"),
-            (lambda d: d["forest"]["trees"][0][2][0].append(1), "tree rows differ in shape"),
-            (lambda d: d["forest"].update(trees=[[[0, 0], [1.0, 2.0], [[1, 0, 0]] * 3]]),
-             "tree rows of 2 splits and leaf counts (3, 3) are not 2**d - 1 splits"),
-            (lambda d: d["forest"]["trees"][0][0].__setitem__(0, 3), "split feature 3 is outside a set of 3"),
-            (lambda d: d["forest"]["trees"][0][2][0].__setitem__(0, -1), "leaf counts must be >= 0"),
-            (lambda d: d["forest"]["trees"][0][2].__setitem__(0, [0, 0, 0]),
+            (lambda d: d.update(version=1), "format version 1 is not 3; retrain the model"),
+            (lambda d: d.update(version=2), "format version 2 is not 3; retrain the model"),
+            (lambda d: split_node(d).pop(), NODE_SHAPES),
+            (lambda d: leaf_node(d).append(1), NODE_SHAPES),
+            (lambda d: d["forest"]["trees"][0].pop(), "tree 0 ends before its last leaf"),
+            (lambda d: d["forest"]["trees"][0].append([1, 0, 0]), "tree 0 has nodes after its last leaf"),
+            (lambda d: d["forest"].update(max_depth=0), "tree 0 reaches depth 1, deeper than max_depth 0"),
+            (lambda d: split_node(d).__setitem__(0, 3), "split feature 3 is outside a set of 3"),
+            (lambda d: leaf_node(d).__setitem__(0, -1), "leaf counts must be >= 0"),
+            (lambda d: leaf_node(d).__setitem__(slice(None), [0, 0, 0]),
              "leaf counts must be >= 0 with at least one record per leaf"),
-            (lambda d: d["forest"]["trees"][0][2][0].__setitem__(0, True), ROW_TYPES),
-            (lambda d: d["forest"]["trees"][0][1].__setitem__(0, float("nan")), ROW_TYPES),
+            (lambda d: leaf_node(d).__setitem__(0, True), ROW_TYPES),
+            (lambda d: split_node(d).__setitem__(1, float("nan")), ROW_TYPES),
         ],
-        ids=["version-1", "ragged-splits", "ragged-counts", "not-2**d-1-splits", "feature-outside",
-             "negative-count", "empty-leaf", "boolean-count", "nan-threshold"],
+        ids=["version-1", "version-2", "ragged-splits", "ragged-counts", "tree-ends-early", "nodes-after-last-leaf",
+             "deeper-than-max-depth", "feature-outside", "negative-count", "empty-leaf", "boolean-count",
+             "nan-threshold"],
     )
     def test_refused_model_rows_are_usage_error(self, runner, tmp_path, edit, message):
         features = tmp_path / "features.csv"

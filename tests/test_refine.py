@@ -213,7 +213,8 @@ class TestRefineSegmentation:
 
     def test_wt_and_tc_always_nonempty(self):
         zero = uniform_volume(0.0, dims=(16, 16, 16))
-        seg, report = refine_segmentation(zero, zero, zero)
+        with pytest.warns(DegenerateVolumeWarning, match="failsafe cut is 0"):
+            seg, report = refine_segmentation(zero, zero, zero)
         assert seg.wt.data.sum() >= 1000
         assert seg.tc.data.sum() >= 1000
         assert report.regions[RegionLabel.WHOLE_TUMOR].failsafe_triggered

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import TreeNode
+from oracles import TreeNode, v2_tree_arrays, v2_tree_rows
 from uqseg.refine import SegmentationSet
 from uqseg.survival import (
     CLASS_ORDER,
@@ -37,13 +37,13 @@ def rec(case_id, age, n_tumors=1, n_cores=1, survival=None):
 
 
 def first_split(doc):
-    """The split features of the first tree that splits, in a model JSON document."""
-    return next(features for features, _, _ in doc["forest"]["trees"] if features)
+    """The first ``[feature, threshold]`` split node of the first tree that splits, in a model JSON document."""
+    return next(node for nodes in doc["forest"]["trees"] for node in nodes if len(node) == 2)
 
 
 def first_leaves(doc):
-    """The leaf counts of the first tree, in a model JSON document."""
-    return doc["forest"]["trees"][0][2]
+    """The ``[short, mid, long]`` leaf nodes of the first tree, in pre-order, in a model JSON document."""
+    return [node for node in doc["forest"]["trees"][0] if len(node) == 3]
 
 
 class TestSurvivalRecord:
@@ -414,20 +414,24 @@ class TestPersistence:
         [
             (lambda d: d.pop("bins"), "lacks key 'bins'"),
             (lambda d: d["forest"].pop("seed"), "lacks key 'seed'"),
-            (lambda d: d["forest"]["trees"][0].clear(), r"a \[feature, threshold, counts\] row"),
-            (lambda d: d["forest"]["trees"][0][1].pop(), "tree rows differ in shape: .* after 1 dimensions"),
-            (lambda d: first_leaves(d)[0].pop(), "tree rows differ in shape: .* after 2 dimensions"),
+            (lambda d: first_leaves(d)[0].append(0),
+             r"a \[feature, threshold\] split or a \[short, mid, long\] leaf"),
+            (lambda d: first_split(d).pop(), r"each node must be a \[feature, threshold\] split"),
+            (lambda d: d["forest"]["trees"][0].__setitem__(0, 7), r"must be a \[feature, threshold\] split or a"),
+            (lambda d: d["forest"]["trees"][0].pop(), "tree 0 ends before its last leaf"),
+            (lambda d: d["forest"]["trees"][0].append([1, 0, 0]), "tree 0 has nodes after its last leaf"),
             (lambda d: d["forest"].update(trees=[]), r"n_trees must be an integer in \[1, inf\], got 0"),
-            (lambda d: d["forest"].update(trees=[[[0, 0], [1.0, 2.0], [[1, 0, 0]] * 3]] * 21),
-             r"tree rows of 2 splits and leaf counts \(3, 3\) are not 2\*\*d - 1"),
-            (lambda d: d["forest"].update(max_depth=0), "with d <= max_depth 0"),
+            (lambda d: d["forest"].update(max_depth=0), "reaches depth 1, deeper than max_depth 0"),
             (lambda d: d["forest"].update(max_depth=11), r"max_depth must be an integer in \[0, 10\]"),
             (lambda d: d["ols"].update(feature_set="age"), "'feature_set' is a str"),
             (lambda d: d.update(override_prob=True), "'override_prob' is a bool"),
             (lambda d: d.update(version=2.0), "'version' is a float"),
             (lambda d: d.update(version=1, forest={**d["forest"], "n_trees": 1,
                                                    "trees": [TreeNode((3, 1, 0)).to_dict()]}),
-             "format version 1 is not 2; retrain the model with survival-train"),
+             "format version 1 is not 3; retrain the model with survival-train"),
+            (lambda d: d.update(version=2, forest={**d["forest"], "trees": v2_tree_rows(
+                np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0)), np.array([[[3, 1, 0]]]))}),
+             "format version 2 is not 3; retrain the model with survival-train"),
             (lambda d: d["ols"].update(coefficients=["x", "y"]), "bad survival model"),
             (lambda d: d.update(forest=[]), "'forest' is a list"),
             (lambda d: d["forest"].update(feature_set=["agee", "n_tumors", "n_cores"]),
@@ -436,18 +440,18 @@ class TestPersistence:
             (lambda d: first_split(d).__setitem__(0, 3), "split feature 3 is outside a set of 3"),
             (lambda d: first_split(d).__setitem__(0, -1), "split feature -1 is outside a set of 3"),
             (lambda d: first_split(d).__setitem__(0, 1.5), "split features and leaf counts must be integers"),
-            (lambda d: d["forest"]["trees"][0][1].__setitem__(0, "x"), "thresholds finite numbers"),
+            (lambda d: first_split(d).__setitem__(1, "x"), "thresholds finite numbers"),
             pytest.param(lambda d: first_split(d).__setitem__(0, True), "must be integers, thresholds finite",
                          id="boolean-split-feature"),
             pytest.param(lambda d: first_leaves(d)[0].__setitem__(0, False), "must be integers, thresholds finite",
                          id="boolean-leaf-count"),
-            pytest.param(lambda d: d["forest"]["trees"][0][1].__setitem__(0, float("nan")),
+            pytest.param(lambda d: first_split(d).__setitem__(1, float("nan")),
                          "thresholds finite numbers", id="nan-threshold"),
-            pytest.param(lambda d: d["forest"]["trees"][0][1].__setitem__(0, -float("inf")),
+            pytest.param(lambda d: first_split(d).__setitem__(1, -float("inf")),
                          "thresholds finite numbers", id="infinite-threshold"),
             (lambda d: first_leaves(d)[0].__setitem__(1, 0.5), "leaf counts must be integers"),
             (lambda d: first_leaves(d)[0].__setitem__(1, -4), "leaf counts must be >= 0"),
-            (lambda d: first_leaves(d).__setitem__(0, [0, 0, 0]), "at least one record per leaf"),
+            (lambda d: first_leaves(d)[0].__setitem__(slice(None), [0, 0, 0]), "at least one record per leaf"),
             (lambda d: d["ols"]["coefficients"].append(1.0), "3 OLS coefficients for 1 features"),
             (lambda d: d["ols"]["coefficients"].pop(), "1 OLS coefficients for 1 features"),
             pytest.param(lambda d: d["override_days"].update(mid=float("nan")), "'mid' is nan", id="nan-override-days"),
@@ -471,3 +475,82 @@ class TestPersistence:
         path.write_text('{"format": "uqseg-survival-fusion"}')
         with pytest.raises(ValueError, match="model.json: survival model lacks key 'bins'"):
             load_model(path)
+
+
+def tied_records(rng, n):
+    """``n`` labelled records whose features repeat (tied values) and whose classes are often one (pure nodes)."""
+    classes = rng.choice([100.0, 375.0, 700.0], size=n, p=rng.dirichlet([0.4, 0.4, 0.4]))
+    return [rec(f"r{i:02d}", float(rng.integers(40, 46)), int(rng.integers(0, 3)), int(rng.integers(0, 2)),
+                survival=float(days)) for i, days in enumerate(classes)]
+
+
+def forest_arrays(forest):
+    return forest.feature, forest.threshold, forest.counts
+
+
+def bit_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# a version-2 file's trees, as the v2 writer saved fit_fusion(PARENT_RECORDS, seed=2, n_trees=3, max_depth=2)
+PARENT_V2_TREES = json.loads(
+    "[[[0,0,0],[52.5,45.0,0.0],[[2,0,0],[0,0,2],[4,0,0],[4,0,0]]],"
+    "[[1,0,0],[1.5,45.0,0.0],[[1,0,0],[1,0,4],[0,2,0],[0,2,0]]],"
+    "[[0,1,0],[67.5,2.5,0.0],[[0,3,1],[2,0,0],[2,0,0],[2,0,0]]]]"
+)
+PARENT_RECORDS = [rec(f"c{i}", float(age), tumors, 1, survival=float(days)) for i, (age, tumors, days) in enumerate(
+    [(40, 1, 100), (45, 2, 350), (50, 1, 600), (55, 3, 120), (60, 1, 400), (65, 2, 700), (70, 1, 200), (75, 1, 500)])]
+
+
+class TestFormatV3:
+    def test_seeded_round_trips_are_bit_exact(self, tmp_path):
+        """Depths 0-4, 1-50 trees, tied features and pure nodes: the file holds the fitted arrays exactly."""
+        depths = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            model = fit_fusion(tied_records(rng, int(rng.integers(2, 40))), seed=seed,
+                               n_trees=int(rng.integers(1, 51)), max_depth=seed % 5)
+            text = model_to_json(model)
+            path = tmp_path / f"model-{seed}.json"
+            path.write_text(text)
+            loaded = load_model(path)
+            assert all(map(bit_equal, forest_arrays(loaded.forest), forest_arrays(model.forest))), seed
+            assert model_to_json(loaded) == text, seed
+            rows = v2_tree_rows(*forest_arrays(model.forest))  # the version-2 file of the same fit
+            v2 = v2_tree_arrays(json.loads(json.dumps(rows)), 3, model.forest.max_depth)
+            assert all(map(bit_equal, v2, forest_arrays(loaded.forest))), seed
+            depths.add(model.forest.counts.shape[1].bit_length() - 1)
+        assert depths == {0, 1, 2, 3, 4}
+
+    def test_parent_file_reads_as_the_new_file(self, tmp_path):
+        model = fit_fusion(PARENT_RECORDS, seed=2, n_trees=3, max_depth=2)
+        assert v2_tree_rows(*forest_arrays(model.forest)) == PARENT_V2_TREES
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert json.loads(path.read_text())["forest"]["trees"] == [  # each right branch is one leaf
+            [[0, 52.5], [0, 45.0], [2, 0, 0], [0, 0, 2], [4, 0, 0]],
+            [[1, 1.5], [0, 45.0], [1, 0, 0], [1, 0, 4], [0, 2, 0]],
+            [[0, 67.5], [1, 2.5], [0, 3, 1], [2, 0, 0], [2, 0, 0]],
+        ]
+        parent = v2_tree_arrays(PARENT_V2_TREES, 3, 2)
+        assert all(map(bit_equal, parent, forest_arrays(load_model(path).forest)))
+
+    def test_explicit_padding_loads_as_its_collapsed_form(self, tmp_path):
+        deep = [[1, 1.5], [0, 50.0], [4, 0, 0], [0, 0, 2], [0, 1, 3]]
+        padded = [[0, 60.0], [0, 0.0], [5, 0, 0], [5, 0, 0], [0, 3, 1]]
+        collapsed = [[0, 60.0], [5, 0, 0], [0, 3, 1]]
+        zero_split = [[0, 0.0], [1, 0, 0], [0, 0, 1]]  # a (0, 0.0) split over two different leaves is no padding
+        doc = json.loads(model_to_json(fit_fusion(separable_records(), n_trees=3)))
+        models = {}
+        for name, tree in (("padded", padded), ("collapsed", collapsed)):
+            doc["forest"].update(trees=[deep, tree, zero_split], max_depth=2)
+            (tmp_path / name).write_text(json.dumps(doc))
+            models[name] = load_model(tmp_path / name)
+        assert all(map(bit_equal, *(forest_arrays(m.forest) for m in models.values())))
+        assert models["padded"].forest.threshold[1].tolist() == [60.0, 0.0, 0.0]
+        assert json.loads(model_to_json(models["padded"]))["forest"]["trees"] == [deep, collapsed, zero_split]
+        for age in (45.0, 55.0, 65.0):
+            for tumors in (1, 2):
+                probe = rec("x", age, n_tumors=tumors)
+                assert (predict_forest_proba(models["padded"].forest, probe).tolist()
+                        == predict_forest_proba(models["collapsed"].forest, probe).tolist())
