@@ -41,10 +41,12 @@ from .survival import (
 )
 from .tables import (
     AUC_FIELDS,
+    CV_COLUMNS,
     METRIC_FIELDS,
     cell,
     read_case_table,
     read_survival_table,
+    write_cv_table,
     write_predictions_table,
     write_results_table,
     write_survival_table,
@@ -409,15 +411,12 @@ def survival_cv(features_csv, folds, seed, out_csv, config_path):
                            for fit in (fit_fused, fit_baseline)]
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    lines = [("fold", "fused_accuracy", "ols_accuracy")]
-    for i, (f_acc, o_acc) in enumerate(zip(fused, baseline), start=1):
-        lines.append((str(i), repr(f_acc), repr(o_acc)))
-    lines.append(("mean", repr(float(np.mean(fused))), repr(float(np.mean(baseline)))))
+    rows = [*zip(range(1, len(fused) + 1), fused, baseline), ("mean", *(float(np.mean(a)) for a in (fused, baseline)))]
     if out_csv is not None:
-        _write(out_csv, write_atomic, "".join(",".join(row) + "\r\n" for row in lines).encode())
+        _write(out_csv, write_cv_table, rows)
     else:
-        for row in lines:
-            click.echo(",".join(row))
+        for row in (CV_COLUMNS, *rows):
+            click.echo(",".join(v if isinstance(v, str) else repr(v) for v in row))
 
 
 @main.command()

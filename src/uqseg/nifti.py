@@ -42,6 +42,7 @@ _CODE_FOR = {"uint8": DT_UINT8, "int16": DT_INT16, "float32": DT_FLOAT32}
 GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\x03"
 DEFLATE_CHUNK = 256 * 1024
 DEFLATE_WINDOW = 32 * 1024
+HEADER_PROBE = 4 * 1024  # .gz bytes fed at a time to the inflater that finds the NIfTI header
 # No deflate stream inflates to more than 1032 times its size (a 258-byte match per 2 bits).
 DEFLATE_MAX_RATIO = 1032
 LIBDEFLATE_LEVEL = 1  # for float32 payloads with few repeats; zlib level 9 writes every other .gz
@@ -158,7 +159,11 @@ def _read_bytes(path: Path) -> bytes | memoryview:
 
     inflater = zlib.decompressobj(wbits=31)
     try:  # the header from a throwaway inflater, so the volume is inflated into one buffer
-        head = zlib.decompressobj(wbits=31).decompress(blob, HEADER_SIZE)
+        probe, head = zlib.decompressobj(wbits=31), b""
+        for start in range(0, len(blob), HEADER_PROBE):  # fed whole, zlib copies the rest to unconsumed_tail
+            head += probe.decompress(blob[start:start + HEADER_PROBE], HEADER_SIZE - len(head))
+            if len(head) == HEADER_SIZE or probe.eof:
+                break
         cap = cap_of(head)
         if len(head) == HEADER_SIZE and (codec := _libdeflate()) is not None:
             (stated,) = struct.unpack_from("<I", blob, len(blob) - 4)  # ISIZE, if one member ends the file

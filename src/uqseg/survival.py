@@ -416,21 +416,35 @@ def cross_validate(records, fit_predict, folds: int = 5, seed: int = 0,
 # --- persistence ---------------------------------------------------------
 
 MODEL_FORMAT = "uqseg-survival-fusion"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
-def _preorder(feature, threshold, counts, k=0):
-    """The pre-order nodes of a stacked tree from slot ``k``; a subtree of padding is written as its one leaf."""
-    if k >= len(feature):
-        return [counts[k - len(feature)]]
-    left, right = (_preorder(feature, threshold, counts, child) for child in (2 * k + 1, 2 * k + 2))
-    if len(left) == 1 and left == right and (feature[k], threshold[k]) == (0, 0.0):
-        return left  # padding: split slots (0, 0.0) over leaf slots of one leaf's counts
-    return [[feature[k], threshold[k]], *left, *right]
+def _split_table(forest: ForestModel):
+    """The sorted distinct (feature, threshold) pairs of the splits, and each split slot's index into them or -1
+    for padding: a (0, 0.0) slot over nothing but (0, 0.0) slots and leaf slots of one leaf's counts."""
+    keys, leaves = forest.feature + 1j * forest.threshold, forest.counts  # complex order: feature, then threshold
+    one_leaf = np.ones(leaves.shape[:2], dtype=bool)  # per slot of a level: a leaf slot, or padding over one leaf
+    for level in reversed(range(leaves.shape[1].bit_length() - 1)):
+        slots = keys[:, 2**level - 1 : 2 ** (level + 1) - 1]  # a view of the level's split slots
+        one_leaf = one_leaf[:, ::2] & one_leaf[:, 1::2] & (leaves[:, ::2] == leaves[:, 1::2]).all(axis=2) & (slots == 0)
+        slots[one_leaf], leaves = -np.inf, leaves[:, ::2]  # padding, which sorts first
+    table, index = np.unique(keys, return_inverse=True)
+    cut = int(np.isinf(keys).any())
+    return [[int(key.real), key.imag] for key in table[cut:].tolist()], index.reshape(keys.shape) - cut
+
+
+def _preorder(split, counts, k=0):
+    """The pre-order nodes of a stacked tree from slot ``k``; a padding slot (-1) is written as the one leaf under it."""
+    if k >= len(split):
+        return [counts[k - len(split)]]
+    if split[k] < 0:
+        return _preorder(split, counts, 2 * k + 1)
+    return [split[k], *_preorder(split, counts, 2 * k + 1), *_preorder(split, counts, 2 * k + 2)]
 
 
 def model_to_json(model: FusionModel) -> str:
     forest = model.forest
+    table, split = _split_table(forest)
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -446,8 +460,8 @@ def model_to_json(model: FusionModel) -> str:
             "feature_set": list(forest.feature_set),
             "max_depth": forest.max_depth,
             "seed": forest.seed,
-            "trees": [_preorder(*tree) for tree in
-                      zip(*(a.tolist() for a in (forest.feature, forest.threshold, forest.counts)))],
+            "splits": table,
+            "trees": [_preorder(*tree) for tree in zip(split.tolist(), forest.counts.tolist())],
         },
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -478,9 +492,11 @@ def _feature_set(doc: dict) -> tuple[str, ...]:
     return names
 
 
-def _forest_arrays(trees, n_features: int, max_depth: int):
-    """The stacked arrays of version-3 pre-order trees, checked, at the depth of their deepest leaf."""
+def _forest_arrays(trees, table, n_features: int, max_depth: int):
+    """The stacked arrays of version-4 pre-order trees and their split table, checked, at their deepest leaf's depth."""
     check_forest_size(len(trees), max_depth)
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in table):
+        raise ValueError("each forest.splits entry must be a [feature, threshold] pair")
     splits, leaves = [], []  # (tree, level-order index, depth, node), in file order
     for t, nodes in enumerate(trees):
         owed = [(0, 0)]  # the (level-order index, depth) of each node still to read, the next last
@@ -490,18 +506,18 @@ def _forest_arrays(trees, n_features: int, max_depth: int):
             k, depth = owed.pop()
             if depth > max_depth:
                 raise ValueError(f"tree {t} reaches depth {depth}, deeper than max_depth {max_depth}")
-            if not isinstance(node, list) or len(node) not in (2, 3):
-                raise ValueError("each node must be a [feature, threshold] split or a [short, mid, long] leaf")
-            (splits if len(node) == 2 else leaves).append((t, k, depth, node))
-            owed += [(2 * k + 2, depth + 1), (2 * k + 1, depth + 1)] if len(node) == 2 else []
+            if not (type(node) is int and 0 <= node < len(table) or isinstance(node, list) and len(node) == 3):
+                raise ValueError(f"tree {t}: each node must be a [short, mid, long] leaf or a forest.splits index")
+            (splits if type(node) is int else leaves).append((t, k, depth, node))  # a JSON true or false is no int
+            owed += [(2 * k + 2, depth + 1), (2 * k + 1, depth + 1)] if type(node) is int else []
         if owed:
             raise ValueError(f"tree {t} ends before its last leaf")
     kinds = "split features and leaf counts must be integers, thresholds finite numbers"
-    if not {type(v) for *_, node in splits + leaves for v in node} <= {int, float}:
+    if not {type(v) for values in (*table, *(leaf[3] for leaf in leaves)) for v in values} <= {int, float}:
         raise ValueError(kinds)  # a JSON true or false included: numpy would read it as 1 or 0
-    feature, threshold = (np.array([node[i] for *_, node in splits]) for i in (0, 1))
+    feature, threshold = (np.array([pair[i] for pair in table]) for i in (0, 1))
     depth, counts = (np.array([leaf[i] for leaf in leaves]) for i in (2, 3))
-    if (splits and (feature.dtype.kind != "i" or threshold.dtype.kind not in "if") or counts.dtype.kind != "i"
+    if (table and (feature.dtype.kind != "i" or threshold.dtype.kind not in "if") or counts.dtype.kind != "i"
             or not np.isfinite(threshold).all()):
         raise ValueError(kinds)
     outside = feature[(feature < 0) | (feature >= n_features)]
@@ -509,9 +525,9 @@ def _forest_arrays(trees, n_features: int, max_depth: int):
         raise ValueError(f"split feature {outside[0]} is outside a set of {n_features}")
     if (counts < 0).any() or not counts.sum(axis=1).all():
         raise ValueError("leaf counts must be >= 0 with at least one record per leaf")
-    d, t, k = depth.max(), *np.array([split[:2] for split in splits], dtype=np.int64).reshape(-1, 2).T
+    d, (t, k, _, i) = depth.max(), np.array(splits, dtype=np.int64).reshape(-1, 4).T
     feature_slots, threshold_slots = np.zeros((2, len(trees), 2**d - 1))
-    feature_slots[t, k], threshold_slots[t, k] = feature, threshold
+    feature_slots[t, k], threshold_slots[t, k] = feature[i], threshold[i]
     leaf_slots = np.repeat(counts, 1 << (d - depth), axis=0)  # pre-order meets the leaves left to right
     return feature_slots.astype(np.int64), threshold_slots, leaf_slots.reshape(len(trees), 2**d, 3)
 
@@ -530,7 +546,8 @@ def load_model(path) -> FusionModel:
                              "retrain the model with survival-train")
         ols_features, forest_features = _feature_set(ols), _feature_set(forest)
         max_depth = _field(forest, "max_depth", int)
-        trees = _forest_arrays(_field(forest, "trees", list), len(forest_features), max_depth)
+        trees = _forest_arrays(_field(forest, "trees", list), _field(forest, "splits", list), len(forest_features),
+                               max_depth)
         coefficients = _field(ols, "coefficients", list)
         if len(coefficients) != len(ols_features) + 1:
             raise ValueError(f"{len(coefficients)} OLS coefficients for {len(ols_features)} "

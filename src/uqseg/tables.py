@@ -1,4 +1,4 @@
-"""CSV input/output: survival features, predictions, per-case result and report rows.
+"""CSV input/output: survival features, predictions, cross-validation folds, per-case result and report rows.
 
 All writers produce deterministic bytes: rows sorted by case_id, RFC 4180
 quoting, floats via repr.
@@ -20,6 +20,7 @@ from .uncertainty import UncertaintyEvalCurve
 
 SURVIVAL_COLUMNS = tuple(f.name for f in fields(SurvivalRecord))
 PREDICTION_COLUMNS = ("case_id", "predicted_days")
+CV_COLUMNS = ("fold", "fused_accuracy", "ols_accuracy")
 
 # The results file lists regions as et, wt, tc, not in REGION_ORDER.
 _RESULT_REGIONS = (RegionLabel.ENHANCING_TUMOR, RegionLabel.WHOLE_TUMOR, RegionLabel.TUMOR_CORE)
@@ -97,6 +98,10 @@ def read_survival_table(path) -> list[SurvivalRecord]:
 
 def write_predictions_table(path, rows: Iterable[tuple[str, float]]) -> None:
     _write_rows(path, PREDICTION_COLUMNS, sorted(rows, key=lambda r: r[0]))
+
+
+def write_cv_table(path, rows: Iterable[tuple]) -> None:
+    _write_rows(path, CV_COLUMNS, rows)
 
 
 def write_results_table(path, records: list[dict], summary: bool = True) -> None:

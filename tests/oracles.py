@@ -6,8 +6,10 @@ and losses by scalar math-module arithmetic. The superseded full-volume
 kernels, the first-appearance component relabel, the ``find_objects`` box and
 full-grid gather, the one-call gzip codec, the float64 read, label and
 fusion paths, the full-volume fusion, certainty and concatenated-payload
-writer, the recursive survival forest and the version-2 model file's tree rows
-kept below are the references their rewrites must equal.
+writer, the recursive survival forest, and the tree writers and readers of
+the version-2 model file (one padded row per tree) and the version-3 one
+(pre-order trees, each split written in full) kept below are the references
+their rewrites must equal.
 """
 import gzip
 import math
@@ -510,3 +512,58 @@ def v2_tree_arrays(rows, n_features, max_depth):
     if (counts < 0).any() or not counts.sum(axis=2).all():
         raise ValueError("leaf counts must be >= 0 with at least one record per leaf")
     return feature.astype(np.int64), threshold.astype(np.float64), counts.astype(np.int64)
+
+
+def v3_preorder(feature, threshold, counts, k=0):
+    """The former model file's nodes of one stacked tree from slot ``k``, in pre-order: a ``[feature, threshold]``
+    split, a ``[short, mid, long]`` leaf, and a subtree of padding written as its one leaf."""
+    if k >= len(feature):
+        return [counts[k - len(feature)]]
+    left, right = (v3_preorder(feature, threshold, counts, child) for child in (2 * k + 1, 2 * k + 2))
+    if len(left) == 1 and left == right and (feature[k], threshold[k]) == (0, 0.0):
+        return left  # padding: split slots (0, 0.0) over leaf slots of one leaf's counts
+    return [[feature[k], threshold[k]], *left, *right]
+
+
+def v3_trees(feature, threshold, counts):
+    """The version-3 model file's ``forest.trees``: one pre-order node list per stacked tree."""
+    return [v3_preorder(*tree) for tree in zip(*(a.tolist() for a in (feature, threshold, counts)))]
+
+
+def v3_tree_arrays(trees, n_features, max_depth):
+    """The version-3 model file's reader: the stacked arrays of its pre-order trees, checked, at the deepest leaf's depth."""
+    if not trees or not 0 <= max_depth <= 10:
+        raise ValueError(f"{len(trees)} trees of max_depth {max_depth} cannot be stacked")
+    splits, leaves = [], []  # (tree, level-order index, depth, node), in file order
+    for t, nodes in enumerate(trees):
+        owed = [(0, 0)]  # the (level-order index, depth) of each node still to read, the next last
+        for node in nodes:
+            if not owed:
+                raise ValueError(f"tree {t} has nodes after its last leaf")
+            k, depth = owed.pop()
+            if depth > max_depth:
+                raise ValueError(f"tree {t} reaches depth {depth}, deeper than max_depth {max_depth}")
+            if not isinstance(node, list) or len(node) not in (2, 3):
+                raise ValueError("each node must be a [feature, threshold] split or a [short, mid, long] leaf")
+            (splits if len(node) == 2 else leaves).append((t, k, depth, node))
+            owed += [(2 * k + 2, depth + 1), (2 * k + 1, depth + 1)] if len(node) == 2 else []
+        if owed:
+            raise ValueError(f"tree {t} ends before its last leaf")
+    kinds = "split features and leaf counts must be integers, thresholds finite numbers"
+    if not {type(v) for *_, node in splits + leaves for v in node} <= {int, float}:
+        raise ValueError(kinds)  # a JSON true or false included: numpy would read it as 1 or 0
+    feature, threshold = (np.array([node[i] for *_, node in splits]) for i in (0, 1))
+    depth, counts = (np.array([leaf[i] for leaf in leaves]) for i in (2, 3))
+    if (splits and (feature.dtype.kind != "i" or threshold.dtype.kind not in "if") or counts.dtype.kind != "i"
+            or not np.isfinite(threshold).all()):
+        raise ValueError(kinds)
+    outside = feature[(feature < 0) | (feature >= n_features)]
+    if outside.size:
+        raise ValueError(f"split feature {outside[0]} is outside a set of {n_features}")
+    if (counts < 0).any() or not counts.sum(axis=1).all():
+        raise ValueError("leaf counts must be >= 0 with at least one record per leaf")
+    d, t, k = depth.max(), *np.array([split[:2] for split in splits], dtype=np.int64).reshape(-1, 2).T
+    feature_slots, threshold_slots = np.zeros((2, len(trees), 2**d - 1))
+    feature_slots[t, k], threshold_slots[t, k] = feature, threshold
+    leaf_slots = np.repeat(counts, 1 << (d - depth), axis=0)  # pre-order meets the leaves left to right
+    return feature_slots.astype(np.int64), threshold_slots, leaf_slots.reshape(len(trees), 2**d, 3)

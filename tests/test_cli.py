@@ -836,17 +836,19 @@ def write_cohort_csv(path, n=30, seed=0):
 
 SMALL_FOREST_CONFIG = "survival:\n  n_trees: 25\n"
 ROW_TYPES = "split features and leaf counts must be integers, thresholds finite numbers"
-NODE_SHAPES = "each node must be a [feature, threshold] split or a [short, mid, long] leaf"
+NODE_SHAPES = "tree 0: each node must be a [short, mid, long] leaf or a forest.splits index"
+SPLIT_SHAPE = "each forest.splits entry must be a [feature, threshold] pair"
 
 
 def split_node(doc):
-    """The first ``[feature, threshold]`` node of a model JSON document."""
-    return next(node for nodes in doc["forest"]["trees"] for node in nodes if len(node) == 2)
+    """The ``forest.splits`` entry, ``[feature, threshold]``, of the first split node of a model JSON document."""
+    return doc["forest"]["splits"][next(node for nodes in doc["forest"]["trees"] for node in nodes
+                                        if type(node) is int)]
 
 
 def leaf_node(doc):
     """The first ``[short, mid, long]`` node of a model JSON document."""
-    return next(node for node in doc["forest"]["trees"][0] if len(node) == 3)
+    return next(node for node in doc["forest"]["trees"][0] if isinstance(node, list))
 
 
 class TestSurvivalCommands:
@@ -883,9 +885,11 @@ class TestSurvivalCommands:
         write_cohort_csv(features, n=15)
         config = tmp_path / "conf.yaml"
         config.write_text(SMALL_FOREST_CONFIG)
-        result = invoke(runner, ["survival-cv", "--features-csv", str(features),
-                                 "--folds", "3", "--seed", "1", "--config", str(config)])
-        assert result.output.splitlines()[0] == "fold,fused_accuracy,ols_accuracy"
+        args = ["survival-cv", "--features-csv", str(features), "--folds", "3", "--seed", "1", "--config", str(config)]
+        lines = invoke(runner, args).output.splitlines()
+        assert lines[0] == "fold,fused_accuracy,ols_accuracy" and len(lines) == 5
+        invoke(runner, [*args, "--out-csv", str(tmp_path / "cv.csv")])  # the same rows, CSV line ends
+        assert (tmp_path / "cv.csv").read_bytes() == "".join(line + "\r\n" for line in lines).encode()
 
     def test_malformed_model_is_usage_error(self, runner, tmp_path):
         features = tmp_path / "features.csv"
@@ -978,9 +982,10 @@ class TestSurvivalCommands:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda d: d.update(version=1), "format version 1 is not 3; retrain the model"),
-            (lambda d: d.update(version=2), "format version 2 is not 3; retrain the model"),
-            (lambda d: split_node(d).pop(), NODE_SHAPES),
+            (lambda d: d.update(version=1), "format version 1 is not 4; retrain the model"),
+            (lambda d: d.update(version=2), "format version 2 is not 4; retrain the model"),
+            (lambda d: d.update(version=3), "format version 3 is not 4; retrain the model"),
+            (lambda d: split_node(d).pop(), SPLIT_SHAPE),
             (lambda d: leaf_node(d).append(1), NODE_SHAPES),
             (lambda d: d["forest"]["trees"][0].pop(), "tree 0 ends before its last leaf"),
             (lambda d: d["forest"]["trees"][0].append([1, 0, 0]), "tree 0 has nodes after its last leaf"),
@@ -991,10 +996,13 @@ class TestSurvivalCommands:
              "leaf counts must be >= 0 with at least one record per leaf"),
             (lambda d: leaf_node(d).__setitem__(0, True), ROW_TYPES),
             (lambda d: split_node(d).__setitem__(1, float("nan")), ROW_TYPES),
+            (lambda d: d["forest"]["trees"][0].__setitem__(0, len(d["forest"]["splits"])), NODE_SHAPES),
+            (lambda d: d["forest"]["trees"][0].__setitem__(0, False), NODE_SHAPES),
+            (lambda d: d["forest"]["trees"][0].__setitem__(0, split_node(d)), NODE_SHAPES),
         ],
-        ids=["version-1", "version-2", "ragged-splits", "ragged-counts", "tree-ends-early", "nodes-after-last-leaf",
+        ids=["version-1", "version-2", "version-3", "ragged-splits", "ragged-counts", "tree-ends-early", "nodes-after-last-leaf",
              "deeper-than-max-depth", "feature-outside", "negative-count", "empty-leaf", "boolean-count",
-             "nan-threshold"],
+             "nan-threshold", "index-past-the-table", "boolean-node", "feature-threshold-node"],
     )
     def test_refused_model_rows_are_usage_error(self, runner, tmp_path, edit, message):
         features = tmp_path / "features.csv"

@@ -225,6 +225,19 @@ class TestNifti:
             tracemalloc.stop()
         assert peak < 2 << 20
 
+    def test_header_behind_a_long_file_name_is_found(self, tmp_path):
+        """A 100 KiB FNAME field puts the NIfTI header past any one bounded probe; it is still read, and still caps."""
+        write_nifti(Volume3D(np.ones((2, 2, 2))), tmp_path / "small.nii", dtype="uint8")
+        volume, name = (tmp_path / "small.nii").read_bytes(), b"n" * (100 << 10) + b"\0"
+        for stem, payloads in (("named", [volume]), ("bomb", [volume, *[bytes(1 << 20)] * 4])):
+            member = self.gzip_member(*payloads)
+            path = tmp_path / f"{stem}.nii.gz"
+            path.write_bytes(member[:3] + bytes([member[3] | 0x08]) + member[4:10] + name + member[10:])  # FNAME
+            assert gzip.decompress(path.read_bytes()) == b"".join(payloads)
+        assert np.array_equal(read_nifti(tmp_path / "named.nii.gz")[0].data, np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="bomb.nii.gz: gzip stream inflates past the 360 bytes its header declares"):
+            read_nifti(tmp_path / "bomb.nii.gz")
+
     def test_stated_size_past_the_deflate_ratio_is_not_allocated(self, tmp_path):
         """A member whose trailer states 4 GiB is refused without a buffer of that size."""
         blob = bytearray(craft_nifti_bytes(np.zeros((2, 2, 2), dtype="<f4"), 16, 32))

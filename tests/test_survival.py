@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import TreeNode, v2_tree_arrays, v2_tree_rows
+from oracles import TreeNode, v2_tree_arrays, v2_tree_rows, v3_tree_arrays, v3_trees
 from uqseg.refine import SegmentationSet
 from uqseg.survival import (
     CLASS_ORDER,
@@ -37,13 +37,30 @@ def rec(case_id, age, n_tumors=1, n_cores=1, survival=None):
 
 
 def first_split(doc):
-    """The first ``[feature, threshold]`` split node of the first tree that splits, in a model JSON document."""
-    return next(node for nodes in doc["forest"]["trees"] for node in nodes if len(node) == 2)
+    """The ``forest.splits`` entry, ``[feature, threshold]``, of the first split node in a model JSON document."""
+    return doc["forest"]["splits"][next(node for nodes in doc["forest"]["trees"] for node in nodes
+                                        if type(node) is int)]
 
 
 def first_leaves(doc):
     """The ``[short, mid, long]`` leaf nodes of the first tree, in pre-order, in a model JSON document."""
-    return [node for node in doc["forest"]["trees"][0] if len(node) == 3]
+    return [node for node in doc["forest"]["trees"][0] if isinstance(node, list)]
+
+
+def full_splits(doc):
+    """The trees of a model JSON document with each split index replaced by its ``[feature, threshold]`` entry."""
+    table = doc["forest"]["splits"]
+    return [[table[node] if type(node) is int else node for node in nodes] for nodes in doc["forest"]["trees"]]
+
+
+def as_version_3(doc):
+    """Rewrite a model JSON document as the version-3 file of the same model: each split node written in full."""
+    doc["forest"]["trees"] = full_splits(doc)
+    del doc["forest"]["splits"]
+    doc["version"] = 3
+
+
+NODE = r"each node must be a \[short, mid, long\] leaf or a forest.splits index"
 
 
 class TestSurvivalRecord:
@@ -401,9 +418,15 @@ class TestPersistence:
             load_model(path)
 
     def test_tree_count_is_the_stored_trees(self, tmp_path):
+        """The file holds every field the benchmark's model check reads, in the shape it reads them."""
         model = self.fit_small_fusion()
         doc = json.loads(model_to_json(model))
         assert "n_trees" not in doc["forest"] and len(doc["forest"]["trees"]) == 21
+        assert doc["ols"]["feature_set"] == ["age"]
+        intercept, slope = doc["ols"]["coefficients"]
+        assert [intercept, slope] == model.ols.coefficients.tolist()
+        assert doc["ols"]["cap_days"] == model.ols.cap_days == 1000.0
+        assert doc["override_days"] == {"short": 299.0, "mid": 375.0, "long": 451.0}
         path = tmp_path / "model.json"
         del doc["forest"]["trees"][3:]
         path.write_text(json.dumps(doc))
@@ -414,10 +437,17 @@ class TestPersistence:
         [
             (lambda d: d.pop("bins"), "lacks key 'bins'"),
             (lambda d: d["forest"].pop("seed"), "lacks key 'seed'"),
-            (lambda d: first_leaves(d)[0].append(0),
-             r"a \[feature, threshold\] split or a \[short, mid, long\] leaf"),
-            (lambda d: first_split(d).pop(), r"each node must be a \[feature, threshold\] split"),
-            (lambda d: d["forest"]["trees"][0].__setitem__(0, 7), r"must be a \[feature, threshold\] split or a"),
+            (lambda d: first_split(d).append(0), r"a \[feature, threshold\] pair"),
+            (lambda d: first_leaves(d)[0].append(0), NODE),
+            (lambda d: d["forest"]["splits"].__setitem__(0, 7), r"must be a \[feature, threshold\] pair"),
+            pytest.param(lambda d: d["forest"]["trees"][0].__setitem__(0, len(d["forest"]["splits"])), NODE,
+                         id="index-past-the-table"),
+            pytest.param(lambda d: d["forest"]["trees"][0].__setitem__(0, -1), NODE, id="negative-index"),
+            pytest.param(lambda d: d["forest"]["trees"][0].__setitem__(0, True), NODE, id="boolean-node"),
+            pytest.param(lambda d: d["forest"]["trees"][0].__setitem__(0, list(first_split(d))), NODE,
+                         id="feature-threshold-node"),
+            pytest.param(lambda d: d["forest"].pop("splits"), "lacks key 'splits'", id="no-split-table"),
+            pytest.param(lambda d: d["forest"].update(splits={}), "'splits' is a dict", id="split-table-not-a-list"),
             (lambda d: d["forest"]["trees"][0].pop(), "tree 0 ends before its last leaf"),
             (lambda d: d["forest"]["trees"][0].append([1, 0, 0]), "tree 0 has nodes after its last leaf"),
             (lambda d: d["forest"].update(trees=[]), r"n_trees must be an integer in \[1, inf\], got 0"),
@@ -428,10 +458,12 @@ class TestPersistence:
             (lambda d: d.update(version=2.0), "'version' is a float"),
             (lambda d: d.update(version=1, forest={**d["forest"], "n_trees": 1,
                                                    "trees": [TreeNode((3, 1, 0)).to_dict()]}),
-             "format version 1 is not 3; retrain the model with survival-train"),
+             "format version 1 is not 4; retrain the model with survival-train"),
             (lambda d: d.update(version=2, forest={**d["forest"], "trees": v2_tree_rows(
                 np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0)), np.array([[[3, 1, 0]]]))}),
-             "format version 2 is not 3; retrain the model with survival-train"),
+             "format version 2 is not 4; retrain the model with survival-train"),
+            pytest.param(as_version_3, "format version 3 is not 4; retrain the model with survival-train",
+                         id="version-3"),
             (lambda d: d["ols"].update(coefficients=["x", "y"]), "bad survival model"),
             (lambda d: d.update(forest=[]), "'forest' is a list"),
             (lambda d: d["forest"].update(feature_set=["agee", "n_tumors", "n_cores"]),
@@ -498,11 +530,17 @@ PARENT_V2_TREES = json.loads(
     "[[1,0,0],[1.5,45.0,0.0],[[1,0,0],[1,0,4],[0,2,0],[0,2,0]]],"
     "[[0,1,0],[67.5,2.5,0.0],[[0,3,1],[2,0,0],[2,0,0],[2,0,0]]]]"
 )
+# the version-3 file's trees of the same fit: each right branch is one leaf
+PARENT_V3_TREES = [
+    [[0, 52.5], [0, 45.0], [2, 0, 0], [0, 0, 2], [4, 0, 0]],
+    [[1, 1.5], [0, 45.0], [1, 0, 0], [1, 0, 4], [0, 2, 0]],
+    [[0, 67.5], [1, 2.5], [0, 3, 1], [2, 0, 0], [2, 0, 0]],
+]
 PARENT_RECORDS = [rec(f"c{i}", float(age), tumors, 1, survival=float(days)) for i, (age, tumors, days) in enumerate(
     [(40, 1, 100), (45, 2, 350), (50, 1, 600), (55, 3, 120), (60, 1, 400), (65, 2, 700), (70, 1, 200), (75, 1, 500)])]
 
 
-class TestFormatV3:
+class TestFormatV4:
     def test_seeded_round_trips_are_bit_exact(self, tmp_path):
         """Depths 0-4, 1-50 trees, tied features and pure nodes: the file holds the fitted arrays exactly."""
         depths = set()
@@ -516,41 +554,63 @@ class TestFormatV3:
             loaded = load_model(path)
             assert all(map(bit_equal, forest_arrays(loaded.forest), forest_arrays(model.forest))), seed
             assert model_to_json(loaded) == text, seed
-            rows = v2_tree_rows(*forest_arrays(model.forest))  # the version-2 file of the same fit
-            v2 = v2_tree_arrays(json.loads(json.dumps(rows)), 3, model.forest.max_depth)
-            assert all(map(bit_equal, v2, forest_arrays(loaded.forest))), seed
+            doc = json.loads(text)
+            table = [tuple(pair) for pair in doc["forest"]["splits"]]
+            assert table == sorted(set(table)), seed  # sorted and distinct
+            used = {node for nodes in doc["forest"]["trees"] for node in nodes if type(node) is int}
+            assert used == set(range(len(table))), seed  # every entry named by a split node
+            v3 = v3_trees(*forest_arrays(model.forest))  # the version-3 file of the same fit
+            assert full_splits(doc) == v3, seed
+            v2 = v2_tree_rows(*forest_arrays(model.forest))  # ... and the version-2 file
+            for former in (v3_tree_arrays(json.loads(json.dumps(v3)), 3, model.forest.max_depth),
+                           v2_tree_arrays(json.loads(json.dumps(v2)), 3, model.forest.max_depth)):
+                assert all(map(bit_equal, former, forest_arrays(loaded.forest))), seed
             depths.add(model.forest.counts.shape[1].bit_length() - 1)
         assert depths == {0, 1, 2, 3, 4}
 
     def test_parent_file_reads_as_the_new_file(self, tmp_path):
         model = fit_fusion(PARENT_RECORDS, seed=2, n_trees=3, max_depth=2)
         assert v2_tree_rows(*forest_arrays(model.forest)) == PARENT_V2_TREES
+        assert v3_trees(*forest_arrays(model.forest)) == PARENT_V3_TREES
         path = tmp_path / "model.json"
         save_model(model, path)
-        assert json.loads(path.read_text())["forest"]["trees"] == [  # each right branch is one leaf
-            [[0, 52.5], [0, 45.0], [2, 0, 0], [0, 0, 2], [4, 0, 0]],
-            [[1, 1.5], [0, 45.0], [1, 0, 0], [1, 0, 4], [0, 2, 0]],
-            [[0, 67.5], [1, 2.5], [0, 3, 1], [2, 0, 0], [2, 0, 0]],
+        forest = json.loads(path.read_text())["forest"]
+        assert forest["splits"] == [[0, 45.0], [0, 52.5], [0, 67.5], [1, 1.5], [1, 2.5]]
+        assert forest["trees"] == [
+            [1, 0, [2, 0, 0], [0, 0, 2], [4, 0, 0]],
+            [3, 0, [1, 0, 0], [1, 0, 4], [0, 2, 0]],
+            [2, 4, [0, 3, 1], [2, 0, 0], [2, 0, 0]],
         ]
-        parent = v2_tree_arrays(PARENT_V2_TREES, 3, 2)
-        assert all(map(bit_equal, parent, forest_arrays(load_model(path).forest)))
+        loaded = forest_arrays(load_model(path).forest)
+        for parent in (v2_tree_arrays(PARENT_V2_TREES, 3, 2), v3_tree_arrays(PARENT_V3_TREES, 3, 2)):
+            assert all(map(bit_equal, parent, loaded))
 
     def test_explicit_padding_loads_as_its_collapsed_form(self, tmp_path):
-        deep = [[1, 1.5], [0, 50.0], [4, 0, 0], [0, 0, 2], [0, 1, 3]]
-        padded = [[0, 60.0], [0, 0.0], [5, 0, 0], [5, 0, 0], [0, 3, 1]]
-        collapsed = [[0, 60.0], [5, 0, 0], [0, 3, 1]]
-        zero_split = [[0, 0.0], [1, 0, 0], [0, 0, 1]]  # a (0, 0.0) split over two different leaves is no padding
+        splits = [[0, 0.0], [0, 50.0], [0, 60.0], [1, 1.5]]
+        deep = [3, 1, [4, 0, 0], [0, 0, 2], [0, 1, 3]]
+        padded = [2, 0, [5, 0, 0], [5, 0, 0], [0, 3, 1]]
+        collapsed = [2, [5, 0, 0], [0, 3, 1]]
+        zero_split = [0, [1, 0, 0], [0, 0, 1]]  # a (0, 0.0) split over two different leaves is no padding
         doc = json.loads(model_to_json(fit_fusion(separable_records(), n_trees=3)))
         models = {}
         for name, tree in (("padded", padded), ("collapsed", collapsed)):
-            doc["forest"].update(trees=[deep, tree, zero_split], max_depth=2)
+            doc["forest"].update(splits=splits, trees=[deep, tree, zero_split], max_depth=2)
             (tmp_path / name).write_text(json.dumps(doc))
             models[name] = load_model(tmp_path / name)
+            v3 = v3_tree_arrays(full_splits(doc), 3, 2)  # the same trees in the version-3 file
+            assert all(map(bit_equal, v3, forest_arrays(models[name].forest)))
         assert all(map(bit_equal, *(forest_arrays(m.forest) for m in models.values())))
         assert models["padded"].forest.threshold[1].tolist() == [60.0, 0.0, 0.0]
-        assert json.loads(model_to_json(models["padded"]))["forest"]["trees"] == [deep, collapsed, zero_split]
+        forest = json.loads(model_to_json(models["padded"]))["forest"]
+        assert (forest["splits"], forest["trees"]) == (splits, [deep, collapsed, zero_split])
         for age in (45.0, 55.0, 65.0):
             for tumors in (1, 2):
                 probe = rec("x", age, n_tumors=tumors)
                 assert (predict_forest_proba(models["padded"].forest, probe).tolist()
                         == predict_forest_proba(models["collapsed"].forest, probe).tolist())
+        # without the zero split, (0, 0.0) is padding only and leaves the table
+        doc["forest"].update(splits=splits, trees=[deep, padded])
+        (tmp_path / "no-zero-split").write_text(json.dumps(doc))
+        forest = json.loads(model_to_json(load_model(tmp_path / "no-zero-split")))["forest"]
+        assert forest["splits"] == splits[1:]
+        assert forest["trees"] == [[2, 0, [4, 0, 0], [0, 0, 2], [0, 1, 3]], [1, [5, 0, 0], [0, 3, 1]]]
