@@ -1,10 +1,8 @@
 """Batch command-line front end.
 
-Layout, named only by the functions below: prediction-pair directories hold
-``{region}_p`` and ``{region}_q`` per region (wt, tc, et), ``phantom`` writes
-one per case plus ``gt/{case}``; fused probabilities are ``{region}_prob``;
-label maps are ``{case}``; certainty maps are ``{case}_unc_{whole,core,enhance}``.
-An input is found as ``.nii.gz`` or ``.nii``; an output a command names is ``.nii.gz``.
+Each subcommand parses its options, builds its plan of cases and runs one
+:mod:`uqseg.stages` function per case. Every file name it reads or writes
+comes from :class:`uqseg.stages.CaseLayout`, the one owner of the layout.
 
 Exit codes: 0 success, 1 when a case failed (``error: <name>: <exc>``), 2
 configuration or usage error, a missing input file included. Progress and
@@ -13,6 +11,7 @@ summaries go to stderr; results go to files.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import click
@@ -20,51 +19,13 @@ import numpy as np
 
 from .atomic import write_atomic
 from .config import PipelineConfig, default_config_yaml, load_config
-from .ensemble import PredictionPair, ensemble_with_flips
-from .metrics import compare_masks
-from .nifti import read_label_volume, read_nifti, write_nifti
-from .phantom import PRESETS, generate_phantom
-from .refine import (
-    REGION_ORDER,
-    brats_labels_to_masks,
-    masks_to_brats_labels,
-    refine_segmentation,
-)
-from .survival import (
-    fit_fusion,
-    fit_ols,
-    load_model,
-    predict_fused,
-    save_model,
-    cross_validate,
-    extract_features,
-)
-from .tables import (
-    AUC_FIELDS,
-    CV_COLUMNS,
-    METRIC_FIELDS,
-    cell,
-    read_case_table,
-    read_survival_table,
-    write_cv_table,
-    write_predictions_table,
-    write_results_table,
-    write_survival_table,
-)
-from .uncertainty import (
-    certainty_from_q,
-    certainty_negative_only,
-    certainty_symmetric,
-    evaluate_uncertainty,
-    negative_only_uncertainty_raw,
-    symmetric_uncertainty_raw,
-)
-from .volumes import Axis, require_same_grid, require_within, standardize_nonzero
-
-REGION_KEYS = tuple(region.value for region in REGION_ORDER)
-CHALLENGE_NAMES = {"wt": "whole", "tc": "core", "et": "enhance"}
-
-_NIFTI_SUFFIXES = (".nii.gz", ".nii")
+from .phantom import PRESETS
+from .stages import (CHALLENGE_NAMES, REGION_KEYS, CaseLayout, case_features, certainty_map, fuse_region,  # noqa: F401
+                     refine_case, score_case, standardize_file, write_phantom_case)  # benchmarks import the first two
+from .survival import cross_validate, fit_fusion, fit_ols, load_model, predict_fused, save_model
+from .tables import (CV_COLUMNS, read_case_table, read_survival_table, write_cv_table, write_predictions_table,
+                     write_results_table, write_survival_table)
+from .volumes import Axis
 
 # Input paths must exist and be of the named kind; click refuses the wrong kind with exit 2.
 _IN_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
@@ -78,40 +39,10 @@ def _config(config_path) -> PipelineConfig:
         raise click.UsageError(f"bad configuration: {exc}") from exc
 
 
-def _case_name(path: Path) -> str:
-    for suffix in _NIFTI_SUFFIXES:
-        if path.name.endswith(suffix):
-            return path.name[: -len(suffix)]
-    return path.name
-
-
 def _nifti_files(directory: Path) -> list[Path]:
-    files = sorted(p for p in directory.iterdir() if p.name.endswith(_NIFTI_SUFFIXES))
-    if not files:
+    if not (files := CaseLayout(directory).nifti_files()):
         raise click.UsageError(f"no NIfTI files in {directory}")
     return files
-
-
-def _gz_file(directory: Path, stem: str) -> Path:
-    return directory / f"{stem}.nii.gz"
-
-
-def _find_nifti(directory: Path, stem: str) -> Path:
-    """The existing ``{stem}.nii.gz`` or ``{stem}.nii`` in ``directory``, else the ``.nii.gz`` path."""
-    for suffix in _NIFTI_SUFFIXES:
-        candidate = directory / f"{stem}{suffix}"
-        if candidate.exists():
-            return candidate
-    return _gz_file(directory, stem)
-
-
-def _pair_files(pred_dir: Path, region: str, name=_find_nifti) -> tuple[Path, Path]:
-    """The p and q files of one region in a prediction-pair directory, as ``name`` finds them."""
-    return name(pred_dir, f"{region}_p"), name(pred_dir, f"{region}_q")
-
-
-def _cert_files(cert_dir: Path, case: str) -> dict[str, Path]:
-    return {region: _find_nifti(cert_dir, f"{case}_unc_{CHALLENGE_NAMES[region]}") for region in REGION_KEYS}
 
 
 def _require(command: str, paths) -> None:
@@ -180,12 +111,7 @@ def standardize(in_path: Path, out_path: Path):
         targets = [(f.name, f, out_path / f.name) for f in _nifti_files(in_path)]
     else:
         targets = [(in_path.name, in_path, out_path)]
-
-    def one_file(_, src, dst):
-        vol, header = read_nifti(src)
-        write_nifti(standardize_nonzero(vol), dst, header_template=header)
-
-    _run_cases(one_file, targets)
+    _run_cases(lambda _, src, dst: standardize_file(src, dst), targets)
 
 
 @main.command()
@@ -196,21 +122,10 @@ def standardize(in_path: Path, out_path: Path):
 def ensemble(pred_dirs, flips, out_dir: Path):
     """Fuse (p, q) prediction pairs into one probability volume per region."""
     axes = _parse_axes(flips)
-    plan = [(region, [_pair_files(d, region) for d in pred_dirs]) for region in REGION_KEYS]
-    _require("ensemble", [path for _, files in plan for pair in files for path in pair])
-
-    def one_region(region, files):
-        pairs = []
-        for p_path, q_path in files:
-            p, header = read_nifti(p_path)
-            q, _ = read_nifti(q_path)
-            try:
-                pairs.append(PredictionPair(p=p, q=q))
-            except ValueError as exc:
-                raise ValueError(f"{p_path}, {q_path}: {exc}") from exc
-        write_nifti(ensemble_with_flips(pairs, axes), _gz_file(out_dir, f"{region}_prob"), header_template=header)
-
-    _run_cases(one_region, plan)
+    plan = [(region, [CaseLayout(d).pair(region) for d in pred_dirs], CaseLayout(out_dir).prob(region))
+            for region in REGION_KEYS]
+    _require("ensemble", [path for _, files, _ in plan for pair in files for path in pair])
+    _run_cases(lambda _, files, out_file: fuse_region(files, axes, out_file), plan)
 
 
 @main.command()
@@ -224,23 +139,11 @@ def ensemble(pred_dirs, flips, out_dir: Path):
 def refine(prob_wt, prob_tc, prob_et, config_path, out_labels: Path, out_report, case_id):
     """Refine three probability channels into a BraTS label map."""
     cfg = _config(config_path)
-    _require("refine", [prob_wt, prob_tc, prob_et])
-
-    def one_case(case):
-        p_wt, header = read_nifti(prob_wt)
-        p_tc, _ = read_nifti(prob_tc, expect_dims=p_wt.dims)
-        p_et, _ = read_nifti(prob_et, expect_dims=p_wt.dims)
-        for p, path in ((p_wt, prob_wt), (p_tc, prob_tc), (p_et, prob_et)):
-            require_same_grid(p_wt, p, name=path)
-            require_within(p, 0.0, 1.0, f"{path}: p")
-        seg, report = refine_segmentation(p_wt, p_tc, p_et, cfg.refine)
-        if out_report is not None:  # first: a failed report write leaves no label map for evaluate
-            write_results_table(out_report, [{"case_id": case, **report.flat_record()}], summary=False)
-        write_nifti(masks_to_brats_labels(seg), out_labels, header_template=header, dtype="uint8")
-        for line in report.summary_lines():
-            click.echo(line, err=True)
-
-    _run_cases(one_case, [(case_id or _case_name(out_labels),)])
+    probs = (prob_wt, prob_tc, prob_et)
+    _require("refine", probs)
+    _run_cases(partial(refine_case, probs=probs, cfg=cfg.refine, out_labels=out_labels, out_report=out_report),
+               [(case_id or CaseLayout.case_name(out_labels),)],
+               write=lambda reports: [click.echo(line, err=True) for r in reports for line in r.summary_lines()])
 
 
 @main.command()
@@ -263,22 +166,7 @@ def uncertainty(prob_path, q_path, formula, raw, dtype, out_path: Path):
     if raw and formula == "flip":
         raise click.UsageError("--raw only applies to symmetric and negative-only formulas")
     _require("uncertainty", [src])
-
-    def one_file(_):
-        vol, header = read_nifti(src)
-        if formula == "flip":
-            cert = certainty_from_q(vol)
-        elif formula == "symmetric":
-            cert = symmetric_uncertainty_raw(vol) if raw else certainty_symmetric(vol)
-        elif raw:
-            cert = negative_only_uncertainty_raw(vol)
-        else:
-            cert = certainty_negative_only(vol)
-        if dtype == "uint8":
-            np.rint(cert.data, out=cert.data)  # every formula returns a fresh float64 array
-        write_nifti(cert, out_path, header_template=header, dtype=dtype)
-
-    _run_cases(one_file, [(src,)])
+    _run_cases(lambda _: certainty_map(src, formula, raw, dtype, out_path), [(src,)])
 
 
 @main.command()
@@ -293,35 +181,14 @@ def evaluate(pred_dir: Path, gt_dir: Path, cert_dir, out_csv: Path, jobs, config
     cfg = _config(config_path)
     plan, seen = [], {}
     for pred_file in _nifti_files(pred_dir):
-        case = _case_name(pred_file)
+        case = CaseLayout.case_name(pred_file)
         if case in seen:
             raise click.UsageError(f"evaluate: case {case!r} has two label maps: {seen[case]}, {pred_file}")
         seen[case] = pred_file
-        cert_files = None if cert_dir is None else _cert_files(cert_dir, case)
-        plan.append((case, pred_file, _find_nifti(gt_dir, case), cert_files))
+        plan.append((case, pred_file, CaseLayout(gt_dir).labels(case),
+                     None if cert_dir is None else CaseLayout(cert_dir).certainty(case)))
     _require("evaluate", [f for _, pred, gt, certs in plan for f in (*(certs or {}).values(), pred, gt)])
-
-    def one_case(case, pred_file, gt_file, cert_files):
-        pred_labels, _ = read_label_volume(pred_file)
-        gt_labels, _ = read_label_volume(gt_file, expect_dims=pred_labels.dims)
-        require_same_grid(pred_labels, gt_labels, name=gt_file)
-        pred_seg = brats_labels_to_masks(pred_labels)
-        gt_seg = brats_labels_to_masks(gt_labels)
-        row: dict[str, object] = {"case_id": case}
-        for region in REGION_ORDER:
-            pred_mask = pred_seg.mask(region)
-            gt_mask = gt_seg.mask(region)
-            result = compare_masks(pred_mask, gt_mask, hd95_empty_sentinel=cfg.hd95_empty_sentinel)
-            row.update({f"{name}_{region.value}": getattr(result, name) for name in METRIC_FIELDS})
-            if cert_files is not None:
-                cert, _ = read_nifti(cert_files[region.value], expect_dims=pred_labels.dims)
-                require_same_grid(pred_labels, cert, name=cert_files[region.value])
-                require_within(cert, 0.0, 100.0, f"{cert_files[region.value]}: certainty")
-                curve = evaluate_uncertainty(pred_mask, gt_mask, cert, cfg.uncertainty_thresholds)
-                row.update({f"{name}_{region.value}": getattr(curve, name) for name in AUC_FIELDS})
-        return row
-
-    _run_cases(one_case, plan, jobs, write=lambda rows: _write(out_csv, write_results_table, rows))
+    _run_cases(partial(score_case, cfg=cfg), plan, jobs, write=lambda rows: _write(out_csv, write_results_table, rows))
 
 
 @main.command()
@@ -340,20 +207,10 @@ def features(labels_dir: Path, meta_csv: Path, out_csv: Path, config_path):
         meta = read_case_table(meta_csv, required=("case_id", "age"))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    plan = [(row["case_id"], row, _find_nifti(labels_dir, row["case_id"])) for row in meta]
+    plan = [(row["case_id"], row, CaseLayout(labels_dir).labels(row["case_id"])) for row in meta]
     _require("features", [label_file for *_, label_file in plan])
-
-    def one_case(case, row, label_file):
-        labels, _ = read_label_volume(label_file)
-        return extract_features(
-            brats_labels_to_masks(labels),
-            age=cell(meta_csv, row, "age", float),
-            connectivity=cfg.refine.connectivity,
-            case_id=case,
-            survival_days=cell(meta_csv, row, "survival_days", float) if row.get("survival_days") else None,
-        )
-
-    _run_cases(one_case, plan, write=lambda records: _write(out_csv, write_survival_table, records))
+    _run_cases(partial(case_features, meta_csv=meta_csv, connectivity=cfg.refine.connectivity), plan,
+               write=lambda records: _write(out_csv, write_survival_table, records))
 
 
 @main.command("survival-train")
@@ -430,19 +287,12 @@ def phantom(preset, seed, count, out_dir: Path, config_path):
     cfg = _config(config_path)
     make = PRESETS[preset or cfg.phantom.preset]
     try:  # dims too small for a preset's spheres are a configuration error, found before anything is written
-        plan = [(f"phantom-{s:04d}", make(s, dims=cfg.phantom.dims)) for s in range(seed, seed + count)]
+        plan = [(CaseLayout.phantom_case(s), make(s, dims=cfg.phantom.dims)) for s in range(seed, seed + count)]
     except ValueError as exc:
         raise click.UsageError(f"bad configuration: {exc}") from exc
 
     def one_case(case, spec):
-        data = generate_phantom(spec)
-        (out_dir / case).mkdir(parents=True, exist_ok=True)  # a file in its place is named as the case's error
-        # the ground truth first: a failed write leaves no prediction pairs for ensemble
-        write_nifti(masks_to_brats_labels(data.gt), _gz_file(out_dir / "gt", case), dtype="uint8")
-        for region in REGION_ORDER:
-            p_file, q_file = _pair_files(out_dir / case, region.value, _gz_file)
-            write_nifti(data.p[region], p_file)
-            write_nifti(data.q[region], q_file)
+        write_phantom_case(case, spec, CaseLayout(out_dir))
         click.echo(f"generated {case}", err=True)
 
     _run_cases(one_case, plan)

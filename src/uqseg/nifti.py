@@ -303,10 +303,7 @@ def read_label_volume(path, expect_dims: tuple[int, int, int] | None = None) -> 
     from .refine import brats_labels_to_masks  # here: `import uqseg.nifti` loads only atomic and volumes
 
     vol, view = read_nifti(path, expect_dims)
-    try:
-        brats_labels_to_masks(vol)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    brats_labels_to_masks(vol, name=path)
     return vol, view
 
 

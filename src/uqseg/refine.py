@@ -233,18 +233,19 @@ def masks_to_brats_labels(s: SegmentationSet) -> Volume3D:
     return Volume3D(labels, s.wt.spacing)
 
 
-def brats_labels_to_masks(labels: Volume3D) -> SegmentationSet:
+def brats_labels_to_masks(labels: Volume3D, name="") -> SegmentationSet:
     """Reconstruct the nested masks: WT = {1,2,4}, TC = {1,4}, ET = {4}.
 
     Every value must equal a BraTS label exactly: the three label comparisons must count every
-    nonzero voxel, and only a map that fails is sorted to name its other values.
+    nonzero voxel, and only a map that fails is sorted to name its other values, after ``name``.
     """
     data = labels.data
     et, tc, wt = data == BRATS_ET, data == BRATS_CORE, data == BRATS_EDEMA
     if sum(map(np.count_nonzero, (et, tc, wt))) != np.count_nonzero(data):
         declared = [0, BRATS_CORE, BRATS_EDEMA, BRATS_ET]
         extra = [int(v) if v == int(v) else float(v) for v in np.unique(data) if v not in declared]
-        raise ValueError(f"label values {extra} outside declared set {declared}")
+        lead = f"{name}: " if name else ""
+        raise ValueError(f"{lead}label values {extra} outside declared set {declared}")
     tc |= et  # in place: three arrays per map, not five
     wt |= tc
     sp = labels.spacing

@@ -14,6 +14,7 @@ from uqseg.cli import main
 from uqseg.ensemble import PredictionPair, ensemble_with_flips
 from uqseg.nifti import read_nifti, write_nifti
 from uqseg.phantom import PhantomConfig
+from uqseg.refine import SegmentationSet
 from uqseg.tables import read_case_table, read_survival_table
 from uqseg.uncertainty import certainty_from_q
 from uqseg.volumes import Axis, Volume3D
@@ -790,6 +791,24 @@ class TestPipeline:
         rows = read_case_table(out)
         assert [r["case_id"] for r in rows] == ["good", "mean", "std"]
         assert float(rows[0]["dice_et"]) == 1.0
+
+    def test_each_label_map_is_read_into_masks_once(self, runner, tmp_path, monkeypatch):
+        """evaluate builds one mask set per label map it reads, two per case; features one per case."""
+        results = run_pipeline(runner, tmp_path, count=2)
+        builds = []
+        check_grid = SegmentationSet.__post_init__
+        monkeypatch.setattr(SegmentationSet, "__post_init__", lambda seg: builds.append(check_grid(seg)))
+        again = tmp_path / "again.csv"
+        invoke(runner, ["evaluate", "--pred-dir", str(tmp_path / "pred"), "--gt-dir", str(tmp_path / "cases" / "gt"),
+                        "--cert-dir", str(tmp_path / "cert"), "--out-csv", str(again)])
+        assert len(builds) == 4
+        assert again.read_bytes() == results.read_bytes()
+        builds.clear()
+        meta = tmp_path / "meta.csv"
+        meta.write_text("case_id,age\nphantom-0003,60\nphantom-0004,61\n")
+        invoke(runner, ["features", "--labels-dir", str(tmp_path / "pred"), "--meta-csv", str(meta),
+                        "--out-csv", str(tmp_path / "features.csv")])
+        assert len(builds) == 2
 
     def test_case_with_two_label_maps_is_usage_error(self, runner, tmp_path):
         pred = tmp_path / "pred"

@@ -363,7 +363,7 @@ class TestNifti:
     [0, 2, 4, 8, 0, 0, 2, 4],  # labels at slope 0.5 only
 ], ids=["bad", "labels", "doubled"])
 def test_label_rule_has_one_owner(tmp_path, dtype, slope, stored):
-    """``read_label_volume`` refuses exactly the maps ``brats_labels_to_masks`` refuses, in its words.
+    """``read_label_volume`` refuses exactly the maps ``brats_labels_to_masks`` refuses, in its words, after the path.
 
     Outside ``TestNifti``: plain ``.nii`` files never reach an inflater, so a zlib rerun would add nothing.
     """
@@ -379,6 +379,9 @@ def test_label_rule_has_one_owner(tmp_path, dtype, slope, stored):
         with pytest.raises(ValueError) as info:
             read_label_volume(path)
         assert str(info.value) == f"{path}: {exc}"
+        with pytest.raises(ValueError) as named:  # the check evaluate and features run on the masks they use
+            brats_labels_to_masks(vol, name=path)
+        assert str(named.value) == str(info.value)
     else:
         assert np.array_equal(read_label_volume(path)[0].data, vol.data)
 
