@@ -21,7 +21,7 @@ from pathlib import Path
 from .phantom import PhantomConfig
 from .refine import RefinementConfig, RegionLabel
 from .survival import ClassBins, SurvivalClass, SurvivalConfig, check_forest_size
-from .uncertainty import DEFAULT_THRESHOLDS
+from .uncertainty import DEFAULT_THRESHOLDS, check_thresholds
 
 ENV_CONFIG_PATH = "UQSEG_CONFIG"
 _MEMBER_NOUNS = {RegionLabel: "region", SurvivalClass: "survival class"}  # for unknown map keys
@@ -34,6 +34,9 @@ class PipelineConfig:
     hd95_empty_sentinel: float | None = None
     survival: SurvivalConfig = field(default_factory=SurvivalConfig)
     phantom: PhantomConfig = field(default_factory=PhantomConfig)
+
+    def __post_init__(self):
+        self.uncertainty_thresholds = check_thresholds(self.uncertainty_thresholds)
 
 
 def default_config_yaml() -> str:
@@ -153,7 +156,7 @@ def parse_config(doc: dict | None) -> PipelineConfig:
     sentinel = sections["metrics"]["hd95_empty_sentinel"]
     return PipelineConfig(
         refine=_section_config(RefinementConfig, sections["refine"]),
-        uncertainty_thresholds=tuple(float(t) for t in sections["uncertainty"]["thresholds"]),
+        uncertainty_thresholds=sections["uncertainty"]["thresholds"],
         hd95_empty_sentinel=None if sentinel is None else float(sentinel),
         survival=_section_config(SurvivalConfig, surv),
         phantom=_section_config(PhantomConfig, sections["phantom"]),
@@ -167,7 +170,10 @@ def load_config(path=None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     import yaml
-    doc = yaml.safe_load(Path(path).read_text())
-    if doc is not None and not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a mapping")
+    try:
+        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        if doc is not None and not isinstance(doc, dict):
+            raise ValueError("config must be a mapping")
+    except (ValueError, yaml.YAMLError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return parse_config(doc)

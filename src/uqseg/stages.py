@@ -16,7 +16,7 @@ from .nifti import read_nifti, write_nifti
 from .phantom import generate_phantom
 from .refine import REGION_ORDER, brats_labels_to_masks, masks_to_brats_labels, refine_segmentation
 from .survival import extract_features
-from .tables import AUC_FIELDS, METRIC_FIELDS, cell, write_results_table
+from .tables import AUC_FIELDS, METRIC_FIELDS, cell, survival_days, write_results_table
 from .uncertainty import (certainty_from_q, certainty_negative_only, certainty_symmetric, evaluate_uncertainty,
                           negative_only_uncertainty_raw, symmetric_uncertainty_raw)
 from .volumes import require_same_grid, require_within, standardize_nonzero
@@ -86,7 +86,7 @@ def standardize_file(src, dst) -> None:
 
 
 def fuse_region(files, axes, out) -> None:
-    """Fuse one region's (p, q) files in order into ``out``; a refused pair names both files."""
+    """Fuse one region's (p, q) files in order into ``out``; errors name a refused pair, or a p off the first's grid."""
     pairs = []
     for p_path, q_path in files:
         p, header = read_nifti(p_path)
@@ -95,20 +95,20 @@ def fuse_region(files, axes, out) -> None:
             pairs.append(PredictionPair(p=p, q=q))
         except ValueError as exc:
             raise ValueError(f"{p_path}, {q_path}: {exc}") from exc
+        require_same_grid(pairs[0].p, p, name=p_path)
     write_nifti(ensemble_with_flips(pairs, axes), out, header_template=header)
 
 
 def refine_case(case, probs, cfg, out_labels, out_report):
     """Refine the wt, tc and et probability files into a label map and report; p must lie in [0, 1] on wt's grid."""
-    p_wt, header = read_nifti(probs[0])
-    volumes = [p_wt, *(read_nifti(path, expect_dims=p_wt.dims)[0] for path in probs[1:])]
+    volumes, headers = zip(*map(read_nifti, probs))
     for p, path in zip(volumes, probs):
-        require_same_grid(p_wt, p, name=path)
+        require_same_grid(volumes[0], p, name=path)
         require_within(p, 0.0, 1.0, f"{path}: p")
     seg, report = refine_segmentation(*volumes, cfg)
     if out_report is not None:  # first: a failed report write leaves no label map for evaluate
         write_results_table(out_report, [{"case_id": case, **report.flat_record()}], summary=False)
-    write_nifti(masks_to_brats_labels(seg), out_labels, header_template=header, dtype="uint8")
+    write_nifti(masks_to_brats_labels(seg), out_labels, header_template=headers[0], dtype="uint8")
     return report
 
 
@@ -124,9 +124,9 @@ def score_case(case, pred_file, gt_file, cert_files, cfg) -> dict[str, object]:
     """A results row: Dice and HD95 per region, and the uncertainty AUCs when ``cert_files`` are given."""
     pred_labels, _ = read_nifti(pred_file)
     pred_seg = brats_labels_to_masks(pred_labels, name=pred_file)
-    gt_labels, _ = read_nifti(gt_file, expect_dims=pred_labels.dims)
-    gt_seg = brats_labels_to_masks(gt_labels, name=gt_file)
+    gt_labels, _ = read_nifti(gt_file)
     require_same_grid(pred_labels, gt_labels, name=gt_file)
+    gt_seg = brats_labels_to_masks(gt_labels, name=gt_file)
     row: dict[str, object] = {"case_id": case}
     for region in REGION_ORDER:
         pred_mask, gt_mask = pred_seg.mask(region), gt_seg.mask(region)
@@ -134,7 +134,7 @@ def score_case(case, pred_file, gt_file, cert_files, cfg) -> dict[str, object]:
         row.update({f"{name}_{region.value}": getattr(result, name) for name in METRIC_FIELDS})
         if cert_files is not None:
             cert_file = cert_files[region.value]
-            cert, _ = read_nifti(cert_file, expect_dims=pred_labels.dims)
+            cert, _ = read_nifti(cert_file)
             require_same_grid(pred_labels, cert, name=cert_file)
             require_within(cert, 0.0, 100.0, f"{cert_file}: certainty")
             curve = evaluate_uncertainty(pred_mask, gt_mask, cert, cfg.uncertainty_thresholds)
@@ -146,8 +146,7 @@ def case_features(case, row, label_file, meta_csv, connectivity):
     """A survival record: component counts from the label map, age and survival days from the ``meta_csv`` row."""
     labels, _ = read_nifti(label_file)
     seg, age = brats_labels_to_masks(labels, name=label_file), cell(meta_csv, row, "age", float)
-    days = cell(meta_csv, row, "survival_days", float) if row.get("survival_days") else None
-    return extract_features(seg, age, connectivity, case_id=case, survival_days=days)
+    return extract_features(seg, age, connectivity, case_id=case, survival_days=survival_days(meta_csv, row))
 
 
 def write_phantom_case(case, spec, out: CaseLayout) -> None:

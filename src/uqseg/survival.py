@@ -484,14 +484,6 @@ def _field(doc: dict, key: str, kind):
     return value
 
 
-def _feature_set(doc: dict) -> tuple[str, ...]:
-    names = tuple(_field(doc, "feature_set", list))
-    unknown = [name for name in names if name not in FEATURE_NAMES]
-    if unknown:
-        raise ValueError(f"unknown feature(s) {unknown}; expected names from {FEATURE_NAMES}")
-    return names
-
-
 def _forest_arrays(trees, table, n_features: int, max_depth: int):
     """The stacked arrays of version-4 pre-order trees and their split table, checked, at their deepest leaf's depth."""
     check_forest_size(len(trees), max_depth)
@@ -534,17 +526,17 @@ def _forest_arrays(trees, table, n_features: int, max_depth: int):
 
 def load_model(path) -> FusionModel:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: not a JSON survival model: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a survival fusion model file: {path}")
+        raise ValueError(f"{path}: not a survival fusion model file")
     try:
         bins, ols, forest = (_field(doc, key, dict) for key in ("bins", "ols", "forest"))
         if _field(doc, "version", int) != MODEL_VERSION:
             raise ValueError(f"format version {doc['version']} is not {MODEL_VERSION}; "
                              "retrain the model with survival-train")
-        ols_features, forest_features = _feature_set(ols), _feature_set(forest)
+        ols_features, forest_features = (tuple(_field(part, "feature_set", list)) for part in (ols, forest))
         max_depth = _field(forest, "max_depth", int)
         trees = _forest_arrays(_field(forest, "trees", list), _field(forest, "splits", list), len(forest_features),
                                max_depth)

@@ -52,15 +52,18 @@ def _write_rows(path, header: tuple[str, ...], rows: Iterable[Iterable]) -> None
 
 
 def read_case_table(path, required: tuple[str, ...] = ("case_id",)) -> list[dict[str, str]]:
-    """The rows of a CSV file as dicts; a missing required column or a case listed twice raises naming the file."""
+    """The rows of a UTF-8 CSV file as dicts; other text, a missing column or a repeated case raise naming the file."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [col for col in required if col not in header]
-        if missing:
-            raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    missing = [col for col in required if col not in header]
+    if missing:
+        raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
     if "case_id" in header:
         twice = [case for case, n in Counter(row["case_id"] for row in rows).items() if n > 1]
         if twice:
@@ -76,21 +79,25 @@ def cell(path, row: dict[str, str], column: str, convert):
         raise ValueError(f"{path}: case {row['case_id']!r}: bad {column} {row[column]!r}") from exc
 
 
+def survival_days(path, row: dict[str, str]) -> float | None:
+    """The row's survival days; a missing column or an empty cell is unknown (None)."""
+    return cell(path, row, "survival_days", float) if row.get("survival_days") else None
+
+
 def write_survival_table(path, records: Iterable[SurvivalRecord]) -> None:
     rows = [[getattr(r, col) for col in SURVIVAL_COLUMNS] for r in sorted(records, key=lambda r: r.case_id)]
     _write_rows(path, SURVIVAL_COLUMNS, rows)
 
 
 def read_survival_table(path) -> list[SurvivalRecord]:
-    rows = read_case_table(path, SURVIVAL_COLUMNS)
+    rows = read_case_table(path, SURVIVAL_COLUMNS[:-1])  # all but survival_days
     return [
         SurvivalRecord(
             case_id=row["case_id"],
             age=cell(path, row, "age", float),
             n_tumors=cell(path, row, "n_tumors", int),
             n_cores=cell(path, row, "n_cores", int),
-            survival_days=None if row["survival_days"] in ("", None)
-            else cell(path, row, "survival_days", float),
+            survival_days=survival_days(path, row),
         )
         for row in rows
     ]

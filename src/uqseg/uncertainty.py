@@ -64,6 +64,16 @@ def certainty_negative_only(x: Volume3D) -> Volume3D:
     return Volume3D(100.0 - negative_only_uncertainty_raw(x).data, x.spacing)
 
 
+def check_thresholds(thresholds) -> tuple[float, ...]:
+    """The certainty thresholds as floats, refused unless non-empty, within [0, 100] and ascending."""
+    taus = tuple(float(t) for t in thresholds)
+    if not taus or any(t < 0.0 or t > 100.0 for t in taus):
+        raise ValueError(f"thresholds must be non-empty and within [0, 100], got {taus}")
+    if any(b < a for a, b in zip(taus, taus[1:])):
+        raise ValueError("thresholds must be ascending")
+    return taus
+
+
 @dataclass
 class UncertaintyEvalCurve:
     thresholds: tuple[float, ...]
@@ -90,11 +100,7 @@ def evaluate_uncertainty(
     tau/100.
     """
     require_same_grid(seg, gt, cert)
-    taus = tuple(float(t) for t in thresholds)
-    if not taus or any(t < 0.0 or t > 100.0 for t in taus):
-        raise ValueError(f"thresholds must be non-empty and within [0, 100], got {taus}")
-    if any(b < a for a, b in zip(taus, taus[1:])):
-        raise ValueError("thresholds must be ascending")
+    taus = check_thresholds(thresholds)
 
     # "certainty < tau" counts per voxel category at every threshold: one sort per
     # category and one search over all thresholds, all in exact integers. The counts

@@ -424,13 +424,14 @@ def fault_rows(root):
 
     ``pair`` and ``labels`` are healthy; each ``pair-*`` and ``labels-*`` copy
     breaks its tc or c1 file, as ``cert`` its c1 whole-tumour map and
-    ``cert-spacing`` c1's three maps; ``p-spacing`` is a p map at 2 mm. Every
+    ``cert-spacing`` c1's three maps; ``p-spacing`` is a p map at 2 mm, and
+    ``pair-b-grid`` and ``pair-b-spacing`` hold a tc pair off ``pair``'s grid. Every
     healthy output goes under ``root / "out"``; ``phantom-out`` holds a
     regular file named ``gt``.
     """
     label_map = np.zeros((6, 6, 6), dtype=np.uint8)
     label_map[1:4, 1:4, 1:4] = 2
-    for name in ("pair", "pair-missing", "pair-directory", "pair-grid"):
+    for name in ("pair", "pair-missing", "pair-directory", "pair-grid", "pair-b-grid", "pair-b-spacing"):
         for region in ("wt", "tc", "et"):
             write_nifti(Volume3D(np.full((6, 6, 6), 0.7)), root / name / f"{region}_p.nii.gz")
             write_nifti(Volume3D(np.full((6, 6, 6), 0.1)), root / name / f"{region}_q.nii.gz")
@@ -455,6 +456,9 @@ def fault_rows(root):
     write_nifti(Volume3D(np.full((6, 6, 6), 250.0)), root / "cert" / "c1_unc_whole.nii.gz", dtype="uint8")
     write_nifti(Volume3D(np.full((6, 6, 6), 5.0)), root / "p-range.nii.gz")
     write_nifti(Volume3D(np.full((6, 6, 6), 0.7), (2.0, 2.0, 2.0)), root / "p-spacing.nii.gz")
+    for name, dims, spacing in (("pair-b-grid", (5, 5, 5), (1.0,) * 3), ("pair-b-spacing", (6, 6, 6), (2.0,) * 3)):
+        for value, kind in ((0.7, "p"), (0.1, "q")):
+            write_nifti(Volume3D(np.full(dims, value), spacing), root / name / f"tc_{kind}.nii.gz")
     (root / "pair-directory" / "tc_p.nii.gz").mkdir()
     (root / "labels-directory" / "c1.nii.gz").mkdir()
     small = root / "small.nii.gz"
@@ -462,10 +466,12 @@ def fault_rows(root):
         write_nifti(Volume3D(np.full((5, 5, 5), 0.1)), path)
     write_nifti(Volume3D(label_map[:5, :5, :5]), root / "labels-grid" / "c1.nii.gz", dtype="uint8")
     (root / "meta.csv").write_text("case_id,age\nc0,60\nc1,61\n")
+    (root / "meta-latin1.csv").write_bytes("case_id,age\nc0,60\nc1é,61\n".encode("latin-1"))
     write_cohort_csv(root / "features.csv", n=6)
     configs = {"small": SMALL_FOREST_CONFIG, "cap": "survival:\n  cap_days: -5\n",
                "prob": "survival:\n  override_prob: 7\n", "huge": f"survival:\n  cap_days: {'9' * 400}\n",
-               "bin": "survival:\n  override_days:\n    short: 400\n"}
+               "bin": "survival:\n  override_days:\n    short: 400\n", "typo": "refine: {base_threshold: 0.5\n",
+               "descending": "uncertainty:\n  thresholds: [50, 0]\n"}
     for name, text in configs.items():
         (root / f"{name}.yaml").write_text(text)
     small_forest = ["--config", str(root / "small.yaml")]
@@ -486,8 +492,8 @@ def fault_rows(root):
         return ["refine", "--prob-wt", str(root / "pair" / "wt_p.nii.gz"), "--prob-tc", str(tc),
                 "--prob-et", str(root / "pair" / "et_p.nii.gz"), *extra, "--out-labels", str(out / "l.nii.gz")]
 
-    def ensemble(pair):
-        return ["ensemble", "--pred", str(root / pair), "--out", str(out)]
+    def ensemble(*pairs):
+        return ["ensemble", *(arg for pair in pairs for arg in ("--pred", str(root / pair))), "--out", str(out)]
 
     def evaluate(pred="labels", gt="labels", target=out / "r.csv", *extra):
         return ["evaluate", "--pred-dir", str(root / pred), "--gt-dir", str(root / gt), *extra,
@@ -506,10 +512,17 @@ def fault_rows(root):
         ("ensemble-missing", ensemble("pair-missing"), 2, root / "pair-missing" / "tc_p.nii.gz", []),
         ("ensemble-directory", ensemble("pair-directory"), 1, root / "pair-directory" / "tc_p.nii.gz",
          untouched_regions),
-        ("ensemble-grid", ensemble("pair-grid"), 1, root / "pair-grid" / "tc_q.nii.gz", untouched_regions),
+        ("ensemble-grid", ensemble("pair-grid"), 1,
+         f"{root / 'pair-grid' / 'tc_q.nii.gz'}: dimension mismatch: (6, 6, 6) vs (5, 5, 5)", untouched_regions),
+        ("ensemble-pairs-grid", ensemble("pair", "pair-b-grid"), 1,
+         f"error: tc: {root / 'pair-b-grid' / 'tc_p.nii.gz'}: dimension mismatch: (6, 6, 6) vs (5, 5, 5)",
+         untouched_regions),
+        ("ensemble-pairs-spacing", ensemble("pair", "pair-b-spacing"), 1,
+         f"error: tc: {root / 'pair-b-spacing' / 'tc_p.nii.gz'}: spacing mismatch: (1.0, 1.0, 1.0) vs (2.0, 2.0, 2.0)",
+         untouched_regions),
         ("refine-missing", refine(none), 2, none, []),
         ("refine-directory", refine(directory), 1, directory, []),
-        ("refine-grid", refine(small), 1, small, []),
+        ("refine-grid", refine(small), 1, f"error: l: {small}: dimension mismatch: (6, 6, 6) vs (5, 5, 5)", []),
         ("refine-config", refine(root / "pair" / "tc_p.nii.gz", "--config", str(root / "cap.yaml")), 2, cap, []),
         ("refine-report-under-file", refine(root / "pair" / "tc_p.nii.gz", "--out-report", str(blocked)),
          1, blocked, []),
@@ -527,7 +540,9 @@ def fault_rows(root):
         ("evaluate-missing", evaluate(gt="labels-missing"), 2, root / "labels-missing" / "c1.nii.gz", []),
         ("evaluate-directory", evaluate(pred="labels-directory"), 1, root / "labels-directory" / "c1.nii.gz",
          [out / "r.csv"]),
-        ("evaluate-grid", evaluate(gt="labels-grid"), 1, root / "labels-grid" / "c1.nii.gz", [out / "r.csv"]),
+        ("evaluate-grid", evaluate(gt="labels-grid"), 1,
+         f"error: c1: {root / 'labels-grid' / 'c1.nii.gz'}: dimension mismatch: (6, 6, 6) vs (5, 5, 5)",
+         [out / "r.csv"]),
         ("evaluate-under-file", evaluate(target=blocked), 1, blocked, []),
         ("evaluate-certainty-range", evaluate("labels", "labels", out / "r.csv", "--cert-dir", str(root / "cert")),
          1, f"{root / 'cert' / 'c1_unc_whole.nii.gz'}: certainty values must lie in [0, 100]", [out / "r.csv"]),
@@ -542,8 +557,15 @@ def fault_rows(root):
         ("evaluate-jobs", evaluate("labels", "labels", out / "r.csv", "--jobs", "0"), 2, "--jobs", []),
         ("evaluate-config", evaluate("labels", "labels", out / "r.csv", "--config", str(root / "prob.yaml")),
          2, prob, []),
+        ("evaluate-config-yaml", evaluate("labels", "labels", out / "r.csv", "--config", str(root / "typo.yaml")),
+         2, f"bad configuration: {root / 'typo.yaml'}: ", []),
+        ("evaluate-config-descending", evaluate("labels", "labels", out / "r.csv", "--config",
+                                                str(root / "descending.yaml")),
+         2, "bad configuration: thresholds must be ascending", []),
         ("features-missing", features(meta=none), 2, none, []),
         ("features-directory", features(meta=directory), 2, directory, []),
+        ("features-meta-not-utf8", features(meta=root / "meta-latin1.csv"), 2,
+         f"{root / 'meta-latin1.csv'}: 'utf-8' codec can't decode", []),
         ("features-missing-label", features("labels-missing"), 2, root / "labels-missing" / "c1.nii.gz", []),
         ("features-label-directory", features("labels-directory"), 1, root / "labels-directory" / "c1.nii.gz",
          [out / "f.csv"]),
@@ -854,6 +876,7 @@ def write_cohort_csv(path, n=30, seed=0):
 
 
 SMALL_FOREST_CONFIG = "survival:\n  n_trees: 25\n"
+CONFIG_READERS = ["refine", "evaluate", "features", "survival-train", "survival-cv", "phantom"]
 ROW_TYPES = "split features and leaf counts must be integers, thresholds finite numbers"
 NODE_SHAPES = "tree 0: each node must be a [short, mid, long] leaf or a forest.splits index"
 SPLIT_SHAPE = "each forest.splits entry must be a [feature, threshold] pair"
@@ -899,6 +922,24 @@ class TestSurvivalCommands:
         assert content.startswith("fold,fused_accuracy,ols_accuracy")
         assert "mean," in content
 
+    def test_predict_reads_no_survival_days(self, runner, tmp_path):
+        """A features table without the survival_days column predicts as the labeled table does."""
+        features, unlabeled, config = tmp_path / "features.csv", tmp_path / "unlabeled.csv", tmp_path / "conf.yaml"
+        write_cohort_csv(features, n=6)
+        unlabeled.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in features.read_text().splitlines()))
+        config.write_text(SMALL_FOREST_CONFIG)
+        model = tmp_path / "model.json"
+        invoke(runner, ["survival-train", "--features-csv", str(features), "--config", str(config),
+                        "--model-out", str(model)])
+        for table, preds in ((features, "p.csv"), (unlabeled, "q.csv")):
+            invoke(runner, ["survival-predict", "--model", str(model), "--features-csv", str(table),
+                            "--out-csv", str(tmp_path / preds)])
+        assert (tmp_path / "q.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+        result = invoke(runner, ["survival-train", "--features-csv", str(unlabeled), "--config", str(config),
+                                 "--model-out", str(tmp_path / "m.json")], expect=2)
+        assert "records without survival_days" in result.stderr
+        assert not (tmp_path / "m.json").exists()
+
     def test_cv_prints_when_no_csv(self, runner, tmp_path):
         features = tmp_path / "features.csv"
         write_cohort_csv(features, n=15)
@@ -928,7 +969,7 @@ class TestSurvivalCommands:
         model.write_text(model.read_text().replace('"n_cores"', '"n_cores_x"'))
         result = invoke(runner, ["survival-predict", "--model", str(model), "--features-csv",
                                  str(features), "--out-csv", str(tmp_path / "p.csv")], expect=2)
-        assert f"{model}: bad survival model: unknown feature(s) ['n_cores_x']" in result.stderr
+        assert f"{model}: bad survival model: unknown survival feature 'n_cores_x' in forest_features" in result.stderr
         assert not (tmp_path / "p.csv").exists()
 
     def test_nan_age_names_case(self, runner, tmp_path):
@@ -977,15 +1018,13 @@ class TestSurvivalCommands:
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "cases").exists()
 
-    @pytest.mark.parametrize("command", ["refine", "evaluate", "features", "survival-train", "survival-cv",
-                                         "phantom"])
-    def test_bad_preset_refused_by_every_config_reader(self, runner, tmp_path, command):
-        config = tmp_path / "conf.yaml"
-        config.write_text("phantom:\n  preset: bogus\n")
-        d, f, out = tmp_path / "d", tmp_path / "f.csv", tmp_path / "out"
+    @staticmethod
+    def config_reader_args(root, command):
+        """``command``'s arguments on inputs under ``root``, its one output ``root / "out"``."""
+        d, f, out = root / "d", root / "f.csv", root / "out"
         d.mkdir()
         f.write_text("case_id,age\n")
-        args = {
+        return {
             "refine": ["--prob-wt", str(f), "--prob-tc", str(f), "--prob-et", str(f), "--out-labels", str(out)],
             "evaluate": ["--pred-dir", str(d), "--gt-dir", str(d), "--out-csv", str(out)],
             "features": ["--labels-dir", str(d), "--meta-csv", str(f), "--out-csv", str(out)],
@@ -993,10 +1032,38 @@ class TestSurvivalCommands:
             "survival-cv": ["--features-csv", str(f), "--out-csv", str(out)],
             "phantom": ["--out", str(out)],
         }[command]
+
+    @pytest.mark.parametrize("command", CONFIG_READERS)
+    def test_bad_preset_refused_by_every_config_reader(self, runner, tmp_path, command):
+        config = tmp_path / "conf.yaml"
+        config.write_text("phantom:\n  preset: bogus\n")
+        args = self.config_reader_args(tmp_path, command)
         result = invoke(runner, [command, *args, "--config", str(config)], expect=2)
         assert "bad configuration: unknown phantom preset 'bogus'" in result.stderr
         assert "Traceback" not in result.stderr
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["option", "env"])
+    @pytest.mark.parametrize("text, message", [
+        (b"refine: {base_threshold: 0.5\n", "{config}: while parsing a flow mapping"),
+        (b"# \xff\n", "{config}: 'utf-8' codec can't decode byte 0xff"),
+        (b"- refine\n", "{config}: config must be a mapping"),
+        (b"uncertainty:\n  thresholds: [50, 0]\n", "thresholds must be ascending"),
+    ], ids=["yaml-typo", "not-utf-8", "not-a-mapping", "descending-thresholds"])
+    @pytest.mark.parametrize("command", CONFIG_READERS)
+    def test_unreadable_config_refused_by_every_config_reader(self, runner, tmp_path, monkeypatch, command, text,
+                                                              message, source):
+        config = tmp_path / "conf.yaml"
+        config.write_bytes(text)
+        args = self.config_reader_args(tmp_path, command)
+        if source == "env":
+            monkeypatch.setenv("UQSEG_CONFIG", str(config))
+        else:
+            args += ["--config", str(config)]
+        result = invoke(runner, [command, *args], expect=2)
+        assert f"Error: bad configuration: {message.format(config=config)}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -436,6 +436,11 @@ class TestSurvivalTables:
         rows = read_case_table(path, ("case_id", "predicted_days"))
         assert [(row["case_id"], float(row["predicted_days"])) for row in rows] == [("a", 299.0), ("b", 300.5)]
 
+    def test_survival_days_column_is_optional(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("case_id,age,n_tumors,n_cores\na,60,1,0\n")
+        assert read_survival_table(path) == [SurvivalRecord("a", 60.0, 1, 0, None)]
+
     def test_empty_table_roundtrip(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_survival_table(path, [])
@@ -483,7 +488,7 @@ class TestResultsTable:
 
 @st.composite
 def non_default_configs(draw):
-    """Valid configs drawn over every key: gates, thresholds, features, ordered bins with days inside them."""
+    """Valid configs drawn over every key: gates, ascending thresholds, features, ordered bins with days inside."""
     unit = st.floats(0.0, 1.0, exclude_max=True)
     fallback, base = sorted(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                                           min_size=2, max_size=2, unique=True)))
@@ -515,7 +520,7 @@ def non_default_configs(draw):
     )
     return PipelineConfig(
         refine=refine,
-        uncertainty_thresholds=tuple(draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8))),
+        uncertainty_thresholds=tuple(sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8)))),
         hd95_empty_sentinel=draw(st.none() | st.floats(allow_nan=False, allow_infinity=False)),
         survival=survival,
         phantom=PhantomConfig(preset=draw(st.sampled_from(sorted(PRESETS))),
@@ -609,6 +614,9 @@ class TestConfig:
             ({"survival": {"cap_days": int("9" * 400)}}, r"^cap_days must be a number, got 9{400}$"),
             ({"survival": {"override_days": {"short": 400}}},
              r"^override value 400.0 for short falls outside its own class bin$"),
+            ({"uncertainty": {"thresholds": [50, 0]}}, r"^thresholds must be ascending$"),
+            ({"uncertainty": {"thresholds": []}}, r"^thresholds must be non-empty and within \[0, 100\], got \(\)$"),
+            ({"uncertainty": {"thresholds": [0, 150]}}, r"within \[0, 100\], got \(0.0, 150.0\)$"),
         ],
         ids=["uncertainty", "metrics", "survival", "phantom",
              "ols-feature", "forest-feature", "gate-region", "override-class",
@@ -617,7 +625,7 @@ class TestConfig:
              "text-gate", "boolean-override-days", "negative-cap", "zero-cap", "override-prob-above-1",
              "override-prob-below-0", "inverted-bins", "nan-bin", "unknown-preset", "zero-dim", "unknown-connectivity",
              "nan-threshold", "nan-sentinel", "nan-override-days", "infinite-cap", "huge-cap",
-             "override-days-bin"],
+             "override-days-bin", "descending-thresholds", "no-thresholds", "threshold-above-100"],
     )
     def test_other_rejections(self, doc, message):
         with pytest.raises(ValueError, match=message):
